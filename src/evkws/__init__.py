@@ -13,11 +13,10 @@ from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
 from .events import (DEFAULT_WINDOW_US, Event, EventStream, SensorConfig,
                      StreamStats, compute_stats, read_stream, synth_stream,
                      write_stream)
-from .filtering import (FiltrationParams, FiltrationState, ThresholdSchedule,
-                        filter_step, filter_stream, make_thresholds)
+from .filtering import (FiltrationParams, ThresholdSchedule, filter_stream,
+                        make_thresholds)
 from .graph import (GraphBuilder, GraphParams, Neighbor, NeighborSet,
-                    NodeRecord, brute_force_neighbors, edges_per_event,
-                    iter_neighbor_sets)
+                    NodeRecord, edges_per_event, iter_neighbor_sets)
 from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       calibrate_cycle_model, latency_report, simulate,
                       throughput_envelope)
@@ -27,10 +26,9 @@ from .inference import (HeadState, InferenceEngine, Prediction, WindowPool,
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
 from .model import (ConvLayer, GruBlock, LinearBlock, ModelArch, ModelWeights,
-                    default_arch, load_weights, random_weights, save_weights)
-from .quant import QuantTensor, quantize_dt, requantize, rounding_rshift
-from .config import (RunConfig, default_config, expand_sweep, load_config,
-                     write_config)
+                    load_weights, random_weights, save_weights)
+from .quant import quantize_dt, requantize, rounding_rshift
+from .config import RunConfig, expand_sweep, load_config, write_config
 
 __version__ = "0.1.0"
 
@@ -40,10 +38,10 @@ __all__ = [
     "DEFAULT_WINDOW_US", "Event", "EventStream", "SensorConfig",
     "StreamStats", "compute_stats", "read_stream", "synth_stream",
     "write_stream",
-    "FiltrationParams", "FiltrationState", "ThresholdSchedule", "filter_step",
-    "filter_stream", "make_thresholds",
+    "FiltrationParams", "ThresholdSchedule", "filter_stream",
+    "make_thresholds",
     "GraphBuilder", "GraphParams", "Neighbor", "NeighborSet", "NodeRecord",
-    "brute_force_neighbors", "edges_per_event", "iter_neighbor_sets",
+    "edges_per_event", "iter_neighbor_sets",
     "CycleCalibration", "HwParams", "SimTrace", "calibrate_cycle_model",
     "latency_report", "simulate", "throughput_envelope",
     "HeadState", "InferenceEngine", "Prediction", "WindowPool",
@@ -52,8 +50,7 @@ __all__ = [
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",
     "metric_report", "read_records", "ts_accuracy",
     "ConvLayer", "GruBlock", "LinearBlock", "ModelArch", "ModelWeights",
-    "default_arch", "load_weights", "random_weights", "save_weights",
-    "QuantTensor", "quantize_dt", "requantize", "rounding_rshift",
-    "RunConfig", "default_config", "expand_sweep", "load_config",
-    "write_config",
+    "load_weights", "random_weights", "save_weights",
+    "quantize_dt", "requantize", "rounding_rshift",
+    "RunConfig", "expand_sweep", "load_config", "write_config",
 ]

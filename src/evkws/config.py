@@ -25,14 +25,11 @@ A config file is flat INI with sections ``sensor``, ``filtration``,
 
     [hw]
     clock_hz = 200000000
-    parallel_multipliers = 2
     fifo_depth = 1024
     nas_latency_us = 23
     head_latency_us = 2.11
 
     [io]
-    input =
-    output =
     format = binary
 
 Any key may be overridden from the command line as ``section.key=value``.
@@ -43,16 +40,15 @@ product over all listed keys yields one resolved config per combination.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
+from operator import attrgetter
 
 from .errors import ConfigError, ValidationError
 from .events import SensorConfig
 from .filtering import FiltrationParams, ThresholdSchedule
 from .graph import GraphParams
 from .hwmodel import HwParams
-
-SECTIONS = ("sensor", "filtration", "graph", "model", "hw", "io")
 
 
 @dataclass(frozen=True)
@@ -82,86 +78,58 @@ class RunConfig:
         r_c=10, skip_step=1, r_t_low=0, r_t_high=5000))
     hw: HwParams = field(default_factory=HwParams)
     weights_path: str | None = None
-    io_input: str | None = None
-    io_output: str | None = None
     io_format: str = "binary"
 
     def filtration_params(self) -> FiltrationParams:
         return self.filtration.materialize(self.sensor.channels)
 
     def to_dict(self) -> dict:
-        return {
-            "sensor": {"channels": self.sensor.channels,
-                       "topology": self.sensor.topology},
-            "filtration": {"div_factor": self.filtration.div_factor,
-                           "weight": self.filtration.weight,
-                           "threshold.kind": self.filtration.kind,
-                           "threshold.start": self.filtration.start,
-                           "threshold.end": self.filtration.end},
-            "graph": {"r_c": self.graph.r_c,
-                      "skip_step": self.graph.skip_step,
-                      "r_t_low": self.graph.r_t_low,
-                      "r_t_high": self.graph.r_t_high},
-            "model": {"weights": self.weights_path},
-            "hw": {"clock_hz": self.hw.clock_hz,
-                   "cycle_base": self.hw.cycle_base,
-                   "cycle_per_vertex": self.hw.cycle_per_vertex,
-                   "parallel_multipliers": self.hw.parallel_multipliers,
-                   "fifo_depth": self.hw.fifo_depth,
-                   "nas_latency_us": self.hw.nas_latency_us,
-                   "head_latency_us": self.hw.head_latency_us,
-                   "window_us": self.hw.window_us,
-                   "flush_timeout_us": self.hw.flush_timeout_us,
-                   "window_latency_bound_us":
-                       self.hw.window_latency_bound_us},
-            "io": {"input": self.io_input, "output": self.io_output,
-                   "format": self.io_format},
-        }
+        doc: dict[str, dict] = {section: {} for section in SECTIONS}
+        for (section, key), attr in KEYS.items():
+            doc[section][key] = attrgetter(attr)(self)
+        return doc
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
-_INT = int
-_FLOAT = float
-_STR = str
-
-# key -> (caster, attribute path); paths are resolved in _apply below.
-_KEY_TABLE: dict[tuple[str, str], tuple] = {
-    ("sensor", "channels"): (_INT,),
-    ("sensor", "topology"): (_STR,),
-    ("filtration", "div_factor"): (_INT,),
-    ("filtration", "weight"): (_INT,),
-    ("filtration", "threshold.kind"): (_STR,),
-    ("filtration", "threshold.start"): (_INT,),
-    ("filtration", "threshold.end"): (_INT,),
-    ("graph", "r_c"): (_INT,),
-    ("graph", "skip_step"): (_INT,),
-    ("graph", "r_t_low"): (_INT,),
-    ("graph", "r_t_high"): (_INT,),
-    ("model", "weights"): (_STR,),
-    ("hw", "clock_hz"): (_FLOAT,),
-    ("hw", "cycle_base"): (_INT,),
-    ("hw", "cycle_per_vertex"): (_INT,),
-    ("hw", "parallel_multipliers"): (_INT,),
-    ("hw", "fifo_depth"): (_INT,),
-    ("hw", "nas_latency_us"): (_FLOAT,),
-    ("hw", "head_latency_us"): (_FLOAT,),
-    ("hw", "window_us"): (_INT,),
-    ("hw", "flush_timeout_us"): (_FLOAT,),
-    ("hw", "window_latency_bound_us"): (_FLOAT,),
-    ("io", "input"): (_STR,),
-    ("io", "output"): (_STR,),
-    ("io", "format"): (_STR,),
+# INI key -> RunConfig attribute, in the order write_config emits them.
+KEYS: dict[tuple[str, str], str] = {
+    ("sensor", "channels"): "sensor.channels",
+    ("sensor", "topology"): "sensor.topology",
+    ("filtration", "div_factor"): "filtration.div_factor",
+    ("filtration", "weight"): "filtration.weight",
+    ("filtration", "threshold.kind"): "filtration.kind",
+    ("filtration", "threshold.start"): "filtration.start",
+    ("filtration", "threshold.end"): "filtration.end",
+    ("graph", "r_c"): "graph.r_c",
+    ("graph", "skip_step"): "graph.skip_step",
+    ("graph", "r_t_low"): "graph.r_t_low",
+    ("graph", "r_t_high"): "graph.r_t_high",
+    ("model", "weights"): "weights_path",
+    ("hw", "clock_hz"): "hw.clock_hz",
+    ("hw", "cycle_base"): "hw.cycle_base",
+    ("hw", "cycle_per_vertex"): "hw.cycle_per_vertex",
+    ("hw", "fifo_depth"): "hw.fifo_depth",
+    ("hw", "nas_latency_us"): "hw.nas_latency_us",
+    ("hw", "head_latency_us"): "hw.head_latency_us",
+    ("hw", "window_us"): "hw.window_us",
+    ("hw", "flush_timeout_us"): "hw.flush_timeout_us",
+    ("hw", "window_latency_bound_us"): "hw.window_latency_bound_us",
+    ("io", "format"): "io_format",
 }
+
+SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
+
+_DEFAULTS = RunConfig()
 
 
 def _cast(section: str, key: str, value: str):
-    entry = _KEY_TABLE.get((section, key))
-    if entry is None:
+    """Parse a raw value with the type of the key's default."""
+    attr = KEYS.get((section, key))
+    if attr is None:
         raise ConfigError(f"unknown config key [{section}] {key}")
-    caster = entry[0]
+    default = attrgetter(attr)(_DEFAULTS)
+    if default is None:
+        return value or None  # optional path; empty means unset
+    caster = type(default)
     try:
         return caster(value)
     except ValueError:
@@ -171,45 +139,20 @@ def _cast(section: str, key: str, value: str):
 
 
 def _build(values: dict[tuple[str, str], object]) -> RunConfig:
-    def get(section: str, key: str, default):
-        return values.get((section, key), default)
-
+    """Apply parsed values over the defaults, validating each group."""
+    changes: dict[str, dict[str, object]] = {}
+    for ini_key, value in values.items():
+        group, _, name = KEYS[ini_key].rpartition(".")
+        changes.setdefault(group, {})[name] = value
+    top = changes.pop("", {})
     try:
-        sensor = SensorConfig(
-            channels=get("sensor", "channels", 64),
-            topology=get("sensor", "topology", "cascade"))
-        filtration = FiltrationSettings(
-            div_factor=get("filtration", "div_factor", 8),
-            weight=get("filtration", "weight", 32),
-            kind=get("filtration", "threshold.kind", "exponential"),
-            start=get("filtration", "threshold.start", 64),
-            end=get("filtration", "threshold.end", 32))
-        filtration.schedule()  # fail fast on bad schedule values
-        graph = GraphParams(
-            r_c=get("graph", "r_c", 10),
-            skip_step=get("graph", "skip_step", 1),
-            r_t_low=get("graph", "r_t_low", 0),
-            r_t_high=get("graph", "r_t_high", 5000))
-        hw = HwParams(
-            clock_hz=get("hw", "clock_hz", 200e6),
-            cycle_base=get("hw", "cycle_base", 58),
-            cycle_per_vertex=get("hw", "cycle_per_vertex", 36),
-            parallel_multipliers=get("hw", "parallel_multipliers", 2),
-            fifo_depth=get("hw", "fifo_depth", 1024),
-            nas_latency_us=get("hw", "nas_latency_us", 23.0),
-            head_latency_us=get("hw", "head_latency_us", 2.11),
-            window_us=get("hw", "window_us", 10000),
-            flush_timeout_us=get("hw", "flush_timeout_us", 0.0),
-            window_latency_bound_us=get("hw", "window_latency_bound_us",
-                                        18.62))
+        for group, fields in changes.items():
+            top[group] = replace(getattr(_DEFAULTS, group), **fields)
+        config = replace(_DEFAULTS, **top)
+        config.filtration.schedule()  # fail fast on bad schedule values
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        sensor=sensor, filtration=filtration, graph=graph, hw=hw,
-        weights_path=get("model", "weights", None) or None,
-        io_input=get("io", "input", None) or None,
-        io_output=get("io", "output", None) or None,
-        io_format=get("io", "format", "binary"))
+    return config
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:

@@ -213,6 +213,9 @@ def read_stream(path: str, format: str = FORMAT_BINARY,
         raise ConfigError(f"unknown stream format {format!r}")
     stream.sample_id = sample_id
     stream.validate()
+    # Narrow only after validation, so an out-of-range value cannot wrap.
+    stream.c = stream.c.astype(np.int32, copy=False)
+    stream.p = stream.p.astype(np.int8, copy=False)
     return stream
 
 
@@ -281,10 +284,13 @@ def _read_csv(path: str, config: SensorConfig | None) -> EventStream:
             except ValueError:
                 raise ParseError(f"{path}: non-integer field in {line!r}",
                                  line=lineno) from None
-    return EventStream(config,
-                       np.array(ts, dtype=np.int64),
-                       np.array(cs, dtype=np.int32),
-                       np.array(ps, dtype=np.int8))
+    try:
+        columns = [np.array(col, dtype=np.int64) for col in (ts, cs, ps)]
+    except OverflowError:
+        big = next(v for v in (*ts, *cs, *ps) if not -2**63 <= v < 2**63)
+        raise ValidationError(
+            f"{path}: value {big} does not fit in 64 bits") from None
+    return EventStream(config, *columns)
 
 
 @dataclass(eq=False)

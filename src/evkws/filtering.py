@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderingError, ValidationError
-from .events import Event, EventStream
+from .errors import ValidationError
+from .events import EventStream
 
 SCHEDULE_KINDS = ("constant", "linear", "exponential")
 
@@ -107,53 +107,14 @@ class FiltrationParams:
         return int(self.thresholds.size)
 
 
-@dataclass
-class FiltrationState:
-    """Per-channel filter state: previous timestamp and current potential."""
-
-    t_last: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def fresh(cls, channels: int) -> "FiltrationState":
-        return cls(np.zeros(channels, dtype=np.int64),
-                   np.zeros(channels, dtype=np.int64))
-
-
-def filter_step(state: FiltrationState, event: Event,
-                params: FiltrationParams) -> tuple[bool, FiltrationState]:
-    """Advance one channel's state by one event; returns (accepted, state).
-
-    Mutates only the caller's state. Folding this over a stream reproduces
-    filter_stream exactly. Raises OrderingError if the event's timestamp
-    regresses relative to the channel's previous event and ValidationError if
-    the potential would exceed the 32-bit ceiling.
-    """
-    c = event.c
-    if not 0 <= c < params.channels:
-        raise ValidationError(f"channel {c} outside [0, {params.channels})")
-    dt = event.t - int(state.t_last[c])
-    if dt < 0:
-        raise OrderingError(
-            f"channel {c}: timestamp {event.t} precedes {int(state.t_last[c])}")
-    v = max(0, int(state.v[c]) - (dt >> params.div_factor)) + params.weight
-    if v > V_LIMIT:
-        raise ValidationError(
-            f"channel {c}: potential {v} overflows 32-bit storage")
-    state.t_last[c] = event.t
-    if v >= int(params.thresholds[c]):
-        state.v[c] = 0
-        return True, state
-    state.v[c] = v
-    return False, state
-
-
 def filter_stream(stream: EventStream,
                   params: FiltrationParams) -> EventStream:
     """Filter a whole stream, preserving order and all event fields.
 
     The output is always a subsequence of the input; an event's fate depends
-    only on events sharing its channel.
+    only on events sharing its channel. Raises OrderingError if timestamps
+    regress and ValidationError if a potential would exceed the 32-bit
+    ceiling.
     """
     stream.validate()
     if params.channels != stream.config.channels:

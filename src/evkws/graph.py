@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,11 +51,9 @@ class GraphParams:
 
 @dataclass
 class NodeRecord:
-    """Latest event on a channel, with whatever features a consumer attached."""
+    """Latest event on a channel."""
 
     event: Event
-    features: np.ndarray | None = None
-    valid: bool = True
 
 
 class Neighbor(NamedTuple):
@@ -73,9 +71,6 @@ class NeighborSet:
 
     def __len__(self) -> int:
         return len(self.neighbors)
-
-    def channels(self) -> list[int]:
-        return [self.center.c + n.dc for n in self.neighbors]
 
 
 class GraphBuilder:
@@ -119,59 +114,6 @@ class GraphBuilder:
                 neighbors.append(Neighbor(record, channel - event.c, dt))
         self._records[event.c] = NodeRecord(event)
         return NeighborSet(event, neighbors)
-
-    def record(self, channel: int) -> NodeRecord | None:
-        return self._records[channel]
-
-
-def brute_force_neighbors(history: EventStream | Sequence[Event],
-                          event: Event, params: GraphParams,
-                          channels: int | None = None) -> NeighborSet:
-    """Stateless reference: recompute one neighbor set from full history.
-
-    Scans the whole time-sorted history, finds the latest event on each
-    qualifying channel, and keeps it only if its age fits the window (older
-    in-window events on that channel are shadowed, matching the overwrite
-    semantics of the incremental builder). Slow by design; meant for tests.
-    """
-    if isinstance(history, EventStream):
-        t_hist = history.t
-        c_hist = history.c
-        p_hist = history.p
-        if channels is None:
-            channels = history.config.channels
-    else:
-        t_hist = np.array([e.t for e in history], dtype=np.int64)
-        c_hist = np.array([e.c for e in history], dtype=np.int64)
-        p_hist = np.array([e.p for e in history], dtype=np.int64)
-        if channels is None:
-            channels = max(int(c_hist.max(initial=0)) + 1, event.c + 1)
-    if t_hist.size and (np.diff(t_hist) < 0).any():
-        raise OrderingError("history is not time-sorted")
-    if t_hist.size and int(t_hist[-1]) > event.t:
-        raise OrderingError(
-            f"event at {event.t} precedes history tail {int(t_hist[-1])}")
-
-    last_index = np.full(channels, -1, dtype=np.int64)
-    last_index[c_hist] = np.arange(t_hist.size)  # later writes win
-
-    reach = params.r_c // params.skip_step
-    neighbors: list[Neighbor] = []
-    for k in range(-reach, reach + 1):
-        if k == 0:
-            continue
-        channel = event.c + k * params.skip_step
-        if not 0 <= channel < channels:
-            continue
-        j = int(last_index[channel])
-        if j < 0:
-            continue
-        dt = event.t - int(t_hist[j])
-        if params.r_t_low <= dt <= params.r_t_high:
-            record = NodeRecord(Event(int(t_hist[j]), int(c_hist[j]),
-                                      int(p_hist[j])))
-            neighbors.append(Neighbor(record, channel - event.c, dt))
-    return NeighborSet(event, neighbors)
 
 
 def iter_neighbor_sets(stream: EventStream,

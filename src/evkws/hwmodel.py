@@ -44,7 +44,6 @@ class HwParams:
     clock_hz: float = 200e6
     cycle_base: int = 58
     cycle_per_vertex: int = 36
-    parallel_multipliers: int = 2
     fifo_depth: int = 1024
     nas_latency_us: float = 23.0
     head_latency_us: float = 2.11
@@ -57,8 +56,6 @@ class HwParams:
             raise ValidationError("clock_hz must be positive")
         if self.cycle_base <= 0 or self.cycle_per_vertex <= 0:
             raise ValidationError("cycle counts must be positive")
-        if self.parallel_multipliers < 1:
-            raise ValidationError("parallel_multipliers must be at least 1")
         if self.fifo_depth < 1:
             raise ValidationError("fifo_depth must be at least 1")
         if self.nas_latency_us < 0 or self.head_latency_us < 0:

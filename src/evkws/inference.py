@@ -79,7 +79,7 @@ def pointnet_conv(layer: ConvLayer, center_features: np.ndarray,
             (int(saturate_i8(dc)), int(quantize_dt(dt))),
         ]))
     x = np.stack(rows)                                   # (vertices, in + 2)
-    acc = x @ layer.weight.data.astype(np.int32).T       # (vertices, out)
+    acc = x @ layer.weight.astype(np.int32).T            # (vertices, out)
     acc += layer.bias.astype(np.int32)
     out = requantize(acc, layer.scale_num, layer.scale_shift)
     out = np.maximum(out, 0)                             # rectify
@@ -175,7 +175,7 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     with a rounding shift by 8.
     """
     hidden = block.out_width
-    w = block.weight.data.astype(np.int32)
+    w = block.weight.astype(np.int32)
     ax = w[:, :block.in_width] @ x.astype(np.int32) + block.bias
     ah = w[:, block.in_width:] @ h.astype(np.int32)
 
@@ -216,7 +216,7 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
             gru_i += 1
             x = h_next.astype(np.int32)
         else:
-            acc = block.weight.data.astype(np.int32) @ x + block.bias
+            acc = block.weight.astype(np.int32) @ x + block.bias
             if i == last:
                 out = rounding_rshift(acc.astype(np.int64) * block.scale_num,
                                       block.scale_shift)

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .quant import QuantTensor
+from .quant import I8_MAX, I8_MIN
 
 WEIGHT_FORMAT_VERSION = 1
 
@@ -57,7 +57,7 @@ CONV_LAYER_COUNT = 4
 class ConvLayer:
     """One graph-convolution stage: affine map over features plus position."""
 
-    weight: QuantTensor  # (out, in + POSITION_WIDTH)
+    weight: np.ndarray   # int8, (out, in + POSITION_WIDTH)
     bias: np.ndarray     # int32, (out,)
     in_width: int
     out_width: int
@@ -73,7 +73,7 @@ class ConvLayer:
 
 @dataclass(eq=False)
 class LinearBlock:
-    weight: QuantTensor  # (out, in)
+    weight: np.ndarray   # int8, (out, in)
     bias: np.ndarray
     in_width: int
     out_width: int
@@ -95,7 +95,7 @@ class GruBlock:
     hold the input weights first, then the recurrent weights.
     """
 
-    weight: QuantTensor  # (3*out, in + out)
+    weight: np.ndarray   # int8, (3*out, in + out)
     bias: np.ndarray     # int32, (3*out,)
     in_width: int
     out_width: int
@@ -105,6 +105,7 @@ class GruBlock:
     def __post_init__(self):
         if self.in_width < 1 or self.out_width < 1:
             raise ValidationError("block widths must be positive")
+        _check_weight(self)
         if self.weight.shape != (3 * self.out_width,
                                  self.in_width + self.out_width):
             raise ValidationError(
@@ -124,6 +125,7 @@ class GruBlock:
 def _check_block(block, expected_in: int) -> None:
     if block.in_width < 1 or block.out_width < 1:
         raise ValidationError("block widths must be positive")
+    _check_weight(block)
     if block.weight.shape != (block.out_width, expected_in):
         raise ValidationError(
             f"weight shape {block.weight.shape} does not match "
@@ -133,6 +135,15 @@ def _check_block(block, expected_in: int) -> None:
         raise ValidationError(f"bias length {bias.shape} does not match out")
     _check_scales(block)
     object.__setattr__(block, "bias", bias.astype(np.int32))
+
+
+def _check_weight(block) -> None:
+    weight = np.asarray(block.weight)
+    if weight.dtype != np.int8:
+        if (weight < I8_MIN).any() or (weight > I8_MAX).any():
+            raise ValidationError("weight values exceed int8 range")
+        weight = weight.astype(np.int8)
+    object.__setattr__(block, "weight", weight)
 
 
 def _check_scales(block) -> None:
@@ -147,7 +158,8 @@ def _block_eq(a, b) -> bool:
         return NotImplemented
     return (a.in_width == b.in_width and a.out_width == b.out_width
             and a.scale_num == b.scale_num and a.scale_shift == b.scale_shift
-            and a.weight == b.weight and np.array_equal(a.bias, b.bias))
+            and np.array_equal(a.weight, b.weight)
+            and np.array_equal(a.bias, b.bias))
 
 
 HeadBlock = LinearBlock | GruBlock
@@ -205,7 +217,7 @@ class ModelWeights:
     def param_count(self) -> int:
         n = 0
         for block in [*self.conv_layers, *self.head_blocks]:
-            n += block.weight.data.size + int(np.asarray(block.bias).size)
+            n += block.weight.size + int(np.asarray(block.bias).size)
         return n
 
     def __eq__(self, other) -> bool:
@@ -232,7 +244,7 @@ def _encode_block(block) -> dict:
         "scale_num": block.scale_num,
         "scale_shift": block.scale_shift,
         "weight": base64.b64encode(
-            np.ascontiguousarray(block.weight.data).tobytes()).decode("ascii"),
+            np.ascontiguousarray(block.weight).tobytes()).decode("ascii"),
         "bias": [int(b) for b in np.asarray(block.bias)],
     }
 
@@ -283,14 +295,14 @@ def _decode_block(entry: dict, index: int):
         if kind == KIND_CONV:
             data = _decode_matrix(entry, label, out_width,
                                   in_width + POSITION_WIDTH)
-            return ConvLayer(weight=QuantTensor(data), **common)
+            return ConvLayer(weight=data, **common)
         if kind == KIND_LINEAR:
             data = _decode_matrix(entry, label, out_width, in_width)
-            return LinearBlock(weight=QuantTensor(data), **common)
+            return LinearBlock(weight=data, **common)
         if kind == KIND_GRU:
             data = _decode_matrix(entry, label, 3 * out_width,
                                   in_width + out_width)
-            return GruBlock(weight=QuantTensor(data), **common)
+            return GruBlock(weight=data, **common)
     except ValidationError as exc:
         raise ValidationError(f"{label}: {exc}") from None
     raise ValidationError(f"{label}: unknown block kind {kind!r}")
@@ -343,10 +355,6 @@ class ModelArch:
     class_count: int = 11
 
 
-def default_arch() -> ModelArch:
-    return ModelArch()
-
-
 _W_RANGE = 16  # random weights stay small so accumulators exercise mid-range
 
 
@@ -358,12 +366,12 @@ def _auto_shift(fan_in: int) -> int:
 
 def random_weights(seed: int, arch: ModelArch | None = None) -> ModelWeights:
     """Draw a reproducible random model with the given shape."""
-    arch = arch or default_arch()
+    arch = arch or ModelArch()
     rng = np.random.default_rng(seed)
 
-    def draw(rows: int, cols: int) -> QuantTensor:
-        return QuantTensor(rng.integers(-_W_RANGE, _W_RANGE + 1,
-                                        size=(rows, cols), dtype=np.int64))
+    def draw(rows: int, cols: int) -> np.ndarray:
+        return rng.integers(-_W_RANGE, _W_RANGE + 1, size=(rows, cols),
+                            dtype=np.int64)
 
     def draw_bias(n: int) -> np.ndarray:
         return rng.integers(-256, 257, size=n, dtype=np.int64)

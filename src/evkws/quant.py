@@ -16,9 +16,6 @@ with a rounding shift by 8.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -69,13 +66,7 @@ def requantize(acc, scale_num: int, scale_shift: int):
         scaled = acc.astype(np.int64) * scale_num
     else:
         scaled = int(acc) * scale_num
-    out = saturate_i8(rounding_rshift(scaled, scale_shift))
-    # Saturation guarantees the 8-bit envelope; keep the check explicit.
-    if isinstance(out, np.ndarray):
-        assert out.dtype == np.int8
-    else:
-        assert I8_MIN <= out <= I8_MAX
-    return out
+    return saturate_i8(rounding_rshift(scaled, scale_shift))
 
 
 def quantize_dt(dt_us) -> np.ndarray | int:
@@ -115,41 +106,3 @@ def div_round_half_up_nonneg(total: int, count: int) -> int:
         raise ValidationError("total must be non-negative")
     return (total + count // 2) // count
 
-
-@dataclass(eq=False)
-class QuantTensor:
-    """Int8 data plus the scale metadata that maps it back to real values.
-
-    ``dequantize`` returns ``scale * (q - zero_point)``; the inference path
-    itself never leaves integer arithmetic.
-    """
-
-    data: np.ndarray
-    scale: float = 1.0
-    zero_point: int = 0
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.dtype != np.int8:
-            if (data < I8_MIN).any() or (data > I8_MAX).any():
-                raise ValidationError("values exceed int8 range")
-            data = data.astype(np.int8)
-        if self.scale <= 0 or not math.isfinite(self.scale):
-            raise ValidationError("scale must be a positive finite number")
-        if self.zero_point != 0:
-            raise ValidationError("symmetric quantization requires zero_point 0")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def dequantize(self) -> np.ndarray:
-        return self.scale * (self.data.astype(np.float64) - self.zero_point)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantTensor):
-            return NotImplemented
-        return (self.scale == other.scale
-                and self.zero_point == other.zero_point
-                and np.array_equal(self.data, other.data))

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written in plain Python (dicts, ints, list
 scans) so that agreement with the numpy-vectorized package code is a real
-cross-check rather than the same code path twice. The lookup tables for the
+cross-check rather than the same code path twice. The one exception,
+``brute_force_neighbors``, indexes its history with numpy so that rescanning
+the full history for every event of a 10^4-event stream stays fast. The lookup tables for the
 recurrent head are regenerated here from math.exp/math.tanh instead of being
 imported.
 """
@@ -10,6 +12,8 @@ imported.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 I8_MIN, I8_MAX = -128, 127
 
@@ -67,6 +71,32 @@ def linear_scan_neighbors(history, event, params):
         if params.r_t_low <= dt <= params.r_t_high:
             found[c] = dt
     return sorted(found.items())
+
+
+def brute_force_neighbors(history, event, params):
+    """Stateless rescan of the full history for one new event.
+
+    ``history`` is a time-sorted EventStream of everything before ``event``
+    (a (t, c, p) tuple); returns a sorted list of (channel, dt) pairs. The
+    latest event on a channel shadows older ones, as in linear_scan_neighbors.
+    """
+    t0, c0, _ = event
+    channels = history.config.channels
+    last_index = np.full(channels, -1, dtype=np.int64)
+    last_index[history.c] = np.arange(len(history.t))  # later writes win
+    reach = params.r_c // params.skip_step
+    found = []
+    for k in range(-reach, reach + 1):
+        channel = c0 + k * params.skip_step
+        if k == 0 or not 0 <= channel < channels:
+            continue
+        j = int(last_index[channel])
+        if j < 0:
+            continue
+        dt = t0 - int(history.t[j])
+        if params.r_t_low <= dt <= params.r_t_high:
+            found.append((channel, dt))
+    return found
 
 
 # ------------------------------------------------------------- fixed point

@@ -7,14 +7,15 @@ import pytest
 
 from evkws import (
     ConfigError,
+    RunConfig,
     SensorConfig,
-    default_config,
     expand_sweep,
     load_config,
     write_config,
     write_stream,
 )
 from evkws.cli import main
+from evkws.config import KEYS
 from evkws.filtering import make_thresholds
 
 from conftest import make_stream
@@ -46,7 +47,7 @@ flush_timeout_us = 5.0
 # ------------------------------------------------------------------ config
 
 def test_default_config_values():
-    cfg = default_config()
+    cfg = RunConfig()
     assert cfg.sensor.channels == 64
     assert cfg.filtration.kind == "exponential"
     assert (cfg.filtration.start, cfg.filtration.end) == (64, 32)
@@ -127,6 +128,56 @@ def test_write_config_round_trip(tmp_path):
     write_config(cfg, str(out))
     back = load_config(str(out))
     assert back == cfg
+
+
+# A valid value different from the default for every key in the table.
+NON_DEFAULT = {
+    "sensor.channels": "128",
+    "sensor.topology": "parallel",
+    "filtration.div_factor": "6",
+    "filtration.weight": "24",
+    "filtration.threshold.kind": "linear",
+    "filtration.threshold.start": "48",
+    "filtration.threshold.end": "16",
+    "graph.r_c": "4",
+    "graph.skip_step": "2",
+    "graph.r_t_low": "100",
+    "graph.r_t_high": "2500",
+    "model.weights": "trained.json",
+    "hw.clock_hz": "100000000",
+    "hw.cycle_base": "60",
+    "hw.cycle_per_vertex": "30",
+    "hw.fifo_depth": "256",
+    "hw.nas_latency_us": "20.5",
+    "hw.head_latency_us": "3.25",
+    "hw.window_us": "20000",
+    "hw.flush_timeout_us": "5.0",
+    "hw.window_latency_bound_us": "30.0",
+    "io.format": "csv",
+}
+
+
+def test_every_key_round_trips_through_write_config(tmp_path):
+    assert set(NON_DEFAULT) == {f"{s}.{k}" for s, k in KEYS}
+    cfg = load_config(None, [f"{k}={v}" for k, v in NON_DEFAULT.items()])
+    doc, default_doc = cfg.to_dict(), RunConfig().to_dict()
+    for section, key in KEYS:
+        assert doc[section][key] != default_doc[section][key], (section, key)
+    path = tmp_path / "all.ini"
+    write_config(cfg, str(path))
+    assert load_config(str(path)) == cfg
+
+
+def test_to_dict_keys_match_key_table():
+    doc = RunConfig().to_dict()
+    assert {(s, k) for s, entries in doc.items() for k in entries} == set(KEYS)
+
+
+@pytest.mark.parametrize("key", ["hw.parallel_multipliers", "io.input",
+                                 "io.output"])
+def test_removed_keys_rejected(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(None, [f"{key}=2"])
 
 
 def test_expand_sweep(tmp_path):
@@ -343,6 +394,17 @@ def test_cli_domain_violation_is_validation_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "stats", str(bad))
     assert code == 4
     assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("row", ["0,1,300", "0,1,-129",
+                                 "99999999999999999999,1,1"])
+def test_cli_out_of_range_csv_field_is_one_json_line(capsys, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,c,p\n{row}\n")
+    code, out, err = run_cli(capsys, "stats", str(bad))
+    assert code in (4, 5)
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["exit_code"] == code
 
 
 def test_cli_eval_empty_manifest_is_validation_error(capsys, tmp_path):

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evkws import (
-    Event,
     EventStream,
     FiltrationParams,
-    FiltrationState,
     OrderingError,
     SensorConfig,
     ThresholdSchedule,
     ValidationError,
-    filter_step,
     filter_stream,
     make_thresholds,
 )
@@ -29,12 +26,16 @@ def uniform_params(channels=64, div_factor=8, weight=32, theta=64):
 
 
 def run_steps(events, params):
-    state = FiltrationState.fresh(params.channels)
-    out = []
-    for ev in events:
-        accepted, state = filter_step(state, Event(*ev), params)
-        out.append(accepted)
-    return out
+    """Per-event accept flags, read off filter_stream on growing prefixes.
+
+    The filter is causal, so event i passed exactly when the prefix ending
+    at i keeps one more event than the prefix before it.
+    """
+    cfg = SensorConfig(params.channels)
+    kept = [len(filter_stream(EventStream.from_events(cfg, events[:n]),
+                              params))
+            for n in range(len(events) + 1)]
+    return [after > before for before, after in zip(kept, kept[1:])]
 
 
 # -------------------------------------------------------------- hand traces
@@ -71,13 +72,12 @@ def test_trace_simultaneous_events_accumulate():
 
 
 def test_rejected_event_still_moves_the_clock():
-    # the t=0 rejection must update t_last, otherwise the t=1000 decay
-    # would be computed from 0 twice
-    params = uniform_params()
-    state = FiltrationState.fresh(64)
-    _, state = filter_step(state, Event(0, 3, 1), params)
-    assert int(state.t_last[3]) == 0
-    assert int(state.v[3]) == 32
+    # the rejections at t=100 and t=105 must update t_last: decaying from
+    # t=0 each time would leave v at 10 and never accept the third event
+    params = uniform_params(div_factor=0, weight=10, theta=19)
+    # v: 10 (reject), max(0, 10 - 5) + 10 = 15 (reject), 14 + 10 = 24
+    assert run_steps([(100, 0, 1), (105, 0, 1), (106, 0, 1)],
+                     params) == [False, False, True]
 
 
 def test_div_factor_zero_decays_one_per_microsecond():
@@ -89,23 +89,19 @@ def test_div_factor_zero_decays_one_per_microsecond():
 
 
 def test_time_regression_raises():
-    params = uniform_params()
-    state = FiltrationState.fresh(64)
-    _, state = filter_step(state, Event(10, 3, 1), params)
+    stream = EventStream(SensorConfig(64), np.array([10, 9]),
+                         np.array([3, 3]), np.array([1, 1]))
     with pytest.raises(OrderingError):
-        filter_step(state, Event(9, 3, 1), params)
-    # other channels are unaffected by channel 3's clock
-    filter_step(state, Event(0, 4, 1), params)
+        filter_stream(stream, uniform_params())
 
 
 def test_potential_overflow_raises():
     params = FiltrationParams(div_factor=32, weight=V_LIMIT,
                               thresholds=np.full(32, V_LIMIT + 1,
                                                  dtype=np.int64))
-    state = FiltrationState.fresh(32)
-    _, state = filter_step(state, Event(0, 0, 1), params)
+    assert run_steps([(0, 0, 1)], params) == [False]
     with pytest.raises(ValidationError, match="overflow"):
-        filter_step(state, Event(0, 0, 1), params)
+        run_steps([(0, 0, 1), (0, 0, 1)], params)
 
 
 # ---------------------------------------------------------------- schedules
@@ -245,19 +241,3 @@ def test_channels_filter_independently(events):
         per_channel.update(tuple(e) for e in kept)
     assert whole == per_channel
 
-
-@given(events=stream_events)
-@settings(max_examples=100, deadline=None)
-def test_step_fold_equals_stream(events):
-    # running filter_step event by event is the same computation
-    cfg = SensorConfig(channels=32)
-    params = uniform_params(32, 6, 24, 48)
-    stream = EventStream.from_events(cfg, events)
-    via_stream = [tuple(e) for e in filter_stream(stream, params)]
-    state = FiltrationState.fresh(32)
-    via_steps = []
-    for ev in events:
-        ok, state = filter_step(state, Event(*ev), params)
-        if ok:
-            via_steps.append(ev)
-    assert via_steps == via_stream

@@ -15,14 +15,12 @@ from evkws import (
     OrderingError,
     SensorConfig,
     ValidationError,
-    brute_force_neighbors,
     edges_per_event,
     iter_neighbor_sets,
 )
 from evkws.graph import dump_neighbors
 
-from conftest import make_stream
-from oracles import linear_scan_neighbors
+from oracles import brute_force_neighbors, linear_scan_neighbors
 
 
 def pairs(neighbor_set):
@@ -157,12 +155,10 @@ def test_incremental_matches_both_oracles(events, params):
     stream = EventStream.from_events(cfg, events)
     builder = GraphBuilder(channels=32, params=params)
     for i, ev in enumerate(events):
-        event = Event(*ev)
-        history = [Event(*e) for e in events[:i]]
-        got = pairs(builder.insert_event(event))
+        history = EventStream(cfg, stream.t[:i], stream.c[:i], stream.p[:i])
+        got = pairs(builder.insert_event(Event(*ev)))
         assert got == linear_scan_neighbors(events[:i], ev, params)
-        assert got == pairs(brute_force_neighbors(history, event, params,
-                                                  channels=32))
+        assert got == brute_force_neighbors(history, ev, params)
         assert len(got) <= params.max_degree
 
 
@@ -175,16 +171,6 @@ def test_iter_neighbor_sets_and_edge_counts(events, params):
     counts = edges_per_event(stream, params)
     assert len(sets) == len(stream) == counts.size
     assert [len(s.neighbors) for s in sets] == counts.tolist()
-
-
-def test_brute_force_accepts_stream_history(rng):
-    params = GraphParams(r_c=8, skip_step=1, r_t_low=0, r_t_high=800)
-    stream = make_stream(rng, channels=32, n=120, t_max=2000)
-    event = Event(int(stream.t[-1]) + 1, 10, 1)
-    from_stream = brute_force_neighbors(stream, event, params)
-    from_list = brute_force_neighbors(list(stream), event, params,
-                                      channels=32)
-    assert pairs(from_stream) == pairs(from_list)
 
 
 def test_dump_neighbors_format(rng):

@@ -26,7 +26,6 @@ from evkws import (
 )
 from evkws.graph import NeighborSet, Neighbor, NodeRecord
 from evkws.model import ConvLayer, GruBlock, LinearBlock
-from evkws.quant import QuantTensor
 
 from conftest import make_stream
 from oracles import (
@@ -47,9 +46,7 @@ def neighbor_set(center_event, pairs):
 
 def rand_conv(rng, in_w, out_w):
     return ConvLayer(
-        weight=QuantTensor(
-            rng.integers(-64, 64, size=(out_w, in_w + 2)).astype(np.int8),
-            scale=1.0),
+        weight=rng.integers(-64, 64, size=(out_w, in_w + 2)).astype(np.int8),
         bias=rng.integers(-1024, 1024, size=out_w).astype(np.int32),
         in_width=in_w, out_width=out_w,
         scale_num=int(rng.integers(1, 4)),
@@ -58,9 +55,7 @@ def rand_conv(rng, in_w, out_w):
 
 def rand_linear(rng, in_w, out_w):
     return LinearBlock(
-        weight=QuantTensor(
-            rng.integers(-32, 33, size=(out_w, in_w)).astype(np.int8),
-            scale=1.0),
+        weight=rng.integers(-32, 33, size=(out_w, in_w)).astype(np.int8),
         bias=rng.integers(-1024, 1024, size=out_w).astype(np.int32),
         in_width=in_w, out_width=out_w,
         scale_num=int(rng.integers(1, 4)),
@@ -69,10 +64,8 @@ def rand_linear(rng, in_w, out_w):
 
 def rand_gru(rng, in_w, out_w):
     return GruBlock(
-        weight=QuantTensor(
-            rng.integers(-32, 33,
-                         size=(3 * out_w, in_w + out_w)).astype(np.int8),
-            scale=1.0),
+        weight=rng.integers(-32, 33,
+                            size=(3 * out_w, in_w + out_w)).astype(np.int8),
         bias=rng.integers(-512, 512, size=3 * out_w).astype(np.int32),
         in_width=in_w, out_width=out_w,
         scale_num=1, scale_shift=int(rng.integers(6, 12)))
@@ -82,7 +75,7 @@ def as_oracle_block(block):
     kind = {ConvLayer: "conv", LinearBlock: "linear",
             GruBlock: "gru"}[type(block)]
     return {"kind": kind,
-            "weight": block.weight.data.tolist(),
+            "weight": block.weight.tolist(),
             "bias": block.bias.tolist(),
             "scale_num": block.scale_num,
             "scale_shift": block.scale_shift,
@@ -124,8 +117,7 @@ def test_first_layer_inputs_matches_oracle(pairs, p):
 def test_pointnet_conv_tiny_hand_case():
     # one output row: weight [1, 0, 2, 1], bias 8, scale 1, shift 2
     layer = ConvLayer(
-        weight=QuantTensor(np.array([[1, 0, 2, 1]], dtype=np.int8),
-                           scale=1.0),
+        weight=np.array([[1, 0, 2, 1]], dtype=np.int8),
         bias=np.array([8], dtype=np.int32),
         in_width=2, out_width=1, scale_num=1, scale_shift=2)
     center = np.array([4, 0], dtype=np.int8)
@@ -161,7 +153,7 @@ def test_pointnet_conv_matches_oracle(seed, n_neighbors):
         for _ in range(n_neighbors)
     ]
     got = pointnet_conv(layer, center, neighbors)
-    expect = ref_pointnet_conv(layer.weight.data.tolist(),
+    expect = ref_pointnet_conv(layer.weight.tolist(),
                                layer.bias.tolist(),
                                layer.scale_num, layer.scale_shift,
                                center.tolist(),
@@ -266,7 +258,7 @@ def test_gru_step_matches_oracle(seed):
     x = rng.integers(-128, 128, size=in_w).astype(np.int8)
     h = rng.integers(-128, 128, size=out_w).astype(np.int8)
     got = gru_step(block, x, h)
-    expect = ref_gru_step(block.weight.data.tolist(), block.bias.tolist(),
+    expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(),
                           block.scale_num, block.scale_shift,
                           in_w, out_w, x.tolist(), h.tolist())
     assert got.tolist() == expect
@@ -314,7 +306,7 @@ def test_head_forward_final_block_keeps_full_range():
     # saturating logits would corrupt the confidence comparison; values
     # beyond int8 must survive
     big = LinearBlock(
-        weight=QuantTensor(np.full((2, 1), 127, dtype=np.int8), scale=1.0),
+        weight=np.full((2, 1), 127, dtype=np.int8),
         bias=np.array([1 << 20, 0], dtype=np.int32),
         in_width=1, out_width=2, scale_num=1, scale_shift=0)
     from evkws import ModelWeights

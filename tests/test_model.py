@@ -11,13 +11,11 @@ from evkws import (
     ModelWeights,
     ParseError,
     ValidationError,
-    default_arch,
     load_weights,
     random_weights,
     save_weights,
 )
 from evkws.model import ConvLayer, GruBlock, LinearBlock
-from evkws.quant import QuantTensor
 
 
 def test_default_arch_parameter_budget():
@@ -39,8 +37,7 @@ def test_conv_stack_shape_rules():
     assert w.conv_layers[0].in_width == 3
     for layer in w.conv_layers:
         # +2 columns for the relative (channel, age) position
-        assert layer.weight.data.shape == (layer.out_width,
-                                           layer.in_width + 2)
+        assert layer.weight.shape == (layer.out_width, layer.in_width + 2)
     for prev, cur in zip(w.conv_layers, w.conv_layers[1:]):
         assert cur.in_width == prev.out_width
 
@@ -56,8 +53,8 @@ def test_head_chaining_and_final_width():
 def test_gru_weight_packing():
     w = random_weights(3)
     gru = [b for b in w.head_blocks if isinstance(b, GruBlock)][0]
-    assert gru.weight.data.shape == (3 * gru.out_width,
-                                     gru.in_width + gru.out_width)
+    assert gru.weight.shape == (3 * gru.out_width,
+                                gru.in_width + gru.out_width)
     assert gru.bias.shape == (3 * gru.out_width,)
 
 
@@ -148,7 +145,7 @@ def test_weights_validation_wrong_conv_count():
 def test_weights_validation_broken_chain():
     w = random_weights(0)
     bad = LinearBlock(
-        weight=QuantTensor(np.zeros((5, 7), dtype=np.int8), scale=1.0),
+        weight=np.zeros((5, 7), dtype=np.int8),
         bias=np.zeros(5, dtype=np.int32),
         in_width=7, out_width=5, scale_num=1, scale_shift=8)
     with pytest.raises(ValidationError):
@@ -160,6 +157,20 @@ def test_weights_validation_broken_chain():
 def test_gru_block_rejects_zero_width():
     with pytest.raises(ValidationError):
         GruBlock(
-            weight=QuantTensor(np.zeros((0, 4), dtype=np.int8), scale=1.0),
+            weight=np.zeros((0, 4), dtype=np.int8),
             bias=np.zeros(0, dtype=np.int32),
             in_width=4, out_width=0, scale_num=1, scale_shift=8)
+
+
+def test_conv_layer_rejects_out_of_range_weight():
+    weight = np.zeros((2, 5), dtype=np.int64)
+    layer = ConvLayer(weight=weight, bias=np.zeros(2, dtype=np.int32),
+                      in_width=3, out_width=2)
+    assert layer.weight.dtype == np.int8
+    weight[0, 0] = 300
+    with pytest.raises(ValidationError, match="int8 range"):
+        ConvLayer(weight=weight, bias=np.zeros(2, dtype=np.int32),
+                  in_width=3, out_width=2)
+    with pytest.raises(ValidationError, match="int8 range"):
+        GruBlock(weight=np.full((3, 2), -129), bias=np.zeros(3),
+                 in_width=1, out_width=1)

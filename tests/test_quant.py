@@ -13,7 +13,6 @@ from evkws.quant import (
     I8_MIN,
     LUT_INPUT_STEP,
     LUT_SIZE,
-    QuantTensor,
     SIGMOID_LUT,
     TANH_LUT,
     div_round_half_away,
@@ -137,23 +136,3 @@ def test_div_round_half_away_property(num, den):
     expect = hi if (abs(num) * 2 >= (2 * lo + 1) * den) else lo
     assert got == (expect if num >= 0 else -expect)
 
-
-# ------------------------------------------------------------- quant tensor
-
-def test_quant_tensor_validation():
-    QuantTensor(np.zeros((2, 2), dtype=np.int8), scale=0.5)
-    with pytest.raises(ValidationError):
-        QuantTensor(np.zeros((2, 2), dtype=np.int8), scale=0.0)
-    with pytest.raises(ValidationError):
-        QuantTensor(np.zeros((2, 2), dtype=np.int8), scale=1.0, zero_point=3)
-    with pytest.raises(ValidationError):
-        QuantTensor(np.full((2, 2), 300), scale=1.0)
-
-
-def test_quant_tensor_dequantize_and_eq():
-    a = QuantTensor(np.array([[2, -4]], dtype=np.int8), scale=0.5)
-    np.testing.assert_allclose(a.dequantize(), [[1.0, -2.0]])
-    b = QuantTensor(np.array([[2, -4]], dtype=np.int8), scale=0.5)
-    c = QuantTensor(np.array([[2, -4]], dtype=np.int8), scale=0.25)
-    assert a == b
-    assert a != c
