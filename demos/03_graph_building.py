@@ -1,8 +1,10 @@
-"""Incremental spectro-temporal neighborhoods, checked against a full scan."""
+"""Spectro-temporal neighborhoods, built a chunk at a time and checked
+against a full scan."""
 
 import numpy as np
 
 from evkws import GraphBuilder, GraphParams, SensorConfig, synth_stream
+from evkws.graph import CHUNK
 
 config = SensorConfig(channels=64)
 stream = synth_stream(seed=12, config=config, duration_us=200_000,
@@ -30,17 +32,19 @@ def rescan(history, event):
 
 builder = GraphBuilder(config.channels, params)
 degrees = np.zeros(len(stream), dtype=np.int64)
-history = []
-for i, event in enumerate(stream):
-    ns = builder.insert_event(event)
-    degrees[i] = len(ns)
+for start in range(0, len(stream), CHUNK):
+    # one neighbor table per chunk: one row per event, one column per offset
+    table = builder.insert(stream.t[start:start + CHUNK],
+                           stream.c[start:start + CHUNK])
+    degrees[start:start + len(table.row)] = table.valid.sum(axis=1)
     # spot-check a handful against the stateless rescan of full history
-    if i % 1000 == 0:
-        assert sorted((n.record.event.c, n.dt) for n in ns.neighbors) == \
-            rescan(history, event)
-    history.append(event)
+    for i in range(len(table.row)):
+        if (start + i) % 1000 == 0:
+            event = stream.event(start + i)
+            history = [stream.event(j) for j in range(start + i)]
+            assert table.pairs(i, event.c) == rescan(history, event)
 
-print(f"checked {len(stream)} inserts, "
+print(f"checked {len(stream)} events in chunks of {CHUNK}, "
       f"mean degree {degrees.mean():.2f}, max {degrees.max()}")
 hist = np.bincount(degrees, minlength=params.max_degree + 1)
 for d, n in enumerate(hist):

@@ -15,13 +15,12 @@ from .events import (DEFAULT_WINDOW_US, Event, EventStream, SensorConfig,
                      write_stream)
 from .filtering import (FiltrationParams, ThresholdSchedule, filter_stream,
                         make_thresholds)
-from .graph import (GraphBuilder, GraphParams, Neighbor, NeighborSet,
-                    NodeRecord, edges_per_event, iter_neighbor_sets)
+from .graph import GraphBuilder, GraphParams, NeighborTable, edges_per_event
 from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       calibrate_cycle_model, latency_report, simulate,
                       throughput_envelope)
-from .inference import (HeadState, InferenceEngine, Prediction, WindowPool,
-                        first_layer_inputs, gru_step, head_forward,
+from .inference import (HeadState, InferenceEngine, Prediction, RunState,
+                        WindowPool, first_layer_inputs, gru_step, head_forward,
                         infer_stream, pointnet_conv, summarize_predictions)
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
@@ -40,11 +39,10 @@ __all__ = [
     "write_stream",
     "FiltrationParams", "ThresholdSchedule", "filter_stream",
     "make_thresholds",
-    "GraphBuilder", "GraphParams", "Neighbor", "NeighborSet", "NodeRecord",
-    "edges_per_event", "iter_neighbor_sets",
+    "GraphBuilder", "GraphParams", "NeighborTable", "edges_per_event",
     "CycleCalibration", "HwParams", "SimTrace", "calibrate_cycle_model",
     "latency_report", "simulate", "throughput_envelope",
-    "HeadState", "InferenceEngine", "Prediction", "WindowPool",
+    "HeadState", "InferenceEngine", "Prediction", "RunState", "WindowPool",
     "first_layer_inputs", "gru_step", "head_forward", "infer_stream",
     "pointnet_conv", "summarize_predictions",
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",

@@ -11,18 +11,25 @@ the degree of any neighbor set is at most ``2 * floor(r_c / skip_step)``.
 
 ``dt`` is always non-negative; zero-age edges across channels exist only when
 ``r_t_low`` is 0.
+
+Events go in as time-sorted batches, each answered with one table whose
+entries point into one history row per channel (the state before the batch)
+followed by the batch's own rows. Batch size never changes the answer; whole
+streams go through in batches of ``CHUNK`` events, which bounds memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import IO, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import IO
 
 import numpy as np
 
 from .errors import OrderingError, ValidationError
 from .events import Event, EventStream
+
+CHUNK = 128  # events per batch when a whole stream is processed
 
 
 @dataclass(frozen=True)
@@ -49,95 +56,118 @@ class GraphParams:
         return 2 * (self.r_c // self.skip_step)
 
 
-@dataclass
-class NodeRecord:
-    """Latest event on a channel."""
+@dataclass(frozen=True)
+class NeighborTable:
+    """Neighbors of a batch of ``n`` events, one row per event.
 
-    event: Event
+    ``row[i, k]`` indexes the history rows followed by the batch rows,
+    ``dc[k]`` is the channel offset of column ``k``, ``dt[i, k]`` the age of
+    that vertex and ``valid[i, k]`` whether it is a neighbor at all. The
+    length is the number of edges.
+    """
 
-
-class Neighbor(NamedTuple):
-    record: NodeRecord
-    dc: int  # neighbor channel minus center channel
-    dt: int  # center timestamp minus neighbor timestamp, >= 0
-
-
-@dataclass
-class NeighborSet:
-    """Neighbors of one inserted event, in ascending channel order."""
-
-    center: Event
-    neighbors: list[Neighbor] = field(default_factory=list)
+    row: np.ndarray    # int64, (n, K)
+    dc: np.ndarray     # int64, (K,)
+    dt: np.ndarray     # int64, (n, K)
+    valid: np.ndarray  # bool, (n, K)
 
     def __len__(self) -> int:
-        return len(self.neighbors)
+        return int(np.count_nonzero(self.valid))
+
+    def pairs(self, i: int, center_channel: int) -> list[tuple[int, int]]:
+        """(channel, dt) of each neighbor of row ``i``, ascending channel."""
+        return [(center_channel + dc, dt) for dc, dt, ok in zip(
+            self.dc.tolist(), self.dt[i].tolist(), self.valid[i].tolist())
+            if ok]
 
 
 class GraphBuilder:
-    """One-record-per-channel incremental neighborhood builder."""
+    """One-record-per-channel incremental neighborhood builder.
+
+    After ``insert``, ``latest[ch]`` is the row of channel ``ch``'s latest
+    event among that batch's history and batch rows.
+    """
 
     def __init__(self, channels: int, params: GraphParams):
         if channels < 1:
             raise ValidationError("channel count must be positive")
         self.channels = channels
         self.params = params
-        self._records: list[NodeRecord | None] = [None] * channels
-        self._last_t = 0
+        reach = params.r_c // params.skip_step
+        self.dc = np.array([k * params.skip_step
+                            for k in range(-reach, reach + 1) if k],
+                           dtype=np.int64)
+        self.reset()
 
     def reset(self) -> None:
-        self._records = [None] * self.channels
+        self._t = np.zeros(self.channels, dtype=np.int64)
+        self._seen = np.zeros(self.channels, dtype=bool)
         self._last_t = 0
+        self.latest = np.arange(self.channels)
 
-    def insert_event(self, event: Event) -> NeighborSet:
-        """Query neighbors for the event, then record it on its channel."""
-        if not 0 <= event.c < self.channels:
-            raise ValidationError(
-                f"channel {event.c} outside [0, {self.channels})")
-        if event.t < self._last_t:
+    def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
+        """Query neighbors for a time-sorted batch, then record it."""
+        t = np.asarray(t, dtype=np.int64)
+        c = np.asarray(c, dtype=np.int64)
+        n, channels = len(t), self.channels
+        if n and (c.min() < 0 or c.max() >= channels):
+            bad = int(c[(c < 0) | (c >= channels)][0])
+            raise ValidationError(f"channel {bad} outside [0, {channels})")
+        if n and (t[0] < self._last_t or (np.diff(t) < 0).any()):
             raise OrderingError(
-                f"timestamp {event.t} precedes last inserted {self._last_t}")
-        self._last_t = event.t
+                f"timestamps regress within the batch or before the last "
+                f"inserted {self._last_t}")
+        # latest[j, ch]: row of the latest event on ch before batch event j.
+        # Batch rows follow the history rows, so a running max picks them.
+        latest = np.empty((n + 1, channels), dtype=np.int64)
+        latest[0] = np.arange(channels)
+        latest[1:] = -1
+        latest[np.arange(1, n + 1), c] = channels + np.arange(n)
+        np.maximum.accumulate(latest, axis=0, out=latest)
+        target = c[:, None] + self.dc
+        inside = (target >= 0) & (target < channels)
+        target = np.where(inside, target, 0)
+        row = latest[np.arange(n)[:, None], target]
+        times = np.concatenate([self._t, t])
+        dt = t[:, None] - times[row]
+        seen = np.concatenate([self._seen, np.ones(n, dtype=bool)])
         params = self.params
-        reach = params.r_c // params.skip_step
-        neighbors: list[Neighbor] = []
-        for k in range(-reach, reach + 1):
-            if k == 0:
-                continue  # the center slot belongs to the self vertex
-            channel = event.c + k * params.skip_step
-            if not 0 <= channel < self.channels:
-                continue
-            record = self._records[channel]
-            if record is None:
-                continue
-            dt = event.t - record.event.t
-            if params.r_t_low <= dt <= params.r_t_high:
-                neighbors.append(Neighbor(record, channel - event.c, dt))
-        self._records[event.c] = NodeRecord(event)
-        return NeighborSet(event, neighbors)
+        valid = (inside & seen[row] & (dt >= params.r_t_low)
+                 & (dt <= params.r_t_high))
+        self.latest = latest[n]
+        self._t = times[self.latest]
+        self._seen = seen[self.latest]
+        if n:
+            self._last_t = int(t[-1])
+        return NeighborTable(row, self.dc, dt, valid)
+
+    def insert_event(self, event: Event) -> NeighborTable:
+        """Query neighbors for one event, then record it on its channel."""
+        return self.insert([event.t], [event.c])
 
 
-def iter_neighbor_sets(stream: EventStream,
-                       params: GraphParams) -> Iterator[NeighborSet]:
-    """Replay a stream through a fresh builder, yielding each neighbor set."""
+def _tables(stream: EventStream, params: GraphParams):
+    """Replay a stream through a fresh builder, one table per chunk."""
     stream.validate()
     builder = GraphBuilder(stream.config.channels, params)
-    for event in stream:
-        yield builder.insert_event(event)
+    for i in range(0, len(stream), CHUNK):
+        yield i, builder.insert(stream.t[i:i + CHUNK], stream.c[i:i + CHUNK])
 
 
 def edges_per_event(stream: EventStream, params: GraphParams) -> np.ndarray:
     """Edge count of every event's neighbor set, in stream order."""
-    return np.array([len(ns) for ns in iter_neighbor_sets(stream, params)],
-                    dtype=np.int64)
+    counts = [table.valid.sum(axis=1) for _, table in _tables(stream, params)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
 
 def dump_neighbors(stream: EventStream, params: GraphParams, fh: IO[str]) -> None:
     """Write one JSON line per event: {t, c, neighbors: [{c, dt}, ...]}."""
-    for ns in iter_neighbor_sets(stream, params):
-        fh.write(json.dumps({
-            "t": ns.center.t,
-            "c": ns.center.c,
-            "neighbors": [
-                {"c": ns.center.c + n.dc, "dt": n.dt} for n in ns.neighbors
-            ],
-        }, sort_keys=True) + "\n")
+    for start, table in _tables(stream, params):
+        for i in range(len(table.row)):
+            t, c = int(stream.t[start + i]), int(stream.c[start + i])
+            fh.write(json.dumps({
+                "t": t,
+                "c": c,
+                "neighbors": [{"c": ch, "dt": dt}
+                              for ch, dt in table.pairs(i, c)],
+            }, sort_keys=True) + "\n")

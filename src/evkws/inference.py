@@ -8,21 +8,27 @@ the element-wise maximum:
     out_i = max over j in {i} + N(i) of relu(W @ [x_j, dc_j, dt_q_j] + b)
 
 where x_j are the vertex's stage-input features, dc_j the channel offset and
-dt_q_j the age scaled by 1/64 (both 0 for the self vertex). Accumulation is
-32-bit; the result returns to int8 through the block's rounding shift. Each
-stage keeps one feature record per channel (the stage input of the latest
-event on that channel), so neighbors are looked up by channel.
+dt_q_j the age scaled by 1/64 (both 0 for the self vertex).
 
 Stage-1 input features of an event are [mean neighbor channel offset, mean
 neighbor age (scaled), polarity], zeros when the neighborhood is empty.
+
+A stream runs in chunks of ``CHUNK`` events, one stage at a time over a
+chunk's neighbor table. Requantize (scale_num >= 1) and ReLU are monotone,
+so the maximum over vertices is taken on the accumulators and requantize
+runs once per event and stage. Weights are checked at load time so that no
+accumulator reaches 2**31 (|bias| + 128*sum|w| per row), which keeps int32
+accumulation and the float64 products exact. A ``RunState`` carries each
+channel's latest stage inputs, the open window and the recurrent state
+across chunks, so chunk boundaries never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0. Whenever an event lands past the current window, every elapsed window
 emits (empty ones as all zeros, the minimum of the rectified domain) and the
 head runs once per emission: linear and recurrent blocks in declared order,
-hidden blocks rectified, the final block affine. Its output is class logits
-plus one confidence value. Recurrent state persists across windows of one
-sample and resets between samples.
+hidden blocks rectified, the final block affine, accumulating in 64 bits.
+Its output is class logits plus one confidence value. Recurrent state
+persists across windows of one sample and resets between samples.
 """
 
 from __future__ import annotations
@@ -32,58 +38,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import DEFAULT_WINDOW_US, Event, EventStream
+from .events import DEFAULT_WINDOW_US, EventStream
 from .filtering import FiltrationParams, filter_stream
-from .graph import GraphBuilder, GraphParams, NeighborSet
-from .model import ConvLayer, GruBlock, LinearBlock, ModelWeights
-from .quant import (DT_SHIFT, div_round_half_away, div_round_half_up_nonneg,
+from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
+from .model import ConvLayer, GruBlock, ModelWeights
+from .quant import (div_round_half_away, div_round_half_up_nonneg,
                     lut_sigmoid, lut_tanh, quantize_dt, requantize,
                     rounding_rshift, saturate_i8)
 
 
-def first_layer_inputs(neighbors: NeighborSet, event: Event) -> np.ndarray:
-    """Stage-1 feature vector of a freshly inserted event (int8, length 3)."""
-    n = len(neighbors)
-    if n == 0:
-        return np.array([0, 0, event.p], dtype=np.int8)
-    mean_dc = div_round_half_away(sum(nb.dc for nb in neighbors.neighbors), n)
+def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
+    """Stage-1 feature rows of a batch of events (int8, ``(n, 3)``)."""
+    count = np.maximum(table.valid.sum(axis=1), 1)
+    mean_dc = div_round_half_away(table.valid @ table.dc, count)
     mean_dt = div_round_half_up_nonneg(
-        sum(nb.dt for nb in neighbors.neighbors), n)
-    return np.array([saturate_i8(mean_dc), quantize_dt(mean_dt), event.p],
-                    dtype=np.int8)
+        np.where(table.valid, table.dt, 0).sum(axis=1), count)
+    return np.stack([saturate_i8(mean_dc), quantize_dt(mean_dt),
+                     np.asarray(p, dtype=np.int8)], axis=1)
 
 
-def pointnet_conv(layer: ConvLayer, center_features: np.ndarray,
-                  neighbors) -> np.ndarray:
-    """One convolution stage over a center vertex and its neighbors.
+def pointnet_conv(layer: ConvLayer, rows: np.ndarray,
+                  table: NeighborTable) -> np.ndarray:
+    """One convolution stage over a batch of events.
 
-    ``neighbors`` iterates (features, dc, dt_us) triples; the center vertex
-    contributes (center_features, 0, 0). Returns the rectified int8 output.
-    Invariant under neighbor order, and element-wise non-decreasing when
-    vertices are added.
+    ``rows`` holds stage inputs: the rows ``table.row`` points into, ending
+    with one row per batch event (its self vertex). Returns the rectified
+    int8 outputs, one row per batch event. Invariant under neighbor order,
+    and element-wise non-decreasing when vertices are added.
     """
-    center = np.asarray(center_features)
-    if center.shape != (layer.in_width,):
+    n = len(table.row)
+    if rows.ndim != 2 or rows.shape[1] != layer.in_width or len(rows) < n:
         raise ValidationError(
-            f"center features have shape {center.shape}, stage expects "
-            f"({layer.in_width},)")
-    rows = [np.concatenate([center.astype(np.int32), (0, 0)])]
-    for feats, dc, dt in neighbors:
-        feats = np.asarray(feats)
-        if feats.shape != (layer.in_width,):
-            raise ValidationError(
-                f"neighbor features have shape {feats.shape}, stage expects "
-                f"({layer.in_width},)")
-        rows.append(np.concatenate([
-            feats.astype(np.int32),
-            (int(saturate_i8(dc)), int(quantize_dt(dt))),
-        ]))
-    x = np.stack(rows)                                   # (vertices, in + 2)
-    acc = x @ layer.weight.astype(np.int32).T            # (vertices, out)
-    acc += layer.bias.astype(np.int32)
-    out = requantize(acc, layer.scale_num, layer.scale_shift)
-    out = np.maximum(out, 0)                             # rectify
-    return out.max(axis=0).astype(np.int8)
+            f"stage inputs have shape {rows.shape}, stage expects "
+            f"(>= {n}, {layer.in_width})")
+    w = layer.weight.astype(np.int32)
+    in_w = layer.in_width
+    # exact: every partial sum stays far below 2**53
+    node = (rows.astype(np.float64) @ w[:, :in_w].T.astype(np.float64)
+            ).astype(np.int32)
+    best = node[len(rows) - n:].copy()
+    dc_term = saturate_i8(table.dc).astype(np.int32)[:, None] * w[:, in_w]
+    dt_q = quantize_dt(table.dt).astype(np.int32)
+    for k in range(len(table.dc)):
+        cand = node[table.row[:, k]]
+        cand += dc_term[k]
+        cand += dt_q[:, k, None] * w[:, in_w + 1]
+        np.maximum(best, cand, out=best, where=table.valid[:, k, None])
+    out = requantize(best + layer.bias, layer.scale_num, layer.scale_shift)
+    return np.maximum(out, 0)                            # rectify
 
 
 class WindowPool:
@@ -175,9 +177,9 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     with a rounding shift by 8.
     """
     hidden = block.out_width
-    w = block.weight.astype(np.int32)
-    ax = w[:, :block.in_width] @ x.astype(np.int32) + block.bias
-    ah = w[:, block.in_width:] @ h.astype(np.int32)
+    w = block.weight.astype(np.int64)
+    ax = w[:, :block.in_width] @ x.astype(np.int64) + block.bias
+    ah = w[:, block.in_width:] @ h.astype(np.int64)
 
     def gate_index(rows: slice, acc: np.ndarray) -> np.ndarray:
         return requantize(acc[rows], block.scale_num, block.scale_shift)
@@ -204,7 +206,7 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
         raise ValidationError(
             f"pooled vector has shape {pooled.shape}, head expects "
             f"({weights.head_blocks[0].in_width},)")
-    x = pooled.astype(np.int32)
+    x = pooled.astype(np.int64)
     new_hidden: list[np.ndarray] = []
     gru_i = 0
     last = len(weights.head_blocks) - 1
@@ -214,21 +216,76 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
             h_next = gru_step(block, saturate_i8(x), h)
             new_hidden.append(h_next)
             gru_i += 1
-            x = h_next.astype(np.int32)
+            x = h_next.astype(np.int64)
         else:
-            acc = block.weight.astype(np.int32) @ x + block.bias
+            acc = block.weight.astype(np.int64) @ x + block.bias
             if i == last:
-                out = rounding_rshift(acc.astype(np.int64) * block.scale_num,
-                                      block.scale_shift)
-                x = out.astype(np.int32)  # logits keep sign and full range
+                # logits keep sign and full range
+                x = rounding_rshift(acc * block.scale_num, block.scale_shift)
             else:
                 x = np.maximum(
                     requantize(acc, block.scale_num, block.scale_shift),
-                    0).astype(np.int32)
+                    0).astype(np.int64)
     logits = x[:-1].copy()
     conf = int(x[-1])
     return (Prediction(window_index, logits, conf),
             HeadState(new_hidden))
+
+
+class RunState:
+    """What one run carries from chunk to chunk.
+
+    The graph builder's per-channel timestamps, each stage's input for the
+    latest event on every channel, the open pooling window and the recurrent
+    head state. ``feed`` takes one time-sorted chunk and ``close`` ends the
+    run; together they return the same predictions however the stream is
+    split.
+    """
+
+    def __init__(self, weights: ModelWeights, graph_params: GraphParams,
+                 channels: int, window_us: int = DEFAULT_WINDOW_US):
+        self.weights = weights
+        self.window_us = window_us
+        self.graph = GraphBuilder(channels, graph_params)
+        self.memories = [
+            np.zeros((channels, layer.in_width), dtype=np.int8)
+            for layer in weights.conv_layers
+        ]
+        self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
+        self.head = HeadState.fresh(weights)
+
+    def feed(self, t: np.ndarray, c: np.ndarray,
+             p: np.ndarray) -> list[Prediction]:
+        """Run a chunk; returns the predictions of the windows it closed."""
+        if not len(t):
+            return []
+        table = self.graph.insert(t, c)
+        x = first_layer_inputs(table, p)
+        for i, layer in enumerate(self.weights.conv_layers):
+            rows = np.concatenate([self.memories[i], x])
+            x = pointnet_conv(layer, rows, table)
+            self.memories[i] = rows[self.graph.latest]
+        t = np.asarray(t, dtype=np.int64)
+        window = t // self.window_us
+        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        predictions = []
+        for start, pooled in zip(starts.tolist(),
+                                 np.maximum.reduceat(x, starts, axis=0)):
+            predictions += self._emit(self.pool.push(pooled, int(t[start])))
+        return predictions
+
+    def close(self) -> list[Prediction]:
+        """Close the window holding the last event."""
+        return self._emit(self.pool.flush())
+
+    def _emit(self, emissions: list[tuple[int, np.ndarray]]
+              ) -> list[Prediction]:
+        predictions = []
+        for window_index, pooled in emissions:
+            pred, self.head = head_forward(self.weights, pooled, self.head,
+                                           window_index)
+            predictions.append(pred)
+        return predictions
 
 
 class InferenceEngine:
@@ -251,40 +308,14 @@ class InferenceEngine:
         stream.validate()
         if self.filtration is not None:
             stream = filter_stream(stream, self.filtration)
-        weights = self.weights
-        channels = stream.config.channels
-        builder = GraphBuilder(channels, self.graph_params)
-        # One stage-input record per channel per stage, like the per-layer
-        # memories of a pipelined implementation.
-        memories = [
-            np.zeros((channels, layer.in_width), dtype=np.int8)
-            for layer in weights.conv_layers
-        ]
-        pool = WindowPool(weights.conv_layers[-1].out_width, self.window_us)
-        state = HeadState.fresh(weights)
+        state = RunState(self.weights, self.graph_params,
+                         stream.config.channels, self.window_us)
         predictions: list[Prediction] = []
-
-        def emit(emissions: list[tuple[int, np.ndarray]]) -> None:
-            nonlocal state
-            for window_index, pooled in emissions:
-                pred, state = head_forward(weights, pooled, state,
-                                           window_index)
-                predictions.append(pred)
-
-        for event in stream:
-            neighbor_set = builder.insert_event(event)
-            offsets = [(event.c + nb.dc, nb.dc, nb.dt)
-                       for nb in neighbor_set.neighbors]
-            x = first_layer_inputs(neighbor_set, event)
-            for layer, memory in zip(weights.conv_layers, memories):
-                out = pointnet_conv(
-                    layer, x,
-                    [(memory[ch], dc, dt) for ch, dc, dt in offsets])
-                memory[event.c] = x
-                x = out
-            emit(pool.push(x, event.t))
-        emit(pool.flush())
-        return predictions
+        for i in range(0, len(stream), CHUNK):
+            predictions += state.feed(stream.t[i:i + CHUNK],
+                                      stream.c[i:i + CHUNK],
+                                      stream.p[i:i + CHUNK])
+        return predictions + state.close()
 
 
 def infer_stream(stream: EventStream, weights: ModelWeights,

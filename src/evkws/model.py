@@ -52,6 +52,9 @@ CONV1_IN_WIDTH = 3
 POSITION_WIDTH = 2
 CONV_LAYER_COUNT = 4
 
+ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
+MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
+
 
 @dataclass(eq=False)
 class ConvLayer:
@@ -115,8 +118,7 @@ class GruBlock:
         if bias.shape != (3 * self.out_width,):
             raise ValidationError(
                 f"gru bias length {bias.shape} does not match 3*out")
-        _check_scales(self)
-        object.__setattr__(self, "bias", bias.astype(np.int32))
+        _check_ranges(self, bias)
 
     def __eq__(self, other):
         return _block_eq(self, other)
@@ -133,8 +135,7 @@ def _check_block(block, expected_in: int) -> None:
     bias = np.asarray(block.bias, dtype=np.int64)
     if bias.shape != (block.out_width,):
         raise ValidationError(f"bias length {bias.shape} does not match out")
-    _check_scales(block)
-    object.__setattr__(block, "bias", bias.astype(np.int32))
+    _check_ranges(block, bias)
 
 
 def _check_weight(block) -> None:
@@ -146,11 +147,24 @@ def _check_weight(block) -> None:
     object.__setattr__(block, "weight", weight)
 
 
-def _check_scales(block) -> None:
-    if block.scale_num < 1:
-        raise ValidationError("scale_num must be a positive integer")
-    if block.scale_shift < 0:
-        raise ValidationError("scale_shift must be non-negative")
+def _check_ranges(block, bias: np.ndarray) -> None:
+    """Inputs are int8, so a row's accumulator stays within |bias| + 128 *
+    sum|w|: below 2**31 it fits int32, and scale_num < 2**31 with shift <=
+    62 keeps requantization inside int64."""
+    if not 1 <= block.scale_num < ACC_LIMIT:
+        raise ValidationError(
+            f"scale_num must be an integer in [1, 2**31), got {block.scale_num}")
+    if not 0 <= block.scale_shift <= MAX_SHIFT:
+        raise ValidationError(
+            f"scale_shift must lie in [0, {MAX_SHIFT}], got {block.scale_shift}")
+    bound = np.abs(bias) + 128 * np.abs(block.weight.astype(np.int64)).sum(
+        axis=1)
+    if (bound >= ACC_LIMIT).any():
+        row = int(np.argmax(bound >= ACC_LIMIT))
+        raise ValidationError(
+            f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
+            "2**31, so the 32-bit accumulator could wrap")
+    object.__setattr__(block, "bias", bias.astype(np.int32))
 
 
 def _block_eq(a, b) -> bool:
@@ -285,10 +299,8 @@ def _decode_block(entry: dict, index: int):
         scale_num = int(entry.get("scale_num", 1))
         scale_shift = int(entry.get("scale_shift", 0))
         bias = np.array(entry["bias"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{label}: missing or malformed field: {exc}")
-    if (np.abs(bias) >= 2**31).any():
-        raise ValidationError(f"{label}: bias exceeds 32-bit range")
     common = dict(bias=bias, in_width=in_width, out_width=out_width,
                   scale_num=scale_num, scale_shift=scale_shift)
     try:

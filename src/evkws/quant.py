@@ -89,20 +89,19 @@ def lut_tanh(index):
     return int(TANH_LUT[idx + 128])
 
 
-def div_round_half_away(total: int, count: int) -> int:
-    """Integer mean with ties away from zero; used for signed channel offsets."""
-    if count <= 0:
+def div_round_half_away(total, count):
+    """Integer mean with ties away from zero, for signed channel offsets
+    (ints or arrays)."""
+    if np.any(np.asarray(count) <= 0):
         raise ValidationError("count must be positive")
-    if total >= 0:
-        return (total + count // 2) // count
-    return -((-total + count // 2) // count)
+    return np.sign(total) * ((abs(total) + count // 2) // count)
 
 
-def div_round_half_up_nonneg(total: int, count: int) -> int:
-    """Integer mean rounding half up; operands must be non-negative."""
-    if count <= 0:
+def div_round_half_up_nonneg(total, count):
+    """Integer mean rounding half up; operands must be non-negative (ints or
+    arrays)."""
+    if np.any(np.asarray(count) <= 0):
         raise ValidationError("count must be positive")
-    if total < 0:
+    if np.any(np.asarray(total) < 0):
         raise ValidationError("total must be non-negative")
     return (total + count // 2) // count
-

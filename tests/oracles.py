@@ -12,6 +12,7 @@ imported.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -226,3 +227,53 @@ def ref_head_forward(blocks, pooled, hidden_states):
                 x = [max(0, ref_requant(a, block["scale_num"],
                                         block["scale_shift"])) for a in acc]
     return x[:-1], x[-1], new_hidden
+
+
+# --------------------------------------------------------------- end to end
+
+def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
+                     window_us, filtration=None):
+    """Stream in, predictions out, composed from the oracles above.
+
+    ``events`` is a time-sorted list of (t, c, p); ``conv_blocks`` and
+    ``head_blocks`` are block dicts as in ``ref_head_forward``; ``params``
+    has r_c, skip_step, r_t_low and r_t_high; ``filtration`` is None or
+    (div_factor, weight, thresholds). Every stage keeps one memory per
+    channel: the stage input of that channel's latest event. Returns one
+    (window, logits, conf) per window from 0 through the last event's.
+    """
+    if filtration is not None:
+        events = [events[i] for i in transcribed_filter(events, *filtration)]
+    memories = [{} for _ in conv_blocks]
+    hidden = [[0] * b["out"] for b in head_blocks if b["kind"] == "gru"]
+    width = conv_blocks[-1]["out"]
+    out = []
+    current, pooled = 0, [0] * width
+
+    def emit(window, vector):
+        nonlocal hidden
+        logits, conf, hidden = ref_head_forward(head_blocks, vector, hidden)
+        out.append((window, logits, conf))
+
+    for i, (t, c, p) in enumerate(events):
+        history = SimpleNamespace(
+            config=SimpleNamespace(channels=channels),
+            t=np.array([e[0] for e in events[:i]], dtype=np.int64),
+            c=np.array([e[1] for e in events[:i]], dtype=np.int64))
+        found = brute_force_neighbors(history, (t, c, p), params)
+        x = ref_first_layer_inputs([(ch - c, dt) for ch, dt in found],
+                                   (t, c, p))
+        for block, memory in zip(conv_blocks, memories):
+            y = ref_pointnet_conv(
+                block["weight"], block["bias"], block["scale_num"],
+                block["scale_shift"], x,
+                [(memory[ch], ch - c, dt) for ch, dt in found])
+            memory[c] = x
+            x = y
+        while current < t // window_us:
+            emit(current, pooled)
+            current, pooled = current + 1, [0] * width
+        pooled = [max(a, b) for a, b in zip(pooled, x)]
+    if events:
+        emit(current, pooled)
+    return out

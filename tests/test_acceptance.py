@@ -25,11 +25,11 @@ from evkws import (
     filter_stream,
     head_forward,
     latency_report,
-    pointnet_conv,
     simulate,
     synth_stream,
     throughput_envelope,
 )
+from evkws.graph import CHUNK
 from evkws.model import ModelWeights, random_weights
 
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
 )
 from test_inference import (
     as_oracle_block,
+    conv_one,
     rand_conv,
     rand_gru,
     rand_linear,
@@ -110,8 +111,9 @@ def test_criterion_2_worked_filtration_examples():
 
 
 def test_criterion_3_incremental_graph_matches_brute_force():
-    """Incremental neighbor sets equal the stateless full-history scan on a
-    10^4-event stream for 20 random parameter draws; the degree bound
+    """Batched neighbor tables (two chunk sizes) equal the stateless
+    full-history scan on a 10^4-event stream for 20 random parameter draws,
+    and so do one-event inserts over the first 1000 events; the degree bound
     2*floor(r_c/skip) is never exceeded."""
     rng = np.random.default_rng(7)
     n = 10_000
@@ -125,16 +127,24 @@ def test_criterion_3_incremental_graph_matches_brute_force():
             skip_step=int(rng.integers(1, 5)),
             r_t_low=r_t_low,
             r_t_high=r_t_low + int(rng.integers(0, 20_000)))
-        builder = GraphBuilder(channels, params)
         t, c, p = stream.t, stream.c, stream.p
-        for i, event in enumerate(stream):
-            got = builder.insert_event(event)
-            assert len(got.neighbors) <= params.max_degree
-            history = EventStream(cfg, t[:i], c[:i], p[:i])
-            expect = brute_force_neighbors(history, event, params)
-            got_pairs = sorted((nb.record.event.c, nb.dt)
-                               for nb in got.neighbors)
-            assert got_pairs == expect, f"trial {trial}, event {i}"
+        expect = [brute_force_neighbors(EventStream(cfg, t[:i], c[:i], p[:i]),
+                                        event, params)
+                  for i, event in enumerate(stream)]
+        for chunk in (CHUNK, 1000):
+            builder = GraphBuilder(channels, params)
+            for start in range(0, n, chunk):
+                table = builder.insert(t[start:start + chunk],
+                                       c[start:start + chunk])
+                assert (table.valid.sum(axis=1) <= params.max_degree).all()
+                for i, ch in enumerate(c[start:start + chunk].tolist()):
+                    assert table.pairs(i, ch) == expect[start + i], \
+                        f"trial {trial}, chunk {chunk}, event {start + i}"
+        builder = GraphBuilder(channels, params)
+        for i in range(1000):  # one-event inserts cost ~70 us each
+            event = stream.event(i)
+            assert builder.insert_event(event).pairs(0, event.c) == \
+                expect[i], f"trial {trial}, one-event insert {i}"
 
 
 def test_criterion_4_quantized_layers_match_integer_oracle():
@@ -156,7 +166,7 @@ def test_criterion_4_quantized_layers_match_integer_oracle():
              int(rng.integers(-127, 128)), int(rng.integers(0, 10_000)))
             for _ in range(int(rng.integers(0, 9)))
         ]
-        got = pointnet_conv(layer, center, neighbors)
+        got = conv_one(layer, center, neighbors)
         expect = ref_pointnet_conv(
             layer.weight.tolist(), layer.bias.tolist(),
             layer.scale_num, layer.scale_shift, center.tolist(),

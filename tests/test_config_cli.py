@@ -412,3 +412,25 @@ def test_cli_eval_empty_manifest_is_validation_error(capsys, tmp_path):
     manifest.write_text("path,label,end_bin\n")
     code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest))
     assert code == 4
+
+
+@pytest.mark.parametrize("block,field,value", [
+    (0, "scale_shift", 100),      # was an OverflowError traceback, exit 1
+    (4, "scale_num", 2**62),      # was a silent int64 wrap, exit 0
+    (6, "bias", [2**31 - 1] * 192),  # the gru block: int32 could wrap
+    (0, "bias", [2**70] * 72),       # was an OverflowError traceback
+])
+def test_cli_weights_beyond_the_integer_datapath_are_validation_errors(
+        capsys, tmp_path, sample_file, block, field, value):
+    from evkws import random_weights, save_weights
+
+    path = tmp_path / "weights.json"
+    save_weights(random_weights(0), str(path))
+    doc = json.loads(path.read_text())
+    doc["blocks"][block][field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--set", "sensor.channels=64", "infer",
+                             "--weights", str(path), str(sample_file))
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ValidationError"

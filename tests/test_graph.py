@@ -16,16 +16,15 @@ from evkws import (
     SensorConfig,
     ValidationError,
     edges_per_event,
-    iter_neighbor_sets,
 )
-from evkws.graph import dump_neighbors
+from evkws.graph import CHUNK, dump_neighbors
 
 from oracles import brute_force_neighbors, linear_scan_neighbors
 
 
-def pairs(neighbor_set):
-    """(channel, dt) pairs, sorted, for comparison with the oracle."""
-    return sorted((ns.record.event.c, ns.dt) for ns in neighbor_set.neighbors)
+def insert(builder, event):
+    """Insert one event; its (channel, dt) pairs, ascending channel."""
+    return builder.insert_event(event).pairs(0, event.c)
 
 
 # ------------------------------------------------------------------ params
@@ -61,24 +60,23 @@ def test_worked_example_center_channel_not_a_neighbor():
     builder = GraphBuilder(channels=64, params=params)
     builder.insert_event(Event(100, 4, 1))
     builder.insert_event(Event(200, 5, 1))
-    ns = builder.insert_event(Event(300, 5, -1))
-    assert pairs(ns) == [(4, 200)]
+    assert insert(builder, Event(300, 5, -1)) == [(4, 200)]
 
 
 def test_window_bounds_are_inclusive():
     params = GraphParams(r_c=1, skip_step=1, r_t_low=50, r_t_high=150)
     builder = GraphBuilder(channels=8, params=params)
     builder.insert_event(Event(0, 1, 1))
-    assert pairs(builder.insert_event(Event(50, 2, 1))) == [(1, 50)]
+    assert insert(builder, Event(50, 2, 1)) == [(1, 50)]
     builder.reset()
     builder.insert_event(Event(0, 1, 1))
-    assert pairs(builder.insert_event(Event(150, 2, 1))) == [(1, 150)]
+    assert insert(builder, Event(150, 2, 1)) == [(1, 150)]
     builder.reset()
     builder.insert_event(Event(0, 1, 1))
-    assert pairs(builder.insert_event(Event(151, 2, 1))) == []
+    assert insert(builder, Event(151, 2, 1)) == []
     builder.reset()
     builder.insert_event(Event(0, 1, 1))
-    assert pairs(builder.insert_event(Event(49, 2, 1))) == []
+    assert insert(builder, Event(49, 2, 1)) == []
 
 
 def test_newer_event_shadows_older_on_same_channel():
@@ -89,8 +87,7 @@ def test_newer_event_shadows_older_on_same_channel():
     builder = GraphBuilder(channels=8, params=params)
     builder.insert_event(Event(10, 2, 1))
     builder.insert_event(Event(190, 2, 1))
-    ns = builder.insert_event(Event(200, 3, 1))
-    assert pairs(ns) == []
+    assert insert(builder, Event(200, 3, 1)) == []
 
 
 def test_skip_step_selects_channel_lanes():
@@ -98,8 +95,8 @@ def test_skip_step_selects_channel_lanes():
     builder = GraphBuilder(channels=16, params=params)
     for c in range(16):
         builder.insert_event(Event(c, c, 1))
-    ns = builder.insert_event(Event(100, 8, 1))
-    assert [c for c, _ in pairs(ns)] == [4, 6, 10, 12]
+    assert [c for c, _ in insert(builder, Event(100, 8, 1))] == \
+        [4, 6, 10, 12]
 
 
 def test_channel_edges_clip():
@@ -107,8 +104,7 @@ def test_channel_edges_clip():
     builder = GraphBuilder(channels=8, params=params)
     for c in range(8):
         builder.insert_event(Event(0, c, 1))
-    ns = builder.insert_event(Event(5, 0, 1))
-    assert [c for c, _ in pairs(ns)] == [1, 2, 3]
+    assert [c for c, _ in insert(builder, Event(5, 0, 1))] == [1, 2, 3]
 
 
 def test_ordering_enforced():
@@ -125,8 +121,7 @@ def test_reset_clears_history():
     builder = GraphBuilder(channels=8, params=params)
     builder.insert_event(Event(100, 1, 1))
     builder.reset()
-    ns = builder.insert_event(Event(101, 2, 1))
-    assert pairs(ns) == []
+    assert insert(builder, Event(101, 2, 1)) == []
     builder.reset()
     builder.insert_event(Event(5, 3, 1))  # clock restarted too
 
@@ -156,21 +151,43 @@ def test_incremental_matches_both_oracles(events, params):
     builder = GraphBuilder(channels=32, params=params)
     for i, ev in enumerate(events):
         history = EventStream(cfg, stream.t[:i], stream.c[:i], stream.p[:i])
-        got = pairs(builder.insert_event(Event(*ev)))
+        got = insert(builder, Event(*ev))
         assert got == linear_scan_neighbors(events[:i], ev, params)
         assert got == brute_force_neighbors(history, ev, params)
         assert len(got) <= params.max_degree
 
 
-@given(events=events_st, params=graph_params_st)
+@given(events=events_st, params=graph_params_st,
+       chunk=st.integers(1, 2 * CHUNK))
 @settings(max_examples=50, deadline=None)
-def test_iter_neighbor_sets_and_edge_counts(events, params):
+def test_batched_query_and_edge_counts(events, params, chunk):
+    # any batch size gives the one-event answers; edge counts agree
     cfg = SensorConfig(channels=32)
     stream = EventStream.from_events(cfg, events)
-    sets = list(iter_neighbor_sets(stream, params))
+    one = GraphBuilder(channels=32, params=params)
+    expect = [insert(one, ev) for ev in stream]
+    batched = GraphBuilder(channels=32, params=params)
+    got = []
+    for start in range(0, len(stream), chunk):
+        c = stream.c[start:start + chunk]
+        table = batched.insert(stream.t[start:start + chunk], c)
+        assert len(table) == table.valid.sum()
+        got += [table.pairs(i, int(ch)) for i, ch in enumerate(c)]
+    assert got == expect
     counts = edges_per_event(stream, params)
-    assert len(sets) == len(stream) == counts.size
-    assert [len(s.neighbors) for s in sets] == counts.tolist()
+    assert [len(e) for e in expect] == counts.tolist()
+
+
+def test_batch_rejects_regressing_or_foreign_events():
+    params = GraphParams(r_c=1, skip_step=1, r_t_low=0, r_t_high=10)
+    builder = GraphBuilder(channels=8, params=params)
+    with pytest.raises(OrderingError):
+        builder.insert([5, 4], [1, 2])
+    with pytest.raises(ValidationError):
+        builder.insert([5, 6], [1, 8])
+    builder.insert([5, 5], [1, 2])
+    with pytest.raises(OrderingError):
+        builder.insert([4], [3])
 
 
 def test_dump_neighbors_format(rng):

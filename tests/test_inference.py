@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evkws import (
-    Event,
     EventStream,
+    FiltrationParams,
+    GraphBuilder,
     GraphParams,
     HeadState,
     InferenceEngine,
     ModelArch,
+    ModelWeights,
     OrderingError,
     Prediction,
+    RunState,
     SensorConfig,
     ValidationError,
     WindowPool,
@@ -24,7 +27,7 @@ from evkws import (
     random_weights,
     summarize_predictions,
 )
-from evkws.graph import NeighborSet, Neighbor, NodeRecord
+from evkws.graph import NeighborTable
 from evkws.model import ConvLayer, GruBlock, LinearBlock
 
 from conftest import make_stream
@@ -32,16 +35,33 @@ from oracles import (
     ref_first_layer_inputs,
     ref_gru_step,
     ref_head_forward,
+    ref_infer_stream,
     ref_pointnet_conv,
 )
 
 
-def neighbor_set(center_event, pairs):
-    """Build a NeighborSet from (dc, dt) pairs for feature-input tests."""
-    nbs = [Neighbor(NodeRecord(Event(center_event.t - dt,
-                                     center_event.c + dc, 1)), dc, dt)
-           for dc, dt in pairs]
-    return NeighborSet(center=NodeRecord(center_event), neighbors=nbs)
+def one_row(pairs):
+    """A one-event neighbor table from (dc, dt) pairs; neighbor k is row k."""
+    m = len(pairs)
+    return NeighborTable(
+        row=np.arange(m, dtype=np.int64).reshape(1, m),
+        dc=np.array([dc for dc, _ in pairs], dtype=np.int64).reshape(m),
+        dt=np.array([dt for _, dt in pairs], dtype=np.int64).reshape(1, m),
+        valid=np.ones((1, m), dtype=bool))
+
+
+def first_layer_one(pairs, p):
+    """Stage-1 features of one event through the batched form."""
+    return first_layer_inputs(one_row(pairs), np.array([p]))[0]
+
+
+def conv_one(layer, center, neighbors):
+    """One stage on (center, [(feats, dc, dt)]) as one batch row: neighbor
+    features are the history rows, the center the batch row."""
+    rows = np.array([*(f for f, _, _ in neighbors), center],
+                    dtype=np.int8).reshape(-1, len(center))
+    table = one_row([(dc, dt) for _, dc, dt in neighbors])
+    return pointnet_conv(layer, rows, table)[0]
 
 
 def rand_conv(rng, in_w, out_w):
@@ -86,20 +106,16 @@ def as_oracle_block(block):
 # -------------------------------------------------------- stage-one inputs
 
 def test_first_layer_inputs_empty_neighborhood():
-    ev = Event(500, 10, -1)
-    np.testing.assert_array_equal(
-        first_layer_inputs(neighbor_set(ev, []), ev), [0, 0, -1])
+    np.testing.assert_array_equal(first_layer_one([], -1), [0, 0, -1])
 
 
 def test_first_layer_inputs_means():
-    ev = Event(5000, 10, 1)
-    ns = neighbor_set(ev, [(-2, 100), (3, 201)])
     # mean dc = 0.5 -> 1 (half away from zero); mean dt = 150.5 -> 151 -> >>6
     np.testing.assert_array_equal(
-        first_layer_inputs(ns, ev), [1, 151 >> 6, 1])
-    ns = neighbor_set(ev, [(-3, 64), (-2, 64)])
+        first_layer_one([(-2, 100), (3, 201)], 1), [1, 151 >> 6, 1])
     # mean dc = -2.5 -> -3; mean dt = 64 -> q 1
-    np.testing.assert_array_equal(first_layer_inputs(ns, ev), [-3, 1, 1])
+    np.testing.assert_array_equal(
+        first_layer_one([(-3, 64), (-2, 64)], 1), [-3, 1, 1])
 
 
 @given(st.lists(st.tuples(st.integers(-127, 127), st.integers(0, 20_000)),
@@ -107,8 +123,7 @@ def test_first_layer_inputs_means():
        st.sampled_from([-1, 1]))
 @settings(max_examples=150, deadline=None)
 def test_first_layer_inputs_matches_oracle(pairs, p):
-    ev = Event(50_000, 0, p)
-    got = first_layer_inputs(neighbor_set(ev, pairs), ev)
+    got = first_layer_one(pairs, p)
     assert got.tolist() == ref_first_layer_inputs(pairs, (50_000, 0, p))
 
 
@@ -122,10 +137,10 @@ def test_pointnet_conv_tiny_hand_case():
         in_width=2, out_width=1, scale_num=1, scale_shift=2)
     center = np.array([4, 0], dtype=np.int8)
     # self vertex: 4 + 8 = 12 -> >>2 = 3
-    assert pointnet_conv(layer, center, []).tolist() == [3]
+    assert conv_one(layer, center, []).tolist() == [3]
     # neighbor [6, 0] at dc=5, dt=128 (q=2): 6 + 10 + 2 + 8 = 26 -> >>2 -> 7
-    out = pointnet_conv(layer, center, [(np.array([6, 0], dtype=np.int8),
-                                         5, 128)])
+    out = conv_one(layer, center, [(np.array([6, 0], dtype=np.int8),
+                                    5, 128)])
     assert out.tolist() == [7]
 
 
@@ -133,10 +148,16 @@ def test_pointnet_conv_rejects_bad_widths():
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 4, 3)
     with pytest.raises(ValidationError):
-        pointnet_conv(layer, np.zeros(5, dtype=np.int8), [])
+        conv_one(layer, np.zeros(5, dtype=np.int8), [])
     with pytest.raises(ValidationError):
-        pointnet_conv(layer, np.zeros(4, dtype=np.int8),
-                      [(np.zeros(3, dtype=np.int8), 0, 0)])
+        pointnet_conv(layer, np.zeros((2, 3), dtype=np.int8),
+                      one_row([(1, 0)]))
+    with pytest.raises(ValidationError):  # fewer rows than batch events
+        pointnet_conv(layer, np.zeros((1, 4), dtype=np.int8),
+                      NeighborTable(np.zeros((2, 0), dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64),
+                                    np.zeros((2, 0), dtype=np.int64),
+                                    np.zeros((2, 0), dtype=bool)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_neighbors=st.integers(0, 8))
@@ -152,7 +173,7 @@ def test_pointnet_conv_matches_oracle(seed, n_neighbors):
          int(rng.integers(-127, 128)), int(rng.integers(0, 10_000)))
         for _ in range(n_neighbors)
     ]
-    got = pointnet_conv(layer, center, neighbors)
+    got = conv_one(layer, center, neighbors)
     expect = ref_pointnet_conv(layer.weight.tolist(),
                                layer.bias.tolist(),
                                layer.scale_num, layer.scale_shift,
@@ -173,11 +194,10 @@ def test_pointnet_conv_neighbor_order_invariant(seed):
          int(rng.integers(-20, 21)), int(rng.integers(0, 5000)))
         for _ in range(5)
     ]
-    base = pointnet_conv(layer, center, neighbors)
+    base = conv_one(layer, center, neighbors)
     perm = rng.permutation(5)
     shuffled = [neighbors[i] for i in perm]
-    np.testing.assert_array_equal(base,
-                                  pointnet_conv(layer, center, shuffled))
+    np.testing.assert_array_equal(base, conv_one(layer, center, shuffled))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -192,9 +212,9 @@ def test_pointnet_conv_monotone_in_vertices(seed):
          int(rng.integers(-20, 21)), int(rng.integers(0, 5000)))
         for _ in range(6)
     ]
-    prev = pointnet_conv(layer, center, [])
+    prev = conv_one(layer, center, [])
     for n in range(1, 7):
-        cur = pointnet_conv(layer, center, neighbors[:n])
+        cur = conv_one(layer, center, neighbors[:n])
         assert (cur >= prev).all()
         prev = cur
 
@@ -202,7 +222,7 @@ def test_pointnet_conv_monotone_in_vertices(seed):
 def test_pointnet_conv_output_rectified(rng):
     layer = rand_conv(rng, 3, 8)
     center = rng.integers(-128, 128, size=3).astype(np.int8)
-    out = pointnet_conv(layer, center, [])
+    out = conv_one(layer, center, [])
     assert (out >= 0).all()
 
 
@@ -269,7 +289,6 @@ def small_head_weights(seed):
     convs = [rand_conv(rng, 3, 6)] + [rand_conv(rng, 6, 6) for _ in range(3)]
     head = [rand_linear(rng, 6, 8), rand_gru(rng, 8, 5),
             rand_linear(rng, 5, 4)]
-    from evkws import ModelWeights
     return ModelWeights(conv_layers=convs, head_blocks=head, class_count=3)
 
 
@@ -401,3 +420,138 @@ def test_engine_single_event_stream(cfg64):
     preds = infer_stream(stream, weights, gp)
     # windows 0 and 1 are empty but still emitted; window 2 holds the event
     assert [p.window_index for p in preds] == [0, 1, 2]
+
+
+# --------------------------------------------------------- end-to-end oracle
+
+def _oracle_case(seed, filtered):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(2, 7))
+    convs = [rand_conv(rng, 3, width)] + [rand_conv(rng, width, width)
+                                          for _ in range(3)]
+    head = [rand_linear(rng, width, 8), rand_gru(rng, 8, 5),
+            rand_linear(rng, 5, 4)]
+    weights = ModelWeights(conv_layers=convs, head_blocks=head,
+                           class_count=3)
+    channels = int(rng.choice([32, 64]))
+    window_us = 1000
+    n = int(rng.integers(200, 400))
+    start = 0 if seed % 2 == 0 else int(rng.integers(2, 5)) * window_us + \
+        int(rng.integers(0, window_us))  # first event >= 2 windows in
+    t = start + np.sort(rng.integers(0, int(rng.choice([2000, 20_000])),
+                                     size=n))
+    c = rng.integers(0, channels, size=n)
+    p = rng.choice([-1, 1], size=n)
+    stream = EventStream(SensorConfig(channels), t.astype(np.int64),
+                         c.astype(np.int32), p.astype(np.int8))
+    r_t_low = int(rng.integers(0, 200))
+    gp = GraphParams(r_c=int(rng.integers(0, 9)),
+                     skip_step=int(rng.integers(1, 4)), r_t_low=r_t_low,
+                     r_t_high=r_t_low + int(rng.integers(0, 5000)))
+    filtration = None
+    if filtered:
+        filtration = FiltrationParams(
+            div_factor=int(rng.integers(2, 10)), weight=32,
+            thresholds=rng.integers(32, 97, size=channels))
+    return weights, stream, gp, filtration, window_us
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_matches_end_to_end_oracle(seed, filtered):
+    weights, stream, gp, filtration, window_us = _oracle_case(seed, filtered)
+    preds = InferenceEngine(weights, gp, filtration, window_us).run(stream)
+    events = list(zip(stream.t.tolist(), stream.c.tolist(),
+                      stream.p.tolist()))
+    oracle_filter = None if filtration is None else (
+        filtration.div_factor, filtration.weight,
+        filtration.thresholds.tolist())
+    expect = ref_infer_stream(
+        events, stream.config.channels,
+        [as_oracle_block(b) for b in weights.conv_layers],
+        [as_oracle_block(b) for b in weights.head_blocks],
+        gp, window_us, oracle_filter)
+    assert [(p.window_index, p.logits.tolist(), p.conf)
+            for p in preds] == expect
+    assert expect and expect[0][0] == 0
+
+
+# ----------------------------------------------------------- chunk splits
+
+SPLIT_WEIGHTS = random_weights(3, small_arch())
+SPLIT_GRAPH = GraphParams(r_c=3, skip_step=1, r_t_low=0, r_t_high=3000)
+
+
+def _fed_in_pieces(stream, cuts, window_us=1000):
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, stream.config.channels,
+                     window_us)
+    preds = []
+    bounds = [0, *sorted(cuts), len(stream)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        preds += state.feed(stream.t[lo:hi], stream.c[lo:hi],
+                            stream.p[lo:hi])
+    return preds + state.close()
+
+
+def _same(a, b):
+    return [(p.window_index, p.logits.tolist(), p.conf) for p in a] == \
+        [(p.window_index, p.logits.tolist(), p.conf) for p in b]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_split_anywhere_equals_single_run(data):
+    steps = data.draw(st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(0, 400),
+                            st.integers(900, 6000)),
+                  st.integers(0, 11), st.sampled_from([-1, 1])),
+        min_size=1, max_size=150))
+    start = data.draw(st.sampled_from([0, 1000, 2999]))
+    t = start + np.cumsum([gap for gap, _, _ in steps])
+    stream = EventStream(SensorConfig(32), t.astype(np.int64),
+                         np.array([c for _, c, _ in steps], dtype=np.int32),
+                         np.array([p for _, _, p in steps], dtype=np.int8))
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=8))
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH,
+                            window_us=1000).run(stream)
+    assert _same(_fed_in_pieces(stream, cuts), whole)
+
+
+# Window 1000 us. Index: 0..7 below; each case names the split it tests.
+SPLIT_EVENTS = [(100, 5, 1), (500, 3, 1), (500, 4, -1), (1700, 9, 1),
+                (2000, 6, -1), (2100, 2, 1), (6500, 3, 1), (6600, 4, -1)]
+
+
+@pytest.mark.parametrize("cut,case", [
+    (2, "equal timestamps on both sides"),
+    (4, "neighbor only in an earlier chunk"),   # event 4 (c6) sees c5 at 100
+    (4, "split exactly on a window edge"),      # event 4 at t = 2000
+    (6, "split inside an empty stretch"),       # 2100 | 6500: windows 3-5
+])
+def test_named_splits_equal_single_run(cfg64, cut, case):
+    stream = EventStream.from_events(cfg64, SPLIT_EVENTS)
+    before, after = SPLIT_EVENTS[cut - 1], SPLIT_EVENTS[cut]
+    if case == "equal timestamps on both sides":
+        assert before[0] == after[0]
+    elif case == "neighbor only in an earlier chunk":
+        builder = GraphBuilder(64, SPLIT_GRAPH)
+        builder.insert(stream.t[:cut], stream.c[:cut])
+        table = builder.insert(stream.t[cut:], stream.c[cut:])
+        # column of channel offset -1 for event 4 points into history
+        k = int(np.flatnonzero(table.dc == -1)[0])
+        assert table.valid[0, k] and table.row[0, k] < 64
+    elif case == "split exactly on a window edge":
+        assert after[0] % 1000 == 0
+    else:
+        assert after[0] // 1000 - before[0] // 1000 > 1
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH,
+                            window_us=1000).run(stream)
+    assert [p.window_index for p in whole] == list(range(7))
+    assert _same(_fed_in_pieces(stream, [cut]), whole)
+
+
+def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 64, 1000)
+    state.feed(np.array([500]), np.array([3]), np.array([1]))
+    with pytest.raises(OrderingError):
+        state.feed(np.array([400]), np.array([4]), np.array([1]))

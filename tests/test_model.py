@@ -174,3 +174,60 @@ def test_conv_layer_rejects_out_of_range_weight():
     with pytest.raises(ValidationError, match="int8 range"):
         GruBlock(weight=np.full((3, 2), -129), bias=np.zeros(3),
                  in_width=1, out_width=1)
+
+
+# ------------------------------------------------------ accumulator bounds
+
+ACC_LIMIT = 2**31
+
+# kind -> (block class, weight shape for in_width=1, out_width=2)
+BLOCK_SHAPES = {"conv": (ConvLayer, (2, 3)), "linear": (LinearBlock, (2, 1)),
+                "gru": (GruBlock, (6, 3))}
+
+
+def _block(kind, bias, **scales):
+    cls, shape = BLOCK_SHAPES[kind]
+    return cls(weight=np.full(shape, -3, dtype=np.int8),
+               bias=np.full(shape[0], bias, dtype=np.int64),
+               in_width=1, out_width=2, **scales)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+def test_blocks_reject_an_accumulator_that_could_reach_2_31(kind):
+    # per row |bias| + 128*sum|w| must stay below 2**31
+    row_weight = 128 * 3 * BLOCK_SHAPES[kind][1][1]
+    edge = ACC_LIMIT - 1 - row_weight
+    assert _block(kind, edge).bias[0] == edge
+    assert _block(kind, -edge).bias[0] == -edge
+    for bias in (edge + 1, -edge - 1, 2**31 - 1, 2**40):
+        with pytest.raises(ValidationError, match="2\\*\\*31"):
+            _block(kind, bias)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+def test_blocks_reject_scales_beyond_the_64_bit_requantizer(kind):
+    _block(kind, 0, scale_num=ACC_LIMIT - 1, scale_shift=62)
+    for scales in ({"scale_num": ACC_LIMIT}, {"scale_num": 2**62},
+                   {"scale_num": 0}, {"scale_shift": 63},
+                   {"scale_shift": 100}, {"scale_shift": -1}):
+        with pytest.raises(ValidationError):
+            _block(kind, 0, **scales)
+
+
+def test_gru_at_the_accumulator_limit_matches_the_oracle():
+    # Bias 2**31 - 1 used to be accepted and wrapped the int32 accumulator:
+    # gru_step gave [-127, -127] where the integer oracle gives [3, -2].
+    # Such a block is now rejected; the largest accepted bias stays exact.
+    from evkws.inference import gru_step
+    from oracles import ref_gru_step
+
+    with pytest.raises(ValidationError):
+        GruBlock(weight=np.ones((6, 3), np.int8), bias=np.full(6, 2**31 - 1),
+                 in_width=1, out_width=2)
+    x = np.array([-128], dtype=np.int8)
+    h = np.array([-128, -128], dtype=np.int8)
+    for bias in (ACC_LIMIT - 1 - 128 * 3 * 3, -(ACC_LIMIT - 1 - 128 * 3 * 3)):
+        block = _block("gru", bias)
+        expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(),
+                              1, 0, 1, 2, x.tolist(), h.tolist())
+        assert gru_step(block, x, h).tolist() == expect
