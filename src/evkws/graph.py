@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
 
 from .errors import OrderingError, ValidationError
 from .events import Event, EventStream
+from .quant import I8_MAX, quantize_dt
 
 CHUNK = 128  # events per batch when a whole stream is processed
 
@@ -60,16 +62,20 @@ class GraphParams:
 class NeighborTable:
     """Neighbors of a batch of ``n`` events, one row per event.
 
-    ``row[i, k]`` indexes the history rows followed by the batch rows,
-    ``dc[k]`` is the channel offset of column ``k``, ``dt[i, k]`` the age of
-    that vertex and ``valid[i, k]`` whether it is a neighbor at all. The
-    length is the number of edges.
+    ``row[i, k]`` indexes the rows of one history event per channel followed
+    by the batch events, ``channel[r]`` being row ``r``'s channel. ``dc[k]``
+    is column ``k``'s channel offset (the row's channel minus the event's),
+    ``dt[i, k]`` the age of that vertex and ``valid[i, k]`` whether it is a
+    neighbor at all. Channels and the offsets of valid entries lie within
+    [-127, 127], and their ages quantize to at least 0. The length is the
+    number of edges.
     """
 
-    row: np.ndarray    # int64, (n, K)
-    dc: np.ndarray     # int64, (K,)
-    dt: np.ndarray     # int64, (n, K)
-    valid: np.ndarray  # bool, (n, K)
+    row: np.ndarray      # int64, (n, K)
+    dc: np.ndarray       # int64, (K,)
+    dt: np.ndarray       # int64, (n, K)
+    valid: np.ndarray    # bool, (n, K)
+    channel: np.ndarray  # int64, (history + n,)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
@@ -79,6 +85,25 @@ class NeighborTable:
         return [(center_channel + dc, dt) for dc, dt, ok in zip(
             self.dc.tolist(), self.dt[i].tolist(), self.valid[i].tolist())
             if ok]
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, n)`` rows and quantized ages, one gather per column, where
+        a missing neighbor repeats the event's own row at age 0. Checked
+        once per table: indices in range, valid entries as documented."""
+        row, valid, channel = self.row, self.valid, self.channel
+        n, total = len(row), len(channel)
+        own = np.arange(total - n, total)[:, None]
+        age = np.where(valid, quantize_dt(self.dt), 0)
+        if (total < n or ((row < 0) | (row >= total)).any()
+                or (np.abs(channel) > I8_MAX).any()
+                or (valid & ((channel[row] != channel[own] + self.dc) | (
+                    np.abs(self.dc) > I8_MAX) | (age < 0))).any()):
+            raise ValidationError(
+                f"neighbor table of {n} events over {total} rows breaks "
+                "its row, channel, dc or age range")
+        return (np.ascontiguousarray(np.where(valid, row, own).T),
+                np.ascontiguousarray(age.T, dtype=np.intp))
 
 
 class GraphBuilder:
@@ -139,7 +164,8 @@ class GraphBuilder:
         self._seen = seen[self.latest]
         if n:
             self._last_t = int(t[-1])
-        return NeighborTable(row, self.dc, dt, valid)
+        return NeighborTable(row, self.dc, dt, valid,
+                             np.concatenate([latest[0], c]))
 
     def insert_event(self, event: Event) -> NeighborTable:
         """Query neighbors for one event, then record it on its channel."""

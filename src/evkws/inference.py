@@ -16,11 +16,16 @@ neighbor age (scaled), polarity], zeros when the neighborhood is empty.
 A stream runs in chunks of ``CHUNK`` events, one stage at a time over a
 chunk's neighbor table. Requantize (scale_num >= 1) and ReLU are monotone,
 so the maximum over vertices is taken on the accumulators and requantize
-runs once per event and stage. Weights are checked at load time so that no
-accumulator reaches 2**31 (|bias| + 128*sum|w| per row), which keeps int32
-accumulation and the float64 products exact. A ``RunState`` carries each
-channel's latest stage inputs, the open window and the recurrent state
-across chunks, so chunk boundaries never change the result.
+runs once per event and stage. Every vertex of event i then shares one term,
+as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128: ch_j
+joins the vertex's product as one more input and ch_i * w_dc comes off after
+the maximum, with the bias. A missing neighbor repeats the self vertex, so
+each neighbor column costs two gathers, an add and a maximum. Weights are
+checked at load time so that no accumulator or partial value reaches 2**31
+(|bias| + 128*sum|w| per row), which keeps int32 accumulation and the
+float64 products exact. A ``RunState`` carries each channel's latest stage
+inputs, the open window and the recurrent state across chunks, so chunk
+boundaries never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0. Whenever an event lands past the current window, every elapsed window
@@ -42,7 +47,7 @@ from .events import DEFAULT_WINDOW_US, EventStream
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
-from .quant import (div_round_half_away, div_round_half_up_nonneg,
+from .quant import (I8_MAX, div_round_half_away, div_round_half_up_nonneg,
                     lut_sigmoid, lut_tanh, quantize_dt, requantize,
                     rounding_rshift, saturate_i8)
 
@@ -66,26 +71,31 @@ def pointnet_conv(layer: ConvLayer, rows: np.ndarray,
     int8 outputs, one row per batch event. Invariant under neighbor order,
     and element-wise non-decreasing when vertices are added.
     """
-    n = len(table.row)
-    if rows.ndim != 2 or rows.shape[1] != layer.in_width or len(rows) < n:
+    n, in_w = len(table.row), layer.in_width
+    if (rows.ndim != 2 or rows.shape[1] != in_w
+            or len(rows) != len(table.channel)):
         raise ValidationError(
             f"stage inputs have shape {rows.shape}, stage expects "
-            f"(>= {n}, {layer.in_width})")
+            f"({len(table.channel)}, {in_w})")
+    nbr, age = table.gather
     w = layer.weight.astype(np.int32)
-    in_w = layer.in_width
-    # exact: every partial sum stays far below 2**53
-    node = (rows.astype(np.float64) @ w[:, :in_w].T.astype(np.float64)
-            ).astype(np.int32)
+    # [x, channel] @ [Wx, w_dc].T, exact below the row bound checked at load
+    ext = np.empty((len(rows), in_w + 1))
+    ext[:, :in_w] = rows
+    ext[:, in_w] = table.channel
+    node = (ext @ w[:, :in_w + 1].T.astype(np.float64)).astype(np.int32)
+    age_term = np.outer(np.arange(I8_MAX + 1, dtype=np.int32), w[:, in_w + 1])
     best = node[len(rows) - n:].copy()
-    dc_term = saturate_i8(table.dc).astype(np.int32)[:, None] * w[:, in_w]
-    dt_q = quantize_dt(table.dt).astype(np.int32)
-    for k in range(len(table.dc)):
-        cand = node[table.row[:, k]]
-        cand += dc_term[k]
-        cand += dt_q[:, k, None] * w[:, in_w + 1]
-        np.maximum(best, cand, out=best, where=table.valid[:, k, None])
-    out = requantize(best + layer.bias, layer.scale_num, layer.scale_shift)
-    return np.maximum(out, 0)                            # rectify
+    cand, aged = np.empty_like(best), np.empty_like(best)
+    for k in range(len(nbr)):  # indices checked by table.gather
+        node.take(nbr[k], axis=0, out=cand, mode="clip")
+        age_term.take(age[k], axis=0, out=aged, mode="clip")
+        cand += aged
+        np.maximum(best, cand, out=best)
+    own_channel = table.channel[len(rows) - n:, None].astype(np.int32)
+    best += layer.bias - own_channel * w[:, in_w]        # ch_i * w_dc off
+    out = requantize(best, layer.scale_num, layer.scale_shift)
+    return np.maximum(out, 0, out=out)                   # rectify
 
 
 class WindowPool:

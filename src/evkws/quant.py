@@ -62,11 +62,15 @@ def saturate_i8(value):
 
 def requantize(acc, scale_num: int, scale_shift: int):
     """32-bit accumulator back to int8: scale, rounding shift, saturate."""
-    if isinstance(acc, np.ndarray):
-        scaled = acc.astype(np.int64) * scale_num
-    else:
-        scaled = int(acc) * scale_num
-    return saturate_i8(rounding_rshift(scaled, scale_shift))
+    if not isinstance(acc, np.ndarray):
+        return saturate_i8(rounding_rshift(int(acc) * scale_num, scale_shift))
+    if scale_shift < 0:
+        raise ValidationError("shift must be non-negative")
+    scaled = acc.astype(np.int64)    # the one copy; the rest is in place
+    scaled *= scale_num
+    scaled += (1 << scale_shift) >> 1
+    scaled >>= scale_shift
+    return np.clip(scaled, I8_MIN, I8_MAX, out=scaled).astype(np.int8)
 
 
 def quantize_dt(dt_us) -> np.ndarray | int:

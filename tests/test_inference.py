@@ -41,13 +41,16 @@ from oracles import (
 
 
 def one_row(pairs):
-    """A one-event neighbor table from (dc, dt) pairs; neighbor k is row k."""
+    """A one-event neighbor table from (dc, dt) pairs; neighbor k is row k
+    on channel dc, the event is row m on channel 0."""
     m = len(pairs)
+    dc = np.array([dc for dc, _ in pairs], dtype=np.int64).reshape(m)
     return NeighborTable(
         row=np.arange(m, dtype=np.int64).reshape(1, m),
-        dc=np.array([dc for dc, _ in pairs], dtype=np.int64).reshape(m),
+        dc=dc,
         dt=np.array([dt for _, dt in pairs], dtype=np.int64).reshape(1, m),
-        valid=np.ones((1, m), dtype=bool))
+        valid=np.ones((1, m), dtype=bool),
+        channel=np.append(dc, 0))
 
 
 def first_layer_one(pairs, p):
@@ -157,7 +160,8 @@ def test_pointnet_conv_rejects_bad_widths():
                       NeighborTable(np.zeros((2, 0), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64),
                                     np.zeros((2, 0), dtype=np.int64),
-                                    np.zeros((2, 0), dtype=bool)))
+                                    np.zeros((2, 0), dtype=bool),
+                                    np.zeros(1, dtype=np.int64)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_neighbors=st.integers(0, 8))
@@ -224,6 +228,75 @@ def test_pointnet_conv_output_rectified(rng):
     center = rng.integers(-128, 128, size=3).astype(np.int8)
     out = conv_one(layer, center, [])
     assert (out >= 0).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
+    # a batch of events sharing K columns: valid slots point at rows on the
+    # right channel; invalid ones at any row, with any age, even negative
+    rng = np.random.default_rng(seed)
+    in_w, out_w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    layer = rand_conv(rng, in_w, out_w)
+    n, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+    dc = rng.choice(np.arange(-60, 61), size=k, replace=False)
+    center_ch = rng.integers(-60, 61, size=n)
+    valid = rng.random((n, k)) < 0.5
+    hist = [(rng.integers(-128, 128, size=in_w).astype(np.int8),
+             center_ch[i] + dc[j]) for i, j in zip(*np.nonzero(valid))]
+    rows = np.array([f for f, _ in hist]
+                    + list(rng.integers(-128, 128, size=(n, in_w))),
+                    dtype=np.int8).reshape(-1, in_w)
+    channel = np.array([ch for _, ch in hist] + list(center_ch),
+                       dtype=np.int64)
+    row = rng.integers(0, len(rows), size=(n, k))
+    dt = rng.integers(-10**6, 10**6, size=(n, k))
+    row[valid] = np.arange(len(hist))
+    dt[valid] = rng.integers(0, 10_000, size=len(hist))
+    got = pointnet_conv(layer, rows,
+                        NeighborTable(row, dc, dt, valid, channel))
+    for i in range(n):
+        expect = ref_pointnet_conv(
+            layer.weight.tolist(), layer.bias.tolist(), layer.scale_num,
+            layer.scale_shift, rows[len(hist) + i].tolist(),
+            [(rows[row[i, j]].tolist(), int(dc[j]), int(dt[i, j]))
+             for j in np.flatnonzero(valid[i])])
+        assert got[i].tolist() == expect
+
+
+@pytest.mark.parametrize("case", [
+    "negative row", "row past the end", "channel above 127",
+    "channel below -127", "dc is not the channel difference",
+    "dc beyond 127", "negative age"])
+def test_pointnet_conv_rejects_inconsistent_tables(case):
+    rng = np.random.default_rng(0)
+    layer = rand_conv(rng, 2, 3)
+    rows = np.zeros((3, 2), dtype=np.int8)   # rows 0-1 history, row 2 event
+    row, dc, dt = np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]])
+    valid = np.array([[True, True]])
+    channel = np.array([8, 13, 10])
+    if case == "negative row":
+        row[0, 1] = -1
+        valid[0, 1] = False      # checked even where the slot is unused
+    elif case == "row past the end":
+        row[0, 0] = 3
+    elif case == "channel above 127":
+        channel[0] = 128
+    elif case == "channel below -127":
+        channel[0] = -128
+    elif case == "dc is not the channel difference":
+        channel[1] = 14
+    elif case == "dc beyond 127":
+        dc[0], channel[0], channel[2] = -200, -100, 100
+        channel[1] = 103
+    else:
+        dt[0, 1] = -33           # quantizes to -1
+    pointnet_conv(layer, rows, NeighborTable(
+        np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]]),
+        np.array([[True, True]]), np.array([8, 13, 10])))  # consistent
+    with pytest.raises(ValidationError):
+        pointnet_conv(layer, rows,
+                      NeighborTable(row, dc, dt, valid, channel))
 
 
 # ------------------------------------------------------------- window pool
@@ -474,6 +547,43 @@ def test_engine_matches_end_to_end_oracle(seed, filtered):
     assert [(p.window_index, p.logits.tolist(), p.conf)
             for p in preds] == expect
     assert expect and expect[0][0] == 0
+
+
+def test_engine_at_the_accumulator_bound_matches_oracle():
+    # 128 channels with events on both edge channels, every offset in reach;
+    # conv 2 has rows with |bias| + 128*sum|w| = 2**31 - 1 of either sign
+    rng = np.random.default_rng(7)
+    width = 4
+    convs = [rand_conv(rng, 3, width)] + [rand_conv(rng, width, width)
+                                          for _ in range(3)]
+    weight = rng.choice([-127, 127], size=(width, width + 2)).astype(np.int8)
+    weight[:, width] = 127                                    # w_dc
+    room = 2**31 - 1 - 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
+    convs[1] = ConvLayer(weight=weight,
+                         bias=(room * [1, -1, 1, -1]).astype(np.int32),
+                         in_width=width, out_width=width, scale_num=1,
+                         scale_shift=24)
+    assert (np.abs(convs[1].bias.astype(np.int64))
+            + 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
+            == 2**31 - 1).all()
+    head = [rand_linear(rng, width, 8), rand_gru(rng, 8, 5),
+            rand_linear(rng, 5, 4)]
+    weights = ModelWeights(conv_layers=convs, head_blocks=head,
+                           class_count=3)
+    n = 300
+    t = np.sort(rng.integers(0, 6000, size=n))
+    c = rng.choice([0, 127, 0, 127, 1, 64, 126], size=n)
+    p = rng.choice([-1, 1], size=n)
+    stream = EventStream(SensorConfig(128), t.astype(np.int64),
+                         c.astype(np.int32), p.astype(np.int8))
+    gp = GraphParams(r_c=127, skip_step=1, r_t_low=0, r_t_high=2000)
+    preds = InferenceEngine(weights, gp, window_us=1000).run(stream)
+    events = list(zip(t.tolist(), c.tolist(), p.tolist()))
+    expect = ref_infer_stream(
+        events, 128, [as_oracle_block(b) for b in weights.conv_layers],
+        [as_oracle_block(b) for b in weights.head_blocks], gp, 1000)
+    assert [(p.window_index, p.logits.tolist(), p.conf)
+            for p in preds] == expect
 
 
 # ----------------------------------------------------------- chunk splits

@@ -74,6 +74,15 @@ def test_requantize_saturates():
         requantize(np.array([100, -100]), 3, 2), [75, -75])
 
 
+@given(acc=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1, max_size=20),
+       num=st.integers(1, 2**31 - 1), shift=st.integers(0, 62))
+@settings(max_examples=300, deadline=None)
+def test_requantize_array_equals_scalar(acc, num, shift):
+    got = requantize(np.array(acc, dtype=np.int64), num, shift)
+    assert got.dtype == np.int8
+    assert got.tolist() == [requantize(a, num, shift) for a in acc]
+
+
 def test_quantize_dt_scales_by_64():
     assert DT_SHIFT == 6
     assert quantize_dt(0) == 0
