@@ -25,12 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig, expand_sweep, load_config, write_config
 from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
-                     ValidationError)
+                     ValidationError, open_text)
 from .events import (FORMAT_CSV, EventStream, compute_stats, read_stream,
                      write_stream)
 from .graph import dump_neighbors, edges_per_event
 from .hwmodel import latency_report, simulate, throughput_envelope
-from .inference import infer_stream, summarize_predictions
+from .inference import InferenceEngine, summarize_predictions
 from .metrics import (EvalRecord, event_rate_report, metric_report,
                       read_records)
 from .model import load_weights, random_weights
@@ -115,9 +115,9 @@ def cmd_filter(args, config: RunConfig) -> int:
 def cmd_infer(args, config: RunConfig) -> int:
     stream = _load_stream(args.input, config)
     weights = _get_weights(args, config)
-    predictions = infer_stream(stream, weights, config.graph,
-                               config.filtration_params(),
-                               config.hw.window_us)
+    predictions = InferenceEngine(weights, config.graph,
+                                  config.filtration_params(),
+                                  config.hw.window_us).run(stream)
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
         for pred in predictions:
@@ -134,7 +134,7 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
 
     base = os.path.dirname(os.path.abspath(path))
     rows: list[tuple[str, int, int | None]] = []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -159,9 +159,9 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
 def _eval_one(task) -> EvalRecord:
     path, label, end_bin, config, weights = task
     stream = _load_stream(path, config)
-    predictions = infer_stream(stream, weights, config.graph,
-                               config.filtration_params(),
-                               config.hw.window_us)
+    predictions = InferenceEngine(weights, config.graph,
+                                  config.filtration_params(),
+                                  config.hw.window_us).run(stream)
     summary = summarize_predictions(predictions)
     if summary is None:
         # No window ever emitted (empty or fully filtered sample): score as

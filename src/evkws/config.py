@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import attrgetter
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, open_text
 from .events import SensorConfig
 from .filtering import FiltrationParams, ThresholdSchedule
 from .graph import GraphParams
@@ -158,7 +158,7 @@ def _build(values: dict[tuple[str, str], object]) -> RunConfig:
 def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
-        with open(path, "r") as fh:
+        with open_text(path, ConfigError) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None

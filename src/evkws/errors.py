@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the UTF-8 file opener.
 
 The command-line front end maps each class to a distinct exit code, so new
 error conditions should reuse one of these rather than raising bare
@@ -6,6 +6,8 @@ ValueError.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class EvkwsError(Exception):
@@ -40,3 +42,13 @@ class OrderingError(ValidationError):
 
 class ConfigError(EvkwsError):
     """Run configuration is missing, inconsistent, or out of range."""
+
+
+@contextmanager
+def open_text(path: str, error: type[EvkwsError] = ParseError):
+    """Open ``path`` to read as UTF-8; undecodable bytes raise ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc.reason}") from None

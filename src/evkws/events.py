@@ -33,7 +33,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OrderingError, ParseError, ValidationError
+from .errors import (ConfigError, OrderingError, ParseError, ValidationError,
+                     open_text)
 
 US_PER_S = 1_000_000
 DEFAULT_WINDOW_US = 10_000
@@ -266,7 +267,7 @@ def _read_csv(path: str, config: SensorConfig | None) -> EventStream:
     ts: list[int] = []
     cs: list[int] = []
     ps: list[int] = []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -10,9 +10,11 @@ The simulation replays a timestamped stream with per-event edge counts
 through sensor delay, a FIFO, and the single processing stage:
 
 * an event becomes visible ``nas_latency_us`` after its sensor timestamp;
-* the stage serves events in arrival order, work-conserving; an arrival
-  finding ``fifo_depth`` events already waiting overflows and is dropped
-  (recorded, not fatal);
+* the stage serves events in arrival order, work-conserving; an event that
+  arrives while the stage is busy waits in the FIFO until it is admitted,
+  and an arrival finding ``fifo_depth`` events already waiting overflows
+  and is dropped (recorded, not fatal). The trace's ``max_queue_depth`` is
+  the most events waiting at once;
 * a window closes once its last event has finished processing and a
   later-window event has arrived (timestamp propagation); the final window
   closes by an end-of-sample flush at window end plus ``flush_timeout_us``.
@@ -26,7 +28,7 @@ sensor-delayed axis, so the sensor delay is excluded; end-to-end latency is
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +127,11 @@ def throughput_envelope(params: HwParams,
 class SimTrace:
     """Everything the simulation observed, in stream order.
 
-    Dropped events carry NaN admit/done times. ``queue_depth_samples`` holds
-    (time, waiting count) pairs taken at each arrival after it joins the
-    FIFO; ``window_predictions`` holds (window index, emission time) pairs.
+    Dropped events carry NaN admit/done times. ``max_queue_depth`` is the
+    most events ever waiting in the FIFO at once, counted just after an
+    arrival joins it (an event served on arrival never waits; 0 when no
+    event ever stalls). ``window_predictions`` holds (window index, emission
+    time) pairs.
     """
 
     arrival_us: np.ndarray
@@ -135,19 +139,15 @@ class SimTrace:
     done_us: np.ndarray
     edges: np.ndarray
     dropped: np.ndarray
-    queue_depth_samples: list[tuple[float, int]]
     window_predictions: list[tuple[int, float]]
     window_to_prediction_us: list[float]
-    overflow_events: list[tuple[float, int]]
-    overflow_count: int
     stall_count: int
+    max_queue_depth: int
     params: HwParams
 
     @property
-    def max_queue_depth(self) -> int:
-        if not self.queue_depth_samples:
-            return 0
-        return max(d for _, d in self.queue_depth_samples)
+    def overflow_count(self) -> int:
+        return int(self.dropped.sum())
 
     def processed_rate_eps(self) -> float:
         """Long-run processed events per second over the busy interval."""
@@ -161,16 +161,11 @@ class SimTrace:
         return done.size / span * 1e6
 
     def to_rows(self) -> list[tuple]:
-        rows = []
-        for i in range(len(self.arrival_us)):
-            if self.dropped[i]:
-                rows.append((i, float(self.arrival_us[i]), None, None,
-                             int(self.edges[i])))
-            else:
-                rows.append((i, float(self.arrival_us[i]),
-                             float(self.admit_us[i]), float(self.done_us[i]),
-                             int(self.edges[i])))
-        return rows
+        return [(i, a, None if lost else s, None if lost else d, e)
+                for i, (a, s, d, e, lost) in enumerate(zip(
+                    self.arrival_us.tolist(), self.admit_us.tolist(),
+                    self.done_us.tolist(), self.edges.tolist(),
+                    self.dropped.tolist()))]
 
 
 def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
@@ -184,89 +179,65 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     if edges.size and int(edges.min()) < 0:
         raise ValidationError("edge counts must be non-negative")
 
-    n = len(stream)
-    mhz = params.clock_hz / 1e6
     arrival = stream.t.astype(np.float64) + params.nas_latency_us
-    admit = np.full(n, np.nan)
-    done = np.full(n, np.nan)
-    dropped = np.zeros(n, dtype=bool)
-    depth_samples: list[tuple[float, int]] = []
-    overflow_events: list[tuple[float, int]] = []
-    pending_admits: list[float] = []  # admit times of events still waiting
+    levels, level = np.unique(edges, return_inverse=True)
+    service = np.array([params.latency_us(e) for e in levels.tolist()])[level]
+    admit: list[float] = []  # NaN for a dropped event
+    # The one server takes events in arrival order, so admit times never
+    # decrease: the FIFO is a queue of the stalled events' admit times.
+    waiting: deque[float] = deque()
     server_free = 0.0
-    stalls = 0
-
-    t_list = stream.t.tolist()
-    for i in range(n):
-        a = arrival[i]
-        # Events admitted by time a have left the FIFO.
-        cut = bisect_right(pending_admits, a)
-        if cut:
-            del pending_admits[:cut]
-        waiting = len(pending_admits)
-        if waiting >= params.fifo_depth:
-            dropped[i] = True
-            overflow_events.append((float(a), 1))
-            depth_samples.append((float(a), waiting))
+    stalls = max_depth = 0
+    for a, cost in zip(arrival.tolist(), service.tolist()):
+        while waiting and waiting[0] <= a:  # admitted by a: left the FIFO
+            waiting.popleft()
+        if len(waiting) >= params.fifo_depth:
+            admit.append(np.nan)
             continue
         start = a if a > server_free else server_free
-        admit[i] = start
-        done[i] = start + params.cycles(int(edges[i])) / mhz
-        server_free = done[i]
+        server_free = start + cost
+        admit.append(start)
         if start > a:
             stalls += 1
-            insort(pending_admits, start)
-            depth_samples.append((float(a), waiting + 1))
-        else:
-            depth_samples.append((float(a), waiting))
+            waiting.append(start)
+            max_depth = max(max_depth, len(waiting))
+    admit_us = np.array(admit, dtype=np.float64)
+    done_us = admit_us + service  # the same sums the loop made
+    dropped = np.isnan(admit_us)
 
-    # Window bookkeeping over surviving events.
-    window_predictions: list[tuple[int, float]] = []
-    w2p: list[float] = []
-    kept = np.flatnonzero(~dropped)
-    if kept.size:
-        wins = [t_list[i] // params.window_us for i in kept]
-        last_win = wins[-1]
-        # done(last event of window k), and arrival of first event past k.
-        last_done: dict[int, float] = {}
-        for idx, w in zip(kept, wins):
-            last_done[w] = float(done[idx])
-        first_arrival_after: dict[int, float] = {}
-        cursor = 0
-        for k in range(last_win + 1):
-            while cursor < kept.size and wins[cursor] <= k:
-                cursor += 1
-            if cursor < kept.size:
-                first_arrival_after[k] = float(arrival[kept[cursor]])
-        for k in range(last_win + 1):
-            window_end = (k + 1) * params.window_us + params.nas_latency_us
-            processed = last_done.get(k, 0.0)
-            if k in first_arrival_after:
-                closure = max(first_arrival_after[k], processed)
-            else:
-                closure = max(window_end + params.flush_timeout_us, processed)
-            emission = closure + params.head_latency_us
-            window_predictions.append((k, emission))
-            w2p.append(emission - window_end)
+    # A window closes once its last event is done and a later-window event
+    # has arrived, or by the end-of-sample flush when none ever does.
+    window_predictions, w2p = [], []
+    kept = ~dropped
+    if kept.any():
+        wins = stream.t[kept] // params.window_us
+        k = np.arange(wins[-1] + 1)
+        window_end = (k + 1) * params.window_us + params.nas_latency_us
+        after = np.searchsorted(wins, k, "right")
+        first_later = arrival[kept][np.minimum(after, len(wins) - 1)]
+        closure = np.where(after < len(wins), first_later,
+                           window_end + params.flush_timeout_us)
+        processed = np.where(wins[after - 1] == k,
+                             done_us[kept][after - 1], 0.0)
+        emission = np.maximum(closure, processed) + params.head_latency_us
+        window_predictions = list(zip(k.tolist(), emission.tolist()))
+        w2p = (emission - window_end).tolist()
 
     return SimTrace(
-        arrival_us=arrival, admit_us=admit, done_us=done, edges=edges,
-        dropped=dropped, queue_depth_samples=depth_samples,
-        window_predictions=window_predictions,
-        window_to_prediction_us=w2p,
-        overflow_events=overflow_events,
-        overflow_count=len(overflow_events), stall_count=stalls,
-        params=params)
+        arrival_us=arrival, admit_us=admit_us, done_us=done_us, edges=edges,
+        dropped=dropped, window_predictions=window_predictions,
+        window_to_prediction_us=w2p, stall_count=stalls,
+        max_queue_depth=max_depth, params=params)
 
 
-def latency_report(trace: SimTrace, params: HwParams | None = None) -> dict:
-    """Summarize prediction latency against the configured envelope.
+def latency_report(trace: SimTrace) -> dict:
+    """Summarize prediction latency against the trace's configured envelope.
 
     ``end_to_end`` re-adds the sensor latency. ``bound_exceeded_windows``
     counts windows whose observed window-to-prediction latency left the
     [head latency, configured bound] envelope.
     """
-    params = params or trace.params
+    params = trace.params
     best = params.nas_latency_us + params.head_latency_us
     worst = params.nas_latency_us + params.window_latency_bound_us
     report = {
@@ -280,15 +251,11 @@ def latency_report(trace: SimTrace, params: HwParams | None = None) -> dict:
         report["note"] = "no windows observed; latency distribution empty"
         return report
     values = np.array(trace.window_to_prediction_us)
+    low, high = float(values.min()), float(values.max())
     report["window_to_prediction_us"] = {
-        "min": float(values.min()),
-        "mean": float(values.mean()),
-        "max": float(values.max()),
-    }
-    report["end_to_end"]["observed_min_us"] = (
-        params.nas_latency_us + float(values.min()))
-    report["end_to_end"]["observed_max_us"] = (
-        params.nas_latency_us + float(values.max()))
+        "min": low, "mean": float(values.mean()), "max": high}
+    report["end_to_end"]["observed_min_us"] = params.nas_latency_us + low
+    report["end_to_end"]["observed_max_us"] = params.nas_latency_us + high
     report["bound_exceeded_windows"] = int(
         ((values < params.head_latency_us - 1e-9)
          | (values > params.window_latency_bound_us + 1e-9)).sum())

@@ -328,15 +328,6 @@ class InferenceEngine:
         return predictions + state.close()
 
 
-def infer_stream(stream: EventStream, weights: ModelWeights,
-                 graph_params: GraphParams,
-                 filtration: FiltrationParams | None = None,
-                 window_us: int = DEFAULT_WINDOW_US) -> list[Prediction]:
-    """One prediction per window from sample start through the last event."""
-    engine = InferenceEngine(weights, graph_params, filtration, window_us)
-    return engine.run(stream)
-
-
 def summarize_predictions(
         predictions: list[Prediction]) -> tuple[int, int] | None:
     """Collapse per-window predictions into (class, end-of-word window).

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, open_text
 from .events import EventStream, compute_stats, DEFAULT_WINDOW_US
 
 F1_EPS = 1e-12
@@ -136,7 +136,7 @@ def read_records(path: str) -> list[EvalRecord]:
     import json
 
     records: list[EvalRecord] = []
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

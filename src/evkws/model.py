@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, open_text
 from .quant import I8_MAX, I8_MIN
 
 WEIGHT_FORMAT_VERSION = 1
@@ -322,7 +322,7 @@ def _decode_block(entry: dict, index: int):
 
 def load_weights(path: str) -> ModelWeights:
     """Parse, shape-check and chain-check a weight file."""
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -339,6 +339,9 @@ def load_weights(path: str) -> ModelWeights:
         entries = doc["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}")
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ValidationError(f"{path}: blocks must be a list of objects")
     blocks = [_decode_block(entry, i) for i, entry in enumerate(entries)]
     conv_layers = [b for b in blocks if isinstance(b, ConvLayer)]
     head_blocks = [b for b in blocks if not isinstance(b, ConvLayer)]

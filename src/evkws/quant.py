@@ -41,56 +41,41 @@ def _build_luts() -> tuple[np.ndarray, np.ndarray]:
 SIGMOID_LUT, TANH_LUT = _build_luts()
 
 
-def rounding_rshift(value, shift: int):
-    """Shift right with rounding half toward +inf. Works on ints and arrays."""
+def rounding_rshift(value, shift: int) -> np.ndarray:
+    """Shift right with rounding half toward +inf, in int64."""
     if shift < 0:
         raise ValidationError("shift must be non-negative")
-    if shift == 0:
-        return value
-    half = 1 << (shift - 1)
-    if isinstance(value, np.ndarray):
-        return (value.astype(np.int64) + half) >> shift
-    return (int(value) + half) >> shift
+    return (np.asarray(value, dtype=np.int64) + ((1 << shift) >> 1)) >> shift
 
 
-def saturate_i8(value):
-    """Clamp to [-128, 127]; returns int8 arrays for array input."""
-    if isinstance(value, np.ndarray):
-        return np.clip(value, I8_MIN, I8_MAX).astype(np.int8)
-    return max(I8_MIN, min(I8_MAX, int(value)))
+def saturate_i8(value) -> np.ndarray:
+    """Clamp to [-128, 127] as int8."""
+    return np.clip(value, I8_MIN, I8_MAX).astype(np.int8)
 
 
-def requantize(acc, scale_num: int, scale_shift: int):
+def requantize(acc, scale_num: int, scale_shift: int) -> np.ndarray:
     """32-bit accumulator back to int8: scale, rounding shift, saturate."""
-    if not isinstance(acc, np.ndarray):
-        return saturate_i8(rounding_rshift(int(acc) * scale_num, scale_shift))
     if scale_shift < 0:
         raise ValidationError("shift must be non-negative")
-    scaled = acc.astype(np.int64)    # the one copy; the rest is in place
+    scaled = np.array(acc, dtype=np.int64)  # the one copy; the rest in place
     scaled *= scale_num
     scaled += (1 << scale_shift) >> 1
     scaled >>= scale_shift
     return np.clip(scaled, I8_MIN, I8_MAX, out=scaled).astype(np.int8)
 
 
-def quantize_dt(dt_us) -> np.ndarray | int:
+def quantize_dt(dt_us) -> np.ndarray:
     """Microsecond age to the int8 feature scale (1/64 us, saturated)."""
     return saturate_i8(rounding_rshift(dt_us, DT_SHIFT))
 
 
-def lut_sigmoid(index):
+def lut_sigmoid(index) -> np.ndarray:
     """Table lookup on a saturated int8 index; returns values in [0, 256]."""
-    idx = saturate_i8(index)
-    if isinstance(idx, np.ndarray):
-        return SIGMOID_LUT[idx.astype(np.int32) + 128]
-    return int(SIGMOID_LUT[idx + 128])
+    return SIGMOID_LUT[saturate_i8(index).astype(np.int32) + 128]
 
 
-def lut_tanh(index):
-    idx = saturate_i8(index)
-    if isinstance(idx, np.ndarray):
-        return TANH_LUT[idx.astype(np.int32) + 128]
-    return int(TANH_LUT[idx + 128])
+def lut_tanh(index) -> np.ndarray:
+    return TANH_LUT[saturate_i8(index).astype(np.int32) + 128]
 
 
 def div_round_half_away(total, count):

@@ -277,3 +277,56 @@ def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
     if events:
         emit(current, pooled)
     return out
+
+
+# ------------------------------------------------------------ hardware model
+
+def ref_simulate(times, edges, params):
+    """FIFO and window-closure rules of the pipeline model, by list scans.
+
+    ``times`` is a non-decreasing list of sensor timestamps, ``edges`` the
+    edge count of each event and ``params`` an ``HwParams``. An event waits
+    from its arrival until the stage admits it; an arrival that finds
+    ``fifo_depth`` earlier events waiting is dropped. Returns a namespace of
+    plain lists, None standing for a dropped event's admit and done times.
+    """
+    mhz = params.clock_hz / 1e6
+    arrival = [t + params.nas_latency_us for t in times]
+    admit, done = [], []
+    server_free = 0.0
+    stalls = max_depth = 0
+    for i, a in enumerate(arrival):
+        waiting = sum(1 for s in admit[:i] if s is not None and s > a)
+        if waiting >= params.fifo_depth:
+            admit.append(None)
+            done.append(None)
+            continue
+        start = max(a, server_free)
+        cycles = params.cycle_base + params.cycle_per_vertex * (1 + edges[i])
+        server_free = start + cycles / mhz
+        admit.append(start)
+        done.append(server_free)
+        if start > a:
+            stalls += 1
+            max_depth = max(max_depth, waiting + 1)
+    kept = [i for i in range(len(times)) if admit[i] is not None]
+    predictions, w2p = [], []
+    last_window = times[kept[-1]] // params.window_us if kept else -1
+    for k in range(last_window + 1):
+        window_end = (k + 1) * params.window_us + params.nas_latency_us
+        members = [i for i in kept if times[i] // params.window_us == k]
+        later = [i for i in kept if times[i] // params.window_us > k]
+        processed = done[members[-1]] if members else 0.0
+        if later:
+            closure = max(arrival[later[0]], processed)
+        else:
+            closure = max(window_end + params.flush_timeout_us, processed)
+        emission = closure + params.head_latency_us
+        predictions.append((k, emission))
+        w2p.append(emission - window_end)
+    return SimpleNamespace(
+        admit_us=admit, done_us=done,
+        dropped=[s is None for s in admit], stall_count=stalls,
+        overflow_count=sum(s is None for s in admit),
+        max_queue_depth=max_depth, window_predictions=predictions,
+        window_to_prediction_us=w2p)

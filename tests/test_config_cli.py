@@ -434,3 +434,42 @@ def test_cli_weights_beyond_the_integer_datapath_are_validation_errors(
     assert code == 4
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv,name,body,code", [
+    (["stats", "{bad}"], "bad.csv", b"t,c,p\n0,1,\xff\n", 5),
+    (["infer", "--weights", "{bad}", "{sample}"], "weights.json",
+     b'{"version": "\xff"}', 5),
+    (["eval", "--manifest", "{bad}"], "manifest.csv",
+     b"path,label,end_bin\n\xff.nas,1,2\n", 5),
+    (["eval", "--records", "{bad}"], "records.csv",
+     b"sample_id,y,t,y_hat,t_hat\n\xff,1,2,1,2\n", 5),
+    (["--config", "{bad}", "stats", "{sample}"], "run.ini",
+     b"[graph]\nr_c = \xff\n", 2),
+])
+def test_cli_non_utf8_input_is_one_json_line(capsys, tmp_path, sample_file,
+                                             argv, name, body, code):
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    argv = [a.format(bad=bad, sample=sample_file) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["exit_code"] == code
+
+
+@pytest.mark.parametrize("blocks", [5, [1]])
+def test_cli_weight_blocks_not_a_list_of_objects(capsys, tmp_path,
+                                                 sample_file, blocks):
+    from evkws import random_weights, save_weights
+
+    path = tmp_path / "weights.json"
+    save_weights(random_weights(0), str(path))
+    doc = json.loads(path.read_text())
+    doc["blocks"] = blocks
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--set", "sensor.channels=64", "infer",
+                             "--weights", str(path), str(sample_file))
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ValidationError"

@@ -16,6 +16,7 @@ from evkws import (
 )
 
 from conftest import make_stream
+from oracles import ref_simulate
 
 
 def stream_of(times, channels=64):
@@ -129,6 +130,39 @@ def test_queue_discipline_invariants(seed, n, spread):
         prev_done = trace.done_us[i]
     assert trace.max_queue_depth <= params.fifo_depth
     assert trace.overflow_count == int(trace.dropped.sum())
+
+
+GAPS_US = [0, 0, 1, 2, 3, 40, 260, 2_500]
+
+
+@given(events=st.lists(st.tuples(st.sampled_from(GAPS_US),
+                                  st.integers(0, 2) | st.integers(0, 20)),
+                        max_size=80),
+       depth=st.integers(1, 8), window_us=st.sampled_from([100, 1000]),
+       flush=st.sampled_from([0.0, 3.5, 150.0]),
+       clock=st.sampled_from([(200e6, 58, 36), (1e6, 1, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_reference(events, depth, window_us, flush, clock):
+    # zero gaps give equal timestamps and overflow the short FIFO; the
+    # 2_500 us gaps leave empty windows between events; whole-microsecond
+    # service times (the 1 MHz clock) make admissions coincide with arrivals
+    times = np.cumsum([gap for gap, _ in events], dtype=np.int64)
+    edges = [e for _, e in events]
+    clock_hz, cycle_base, cycle_per_vertex = clock
+    params = HwParams(clock_hz=clock_hz, cycle_base=cycle_base,
+                      cycle_per_vertex=cycle_per_vertex, fifo_depth=depth,
+                      window_us=window_us, flush_timeout_us=flush)
+    trace = simulate(stream_of(times.tolist()), edges, params)
+    expect = ref_simulate(times.tolist(), edges, params)
+    nan = float("nan")
+    for name in ("admit_us", "done_us"):
+        np.testing.assert_array_equal(
+            getattr(trace, name),
+            [nan if v is None else v for v in getattr(expect, name)])
+    assert trace.dropped.tolist() == expect.dropped
+    for name in ("stall_count", "overflow_count", "max_queue_depth",
+                 "window_predictions", "window_to_prediction_us"):
+        assert getattr(trace, name) == getattr(expect, name), name
 
 
 def test_saturated_rate_matches_cycle_model():

@@ -22,7 +22,6 @@ from evkws import (
     first_layer_inputs,
     gru_step,
     head_forward,
-    infer_stream,
     pointnet_conv,
     random_weights,
     summarize_predictions,
@@ -463,7 +462,7 @@ def test_engine_prediction_windows_cover_stream(rng):
     weights = random_weights(0, small_arch())
     gp = GraphParams(r_c=4, skip_step=1, r_t_low=0, r_t_high=2000)
     stream = make_stream(rng, channels=64, n=100, t_max=9500)
-    preds = infer_stream(stream, weights, gp, window_us=1000)
+    preds = InferenceEngine(weights, gp, window_us=1000).run(stream)
     last_window = int(stream.t[-1]) // 1000
     assert [p.window_index for p in preds] == list(range(last_window + 1))
 
@@ -471,7 +470,7 @@ def test_engine_prediction_windows_cover_stream(rng):
 def test_engine_empty_stream_emits_nothing(cfg64):
     weights = random_weights(0, small_arch())
     gp = GraphParams(r_c=4, skip_step=1, r_t_low=0, r_t_high=2000)
-    preds = infer_stream(EventStream.empty(cfg64), weights, gp)
+    preds = InferenceEngine(weights, gp).run(EventStream.empty(cfg64))
     assert preds == []
 
 
@@ -483,14 +482,14 @@ def test_engine_applies_filtration(rng):
     filt = FiltrationParams(div_factor=0, weight=1,
                             thresholds=np.full(64, 10**9, dtype=np.int64))
     stream = make_stream(rng, channels=64, n=200, t_max=5000)
-    assert infer_stream(stream, weights, gp, filtration=filt) == []
+    assert InferenceEngine(weights, gp, filt).run(stream) == []
 
 
 def test_engine_single_event_stream(cfg64):
     weights = random_weights(0, small_arch())
     gp = GraphParams(r_c=4, skip_step=1, r_t_low=0, r_t_high=2000)
     stream = EventStream.from_events(cfg64, [(25_000, 3, 1)])
-    preds = infer_stream(stream, weights, gp)
+    preds = InferenceEngine(weights, gp).run(stream)
     # windows 0 and 1 are empty but still emitted; window 2 holds the event
     assert [p.window_index for p in preds] == [0, 1, 2]
 
