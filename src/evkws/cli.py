@@ -145,6 +145,9 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
             if len(parts) != 3:
                 raise ParseError(f"{path}: expected 3 fields, got {len(parts)}",
                                  line=lineno)
+            if "\0" in parts[0]:  # open() would raise ValueError
+                raise ParseError(f"{path}: NUL byte in sample path",
+                                 line=lineno)
             try:
                 rows.append((os.path.join(base, parts[0]), int(parts[1]),
                              int(parts[2]) if parts[2] else None))

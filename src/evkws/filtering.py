@@ -10,6 +10,19 @@ copied through unchanged.
 Thresholds per channel come from a schedule: constant, linear or exponential
 interpolation from ``start`` (channel 0) down to ``end`` (last channel),
 rounded half up and clamped to at least 1.
+
+``filter_stream`` evaluates the rule rank by rank instead of event by event.
+An event's update reads and writes only its own channel's state, so the
+rule is a separate sequential recurrence per channel, and the k-th event of
+every channel (its rank k) can be updated in one vector step once ranks
+0..k-1 are done: the per-channel order of updates, and so every value, is
+that of the per-event loop. Channels are laid out as the columns of a
+``(max rank, channels)`` grid ordered by falling event count, so the
+channels still active at rank k are a prefix of the columns and the grid is
+stored without its empty cells. The decay of each event depends only on
+timestamps and is computed for all events before the steps. A step costs
+the same whatever the number of active channels, so the run time follows
+the busiest channel's event count.
 """
 
 from __future__ import annotations
@@ -121,26 +134,72 @@ def filter_stream(stream: EventStream,
         raise ValidationError(
             f"params cover {params.channels} channels, stream has "
             f"{stream.config.channels}")
-    div = params.div_factor
-    weight = params.weight
-    thresholds = params.thresholds.tolist()
-    t_last = [0] * params.channels
-    v = [0] * params.channels
-    keep = np.zeros(len(stream), dtype=bool)
-    for i, (t, c) in enumerate(zip(stream.t.tolist(), stream.c.tolist())):
-        value = t_last[c]
-        t_last[c] = t
-        value = max(0, v[c] - ((t - value) >> div)) + weight
-        if value > V_LIMIT:
-            raise ValidationError(
-                f"channel {c}: potential {value} overflows 32-bit storage")
-        if value >= thresholds[c]:
-            v[c] = 0
-            keep[i] = True
-        else:
-            v[c] = value
+    keep = _keep_mask(stream.t, stream.c, params)
     out = EventStream(stream.config, stream.t[keep], stream.c[keep],
                       stream.p[keep], sample_id=stream.sample_id,
                       label=stream.label,
                       end_of_word_bin=stream.end_of_word_bin)
     return out
+
+
+def _keep_mask(t: np.ndarray, c: np.ndarray,
+               params: FiltrationParams) -> np.ndarray:
+    """Which events of a validated stream pass, by rank (see module doc)."""
+    if len(t) == 0:
+        return np.zeros(0, dtype=bool)
+    weight = params.weight
+    if weight > V_LIMIT:
+        # the stream's first event finds its channel at rest: value = weight
+        raise ValidationError(
+            f"channel {int(c[0])}: potential {weight} overflows 32-bit storage")
+    counts = np.bincount(c, minlength=params.channels)
+    channel_of_column = np.argsort(-counts, kind="stable")
+    column = np.empty(params.channels, dtype=np.int16)  # radix-sortable
+    column[channel_of_column] = np.arange(params.channels)
+    # Events channel by channel in column order, stream order within each.
+    by_column = np.argsort(column[c], kind="stable")
+    sizes = counts[channel_of_column]
+    firsts = np.cumsum(sizes) - sizes
+    col = column[c[by_column]]
+    rank = np.arange(len(t))
+    rank -= firsts[col]
+    width = np.bincount(rank)  # active columns per rank, non-increasing
+    cell = np.concatenate(([0], np.cumsum(width)))[rank]
+    cell += col
+    # The grid stored rank by rank: each cell starts as weight - decay and
+    # ends as its event's potential.
+    ts = t[by_column].astype(np.int64, copy=False)
+    decay = ts.copy()
+    decay[1:] -= ts[:-1]
+    starts = firsts[:width[0]]
+    decay[starts] = ts[starts]  # every channel's clock starts at 0
+    decay >>= params.div_factor
+    value = np.empty(len(t), dtype=np.int64)
+    value[cell] = np.subtract(weight, decay, out=decay)
+    del col, rank, ts, decay  # free n-sized temporaries before the steps
+    v = np.zeros(width[0], dtype=np.int64)
+    below = np.empty(width[0], dtype=bool)
+    thresholds = params.thresholds[channel_of_column[:width[0]]]
+    # Ranks of one width form a 2-d block, stepped row by row.
+    widths, repeats = np.unique(width, return_counts=True)
+    start = 0
+    for m, rows in zip(widths[::-1].tolist(), repeats[::-1].tolist()):
+        block = value[start:start + m * rows].reshape(rows, m)
+        start += m * rows
+        vm, tm, bm = v[:m], thresholds[:m], below[:m]
+        for x in block:
+            x += vm
+            np.maximum(x, weight, out=x)  # max(0, v - decay) + weight
+            np.less(x, tm, out=bm)
+            np.multiply(x, bm, out=vm)  # reset to 0 on a pass
+    potential = np.empty(len(t), dtype=np.int64)
+    potential[by_column] = value[cell]
+    # A channel's first overflow is exact, and the stream's first one is
+    # first in its channel; later values of that channel are never read.
+    over = np.flatnonzero(potential > V_LIMIT)
+    if over.size:
+        i = int(over[0])
+        raise ValidationError(
+            f"channel {int(c[i])}: potential {int(potential[i])} overflows "
+            "32-bit storage")
+    return potential >= params.thresholds[c]

@@ -151,7 +151,7 @@ def read_records(path: str) -> list[EvalRecord]:
                         true_bin=None if doc.get("t") is None
                         else int(doc["t"])))
                 except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError) as exc:
+                        ValueError, OverflowError) as exc:
                     raise ParseError(f"{path}: bad record: {exc}", line=lineno)
                 continue
             if lineno == 1 and line.replace(" ", "") == "sample_id,y,t,y_hat,t_hat":

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evkws import (
     ConfigError,
@@ -458,6 +461,22 @@ def test_cli_non_utf8_input_is_one_json_line(capsys, tmp_path, sample_file,
     assert json.loads(err)["error"]["exit_code"] == code
 
 
+@pytest.mark.parametrize("argv,name,body", [
+    (["eval", "--manifest", "{bad}"], "manifest.csv",
+     b"path,label,end_bin\n\x00.nas,1,2\n"),  # open() raises ValueError
+    (["eval", "--records", "{bad}"], "records.jsonl",   # int(inf) raises
+     b'{"sample_id": "a", "y": 1e999, "y_hat": 1, "t_hat": 9}\n'),
+])
+def test_cli_malformed_row_is_one_json_line(capsys, tmp_path, argv, name,
+                                             body):
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    code, out, err = run_cli(capsys, *[a.format(bad=bad) for a in argv])
+    assert code == 5
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 @pytest.mark.parametrize("blocks", [5, [1]])
 def test_cli_weight_blocks_not_a_list_of_objects(capsys, tmp_path,
                                                  sample_file, blocks):
@@ -473,3 +492,73 @@ def test_cli_weight_blocks_not_a_list_of_objects(capsys, tmp_path,
     assert code == 4
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+# ------------------------------------------------------- exit-code fuzzing
+
+@pytest.fixture(scope="session")
+def fuzz_dir(tmp_path_factory):
+    """Valid inputs of every kind the CLI reads, to mutate."""
+    from evkws import random_weights, save_weights
+
+    root = tmp_path_factory.mktemp("fuzz")
+    stream = make_stream(np.random.default_rng(7), channels=64, n=40,
+                         t_max=30_000)
+    write_stream(stream, str(root / "sample.nas"))
+    write_stream(stream, str(root / "sample.csv"), format="csv")
+    save_weights(random_weights(0), str(root / "weights.json"))
+    (root / "manifest.csv").write_text(
+        "path,label,end_bin\nsample.nas,1,2\nsample.nas,0,\n")
+    (root / "records.csv").write_text(
+        "sample_id,y,t,y_hat,t_hat\na,0,5,0,5\nb,1,,0,3\n"
+        '{"sample_id": "c", "y": 1, "y_hat": 1, "t_hat": 9, "t": 8}\n')
+    return root
+
+
+@st.composite
+def _mutated(draw, base: bytes):
+    data = bytearray(base)
+    byte = st.one_of(st.integers(0, 255),
+                     st.sampled_from(list(b'0123456789,-+.e \n\r{}[]":')))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        if op == "cut":
+            del data[i:]
+        elif op == "insert":
+            data.insert(i, draw(byte))
+        elif i < len(data):
+            if op == "delete":
+                del data[i]
+            else:
+                data[i] = draw(byte)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("base,name,argv", [
+    ("sample.csv", "in.csv", ["filter", "{input}", "{dir}/out.csv"]),
+    ("sample.nas", "in.nas", ["stats", "{input}"]),
+    ("weights.json", "w.json",
+     ["infer", "--weights", "{input}", "{dir}/sample.nas"]),
+    ("manifest.csv", "m.csv", ["eval", "--manifest", "{input}"]),
+    ("records.csv", "r.csv", ["eval", "--records", "{input}"]),
+])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzzed_input_exits_cleanly(fuzz_dir, base, name, argv, data):
+    """Arbitrary or mutated bytes give exit 0, or exit 2-5 with exactly one
+    JSON line on stderr: never exit 1 and never a traceback."""
+    original = (fuzz_dir / base).read_bytes()
+    body = data.draw(st.one_of(_mutated(original), st.binary(max_size=64)),
+                     label="body")
+    target = fuzz_dir / name
+    target.write_bytes(body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(input=target, dir=fuzz_dir) for a in argv])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3, 4, 5)
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert json.loads(err.getvalue())["error"]["exit_code"] == code

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from evkws import (
     synth_stream,
     write_stream,
 )
+import evkws.events as events
 from evkws.events import T_LIMIT
 
 from conftest import make_stream
@@ -135,6 +138,97 @@ def test_csv_field_count_error(tmp_path, cfg64):
     path.write_text("t,c,p\n0,1\n")
     with pytest.raises(ParseError, match="line 2"):
         read_stream(str(path), format="csv", config=cfg64)
+
+
+def test_csv_writer_bytes_match_the_per_event_lines(tmp_path, cfg64):
+    rng = np.random.default_rng(3)
+    n = 500
+    t = np.sort(rng.integers(0, T_LIMIT, size=n, dtype=np.int64))
+    t[-1] = T_LIMIT - 1
+    stream = EventStream(cfg64, t, rng.integers(0, 64, size=n),
+                         np.full(n, -1, dtype=np.int8))
+    path = tmp_path / "s.csv"
+    write_stream(stream, str(path), format="csv")
+    lines = "".join(f"{t},{c},{p}\n" for t, c, p in zip(
+        stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))
+    assert path.read_bytes() == ("t,c,p\n" + lines).encode()
+
+
+@pytest.mark.parametrize("body,plain", [
+    (b"t,c,p\n0,1,1\n5,2,-1\n", True),
+    (b"0,1,1\n5,2,-1", True),
+    (b"0,1,1\n\n5,2,-1\n", False),     # blank line
+    (b"\n0,1,1\n", False),
+    (b"t,c,p\r\n0,1,1\r\n", False),   # CRLF
+    (b"0,1,+1\n", False),
+    (b"0, 1,1\n", False),
+    (b"1_000,1,1\n", False),
+    (b"0,1,1\nt,c,p\n", False),         # header off line 1
+    (b"t,c,p\n", False),                # header only
+    (b"", False),
+    (b"0,1\n", False),
+    (b"0,1,1,1\n", False),
+    (b"99999999999999999999,1,1\n", False),
+    (b"9223372036854775807,1,1\n", False),  # an int64 limit
+    (b"\n\n", False),
+])
+def test_plain_csv_takes_the_fast_path_and_nothing_else(body, plain):
+    assert (events._decode_plain_csv(body) is not None) == plain
+
+
+def _csv_outcome(path, cfg):
+    try:
+        stream = read_stream(str(path), format="csv", config=cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([stream.t.dtype, stream.c.dtype, stream.p.dtype],
+            stream.t.tolist(), stream.c.tolist(), stream.p.tolist())
+
+
+_CSV_FIELDS = st.one_of(
+    st.integers(-2, 66).map(str),
+    st.integers(0, T_LIMIT).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["", "-", "--1", "1-", "+5", " 5 ", "1_000", "007",
+                     "-0", "9" * 20, "-" + "9" * 19, str(2**63 - 1),
+                     str(-2**63), "\u0663", "0x1", "1.0", "t", "#1"]),
+)
+
+
+@st.composite
+def _near_csv(draw):
+    """Plain valid rows with a few rows, blanks or headers spliced in."""
+    rows = sorted(draw(st.lists(
+        st.tuples(st.integers(0, T_LIMIT - 1), st.integers(0, 63),
+                  st.sampled_from([-1, 1])), max_size=30)))
+    lines = [f"{t},{c},{p}" for t, c, p in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.one_of(
+            st.lists(_CSV_FIELDS, min_size=2, max_size=4).map(",".join),
+            st.sampled_from(["", " ", "t,c,p", " t,c,p "])))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        lines.insert(draw(st.sampled_from([0, 0, 1])), "t,c,p")
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text.encode()
+
+
+@given(body=st.one_of(
+    _near_csv(),
+    st.text(alphabet="0123456789-,\n", max_size=80).map(str.encode),
+    st.binary(max_size=80),
+    st.sampled_from([b"", b"t,c,p", b"t,c,p\n", b"t,c,p\n\n", b"\n"])))
+@settings(max_examples=600, deadline=None)
+def test_csv_decode_equals_the_scanner_alone(tmp_path_factory, body):
+    """read_stream gives what it gives with _scan_csv as its only decoder:
+    the same arrays and dtypes, or the same exception type and message."""
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(body)
+    cfg = SensorConfig(channels=64)
+    got = _csv_outcome(path, cfg)
+    with mock.patch.object(events, "_decode_plain_csv", return_value=None):
+        assert got == _csv_outcome(path, cfg)
 
 
 def test_binary_zero_byte_file(tmp_path, cfg64):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from evkws import (
     filter_stream,
     make_thresholds,
 )
+from evkws.cli import main
 from evkws.filtering import V_LIMIT
 
 from conftest import make_stream
@@ -102,6 +105,38 @@ def test_potential_overflow_raises():
     assert run_steps([(0, 0, 1)], params) == [False]
     with pytest.raises(ValidationError, match="overflow"):
         run_steps([(0, 0, 1), (0, 0, 1)], params)
+
+
+def test_overflow_names_the_first_in_stream_order_not_by_rank():
+    # Channel 5 overflows at its rank 3 (stream index 5), channel 9 at its
+    # rank 1 (index 6): by rank 9 comes first, in stream order 5 does.
+    half = 2**31
+    events = [(0, 5, 1), (half, 5, 1), (V_LIMIT, 9, 1), (V_LIMIT, 5, 1),
+              (V_LIMIT, 2, 1), (V_LIMIT, 5, 1), (V_LIMIT, 9, 1)]
+    params = FiltrationParams(div_factor=0, weight=half,
+                              thresholds=np.full(32, 2**62, dtype=np.int64))
+    stream = EventStream.from_events(SensorConfig(32), events)
+    with pytest.raises(ValidationError) as info:
+        filter_stream(stream, params)
+    # 5: 2**31, decays to 0 then 2**31, decays to 1 then 2**31 + 1, then
+    # 2**32 + 1 > V_LIMIT; 9 reaches 2**32 one event later in the stream
+    assert str(info.value) == (
+        f"channel 5: potential {2**32 + 1} overflows 32-bit storage")
+    # and nothing before index 5 overflows
+    assert len(filter_stream(EventStream.from_events(SensorConfig(32),
+                                                     events[:5]), params)) == 0
+
+
+def test_cli_weight_beyond_int64_is_the_first_events_overflow(capsys,
+                                                              tmp_path):
+    source = tmp_path / "s.csv"
+    source.write_text("t,c,p\n3,1,1\n4,0,1\n")
+    code = main(["--set", "filtration.weight=1180591620717411303424",
+                 "filter", str(source), str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert json.loads(err)["error"]["message"] == (
+        "channel 1: potential 1180591620717411303424 overflows 32-bit storage")
 
 
 # ---------------------------------------------------------------- schedules
@@ -202,16 +237,25 @@ stream_events = st.lists(
 ).map(lambda evs: sorted(evs, key=lambda e: e[0]))
 
 
-@given(events=stream_events, div_factor=st.integers(0, 12),
-       weight=st.integers(0, 200), theta=st.integers(1, 300))
-@settings(max_examples=200, deadline=None)
-def test_filter_matches_transcribed_rule(events, div_factor, weight, theta):
+# Long streams over a few channels: channels end at different ranks.
+ragged_events = st.integers(1, 32).flatmap(lambda used: st.lists(
+    st.tuples(st.integers(0, 20_000), st.integers(0, used - 1),
+              st.sampled_from([-1, 1])),
+    min_size=0, max_size=400,
+).map(lambda evs: sorted(evs, key=lambda e: e[0])))
+
+
+@given(events=st.one_of(stream_events, ragged_events),
+       div_factor=st.integers(0, 12), weight=st.integers(0, 200),
+       thetas=st.lists(st.integers(1, 300), min_size=32, max_size=32))
+@settings(max_examples=300, deadline=None)
+def test_filter_matches_transcribed_rule(events, div_factor, weight, thetas):
     cfg = SensorConfig(channels=32)
-    params = uniform_params(32, div_factor, weight, theta)
+    params = FiltrationParams(div_factor, weight,
+                              np.array(thetas, dtype=np.int64))
     stream = EventStream.from_events(cfg, events)
     kept = filter_stream(stream, params)
-    expected = transcribed_filter(events, div_factor, weight,
-                                  np.full(32, theta))
+    expected = transcribed_filter(events, div_factor, weight, thetas)
     got = [tuple(e) for e in kept]
     assert got == [events[i] for i in expected]
 
