@@ -21,7 +21,8 @@ from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       throughput_envelope)
 from .inference import (HeadState, InferenceEngine, Prediction, RunState,
                         WindowPool, first_layer_inputs, gru_step, head_forward,
-                        pointnet_conv, summarize_predictions)
+                        pointnet_conv, stage_products,
+                        summarize_predictions)
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
 from .model import (ConvLayer, GruBlock, LinearBlock, ModelArch, ModelWeights,
@@ -44,7 +45,7 @@ __all__ = [
     "latency_report", "simulate", "throughput_envelope",
     "HeadState", "InferenceEngine", "Prediction", "RunState", "WindowPool",
     "first_layer_inputs", "gru_step", "head_forward", "pointnet_conv",
-    "summarize_predictions",
+    "stage_products", "summarize_predictions",
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",
     "metric_report", "read_records", "ts_accuracy",
     "ConvLayer", "GruBlock", "LinearBlock", "ModelArch", "ModelWeights",

@@ -2,7 +2,7 @@
 
 Subcommands: ``stats``, ``filter``, ``infer``, ``eval``, ``simulate``,
 ``ablate``. Global flags: ``--config`` (INI file), ``--set section.key=value``
-(repeatable override), ``--seed``, ``--jobs``, ``--format {json,csv}``.
+(repeatable override), ``--seed``, ``--format {json,csv}``.
 
 Reports go to stdout and embed the resolved run configuration, so a rerun
 with the same inputs is byte-identical. Failures print one machine-readable
@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig, expand_sweep, load_config, write_config
 from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
@@ -159,8 +158,8 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
     return rows
 
 
-def _eval_one(task) -> EvalRecord:
-    path, label, end_bin, config, weights = task
+def _eval_one(path: str, label: int, end_bin: int | None,
+              config: RunConfig, weights) -> EvalRecord:
     stream = _load_stream(path, config)
     predictions = InferenceEngine(weights, config.graph,
                                   config.filtration_params(),
@@ -182,13 +181,8 @@ def cmd_eval(args, config: RunConfig) -> int:
         records = read_records(args.records)
     else:
         weights = _get_weights(args, config)
-        tasks = [(path, label, end_bin, config, weights)
-                 for path, label, end_bin in _read_manifest(args.manifest)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_eval_one, tasks))
-        else:
-            records = [_eval_one(task) for task in tasks]
+        records = [_eval_one(path, label, end_bin, config, weights)
+                   for path, label, end_bin in _read_manifest(args.manifest)]
     report = metric_report(records, ks=ks)
     _emit({"config": config.to_dict(), "metrics": report.to_json_dict()},
           args.format)
@@ -252,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a config key (repeatable)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for operations that draw randomness")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for per-sample work")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format on stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,7 +31,13 @@ from .errors import OrderingError, ValidationError
 from .events import Event, EventStream
 from .quant import I8_MAX, quantize_dt
 
-CHUNK = 128  # events per batch when a whole stream is processed
+# Events per batch when a whole stream is processed. Larger batches spread
+# each stage call's fixed cost over more events, and with the engine carrying
+# stage products a batch multiplies only its own rows. On the 128-channel
+# benchmark workload (bench/run.py wide_raw, 2-vCPU x86_64) 256 ran at about
+# 9.4 us/event against 10.6 for 128; 512 ran at 8.1 but raised peak resident
+# memory 4-4.5%, too close to the benchmark's 5% bound.
+CHUNK = 256
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,16 @@ chunk's neighbor table. Requantize (scale_num >= 1) and ReLU are monotone,
 so the maximum over vertices is taken on the accumulators and requantize
 runs once per event and stage. Every vertex of event i then shares one term,
 as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128: ch_j
-joins the vertex's product as one more input and ch_i * w_dc comes off after
-the maximum, with the bias. A missing neighbor repeats the self vertex, so
-each neighbor column costs two gathers, an add and a maximum. Weights are
+joins the vertex's product ``[x_j, ch_j] @ [Wx, w_dc].T`` as one more input
+and ch_i * w_dc comes off after the maximum, with the bias. That product
+depends on the vertex alone, so ``stage_products`` computes it once, when
+the event arrives, and every later event that takes the vertex as a
+neighbor reuses it. A missing neighbor repeats the self vertex, so each
+neighbor column costs two gathers, an add and a maximum. Weights are
 checked at load time so that no accumulator or partial value reaches 2**31
 (|bias| + 128*sum|w| per row), which keeps int32 accumulation and the
 float64 products exact. A ``RunState`` carries each channel's latest stage
-inputs, the open window and the recurrent state across chunks, so chunk
+products, the open window and the recurrent state across chunks, so chunk
 boundaries never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
@@ -62,38 +65,57 @@ def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
                      np.asarray(p, dtype=np.int8)], axis=1)
 
 
-def pointnet_conv(layer: ConvLayer, rows: np.ndarray,
+def stage_products(layer: ConvLayer, rows: np.ndarray,
+                   channel: np.ndarray) -> np.ndarray:
+    """Vertex products ``[x, ch] @ [Wx, w_dc].T`` of stage-input rows.
+
+    ``rows`` holds int8 stage inputs and ``channel`` each row's channel.
+    Returns int32 ``(len(rows), out_width)``: one row per vertex, computed
+    once and reused by every event that takes that vertex as a neighbor.
+    """
+    in_w = layer.in_width
+    channel = np.asarray(channel)
+    if (rows.ndim != 2 or rows.shape[1] != in_w
+            or channel.shape != (len(rows),)):
+        raise ValidationError(
+            f"stage inputs have shape {rows.shape} with {channel.shape} "
+            f"channels, stage expects (rows, {in_w}) with one channel a row")
+    if len(channel) and np.abs(channel).max() > I8_MAX:
+        raise ValidationError(f"channels beyond +-{I8_MAX}")
+    # exact in float64 below the row bound checked at load
+    ext = np.empty((len(rows), in_w + 1))
+    ext[:, :in_w] = rows
+    ext[:, in_w] = channel
+    w = layer.weight[:, :in_w + 1].T.astype(np.float64)
+    return (ext @ w).astype(np.int32)
+
+
+def pointnet_conv(layer: ConvLayer, node: np.ndarray,
                   table: NeighborTable) -> np.ndarray:
     """One convolution stage over a batch of events.
 
-    ``rows`` holds stage inputs: the rows ``table.row`` points into, ending
-    with one row per batch event (its self vertex). Returns the rectified
-    int8 outputs, one row per batch event. Invariant under neighbor order,
-    and element-wise non-decreasing when vertices are added.
+    ``node`` holds ``stage_products`` of the rows ``table.row`` points into,
+    ending with one row per batch event (its self vertex). Returns the
+    rectified int8 outputs, one row per batch event. Invariant under
+    neighbor order, and element-wise non-decreasing when vertices are added.
     """
-    n, in_w = len(table.row), layer.in_width
-    if (rows.ndim != 2 or rows.shape[1] != in_w
-            or len(rows) != len(table.channel)):
+    n, in_w, out_w = len(table.row), layer.in_width, layer.out_width
+    if node.dtype != np.int32 or node.shape != (len(table.channel), out_w):
         raise ValidationError(
-            f"stage inputs have shape {rows.shape}, stage expects "
-            f"({len(table.channel)}, {in_w})")
+            f"stage products are {node.dtype} {node.shape}, stage expects "
+            f"int32 ({len(table.channel)}, {out_w})")
     nbr, age = table.gather
-    w = layer.weight.astype(np.int32)
-    # [x, channel] @ [Wx, w_dc].T, exact below the row bound checked at load
-    ext = np.empty((len(rows), in_w + 1))
-    ext[:, :in_w] = rows
-    ext[:, in_w] = table.channel
-    node = (ext @ w[:, :in_w + 1].T.astype(np.float64)).astype(np.int32)
-    age_term = np.outer(np.arange(I8_MAX + 1, dtype=np.int32), w[:, in_w + 1])
-    best = node[len(rows) - n:].copy()
+    w_dc, w_age = layer.weight[:, in_w:in_w + 2].T.astype(np.int32)
+    age_term = np.outer(np.arange(I8_MAX + 1, dtype=np.int32), w_age)
+    best = node[len(node) - n:].copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
     for k in range(len(nbr)):  # indices checked by table.gather
         node.take(nbr[k], axis=0, out=cand, mode="clip")
         age_term.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
         np.maximum(best, cand, out=best)
-    own_channel = table.channel[len(rows) - n:, None].astype(np.int32)
-    best += layer.bias - own_channel * w[:, in_w]        # ch_i * w_dc off
+    own_channel = table.channel[len(node) - n:, None].astype(np.int32)
+    best += layer.bias - own_channel * w_dc              # ch_i * w_dc off
     out = requantize(best, layer.scale_num, layer.scale_shift)
     return np.maximum(out, 0, out=out)                   # rectify
 
@@ -245,11 +267,13 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
 class RunState:
     """What one run carries from chunk to chunk.
 
-    The graph builder's per-channel timestamps, each stage's input for the
-    latest event on every channel, the open pooling window and the recurrent
-    head state. ``feed`` takes one time-sorted chunk and ``close`` ends the
-    run; together they return the same predictions however the stream is
-    split.
+    The graph builder's per-channel timestamps, each stage's products for
+    the latest event on every channel (``memories``, int32 ``(channels,
+    out_width)`` per stage; a channel with no event yet holds the products
+    of a zero input row, which no neighbor table reads), the open pooling
+    window and the recurrent head state. ``feed`` takes one time-sorted
+    chunk and ``close`` ends the run; together they return the same
+    predictions however the stream is split.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
@@ -258,7 +282,9 @@ class RunState:
         self.window_us = window_us
         self.graph = GraphBuilder(channels, graph_params)
         self.memories = [
-            np.zeros((channels, layer.in_width), dtype=np.int8)
+            stage_products(layer,
+                           np.zeros((channels, layer.in_width), np.int8),
+                           np.arange(channels))
             for layer in weights.conv_layers
         ]
         self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
@@ -271,10 +297,12 @@ class RunState:
             return []
         table = self.graph.insert(t, c)
         x = first_layer_inputs(table, p)
+        channel = table.channel[self.graph.channels:]
         for i, layer in enumerate(self.weights.conv_layers):
-            rows = np.concatenate([self.memories[i], x])
-            x = pointnet_conv(layer, rows, table)
-            self.memories[i] = rows[self.graph.latest]
+            node = np.concatenate([self.memories[i],
+                                   stage_products(layer, x, channel)])
+            x = pointnet_conv(layer, node, table)
+            self.memories[i] = node[self.graph.latest]
         t = np.asarray(t, dtype=np.int64)
         window = t // self.window_us
         starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])

@@ -231,30 +231,15 @@ def ref_head_forward(blocks, pooled, hidden_states):
 
 # --------------------------------------------------------------- end to end
 
-def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
-                     window_us, filtration=None):
-    """Stream in, predictions out, composed from the oracles above.
+def ref_conv_stream(events, channels, conv_blocks, params):
+    """Graph and convolution stages, one event at a time.
 
-    ``events`` is a time-sorted list of (t, c, p); ``conv_blocks`` and
-    ``head_blocks`` are block dicts as in ``ref_head_forward``; ``params``
-    has r_c, skip_step, r_t_low and r_t_high; ``filtration`` is None or
-    (div_factor, weight, thresholds). Every stage keeps one memory per
-    channel: the stage input of that channel's latest event. Returns one
-    (window, logits, conf) per window from 0 through the last event's.
+    Yields (t, stage-4 output, memories) per event of the time-sorted
+    (t, c, p) list. ``memories`` has one dict per stage mapping each channel
+    seen so far to the stage input of its latest event; the dicts keep
+    changing, so copy them to keep a snapshot.
     """
-    if filtration is not None:
-        events = [events[i] for i in transcribed_filter(events, *filtration)]
     memories = [{} for _ in conv_blocks]
-    hidden = [[0] * b["out"] for b in head_blocks if b["kind"] == "gru"]
-    width = conv_blocks[-1]["out"]
-    out = []
-    current, pooled = 0, [0] * width
-
-    def emit(window, vector):
-        nonlocal hidden
-        logits, conf, hidden = ref_head_forward(head_blocks, vector, hidden)
-        out.append((window, logits, conf))
-
     for i, (t, c, p) in enumerate(events):
         history = SimpleNamespace(
             config=SimpleNamespace(channels=channels),
@@ -270,6 +255,33 @@ def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
                 [(memory[ch], ch - c, dt) for ch, dt in found])
             memory[c] = x
             x = y
+        yield t, x, memories
+
+
+def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
+                     window_us, filtration=None):
+    """Stream in, predictions out, composed from the oracles above.
+
+    ``events`` is a time-sorted list of (t, c, p); ``conv_blocks`` and
+    ``head_blocks`` are block dicts as in ``ref_head_forward``; ``params``
+    has r_c, skip_step, r_t_low and r_t_high; ``filtration`` is None or
+    (div_factor, weight, thresholds). Every stage keeps one memory per
+    channel: the stage input of that channel's latest event. Returns one
+    (window, logits, conf) per window from 0 through the last event's.
+    """
+    if filtration is not None:
+        events = [events[i] for i in transcribed_filter(events, *filtration)]
+    hidden = [[0] * b["out"] for b in head_blocks if b["kind"] == "gru"]
+    width = conv_blocks[-1]["out"]
+    out = []
+    current, pooled = 0, [0] * width
+
+    def emit(window, vector):
+        nonlocal hidden
+        logits, conf, hidden = ref_head_forward(head_blocks, vector, hidden)
+        out.append((window, logits, conf))
+
+    for t, x, _ in ref_conv_stream(events, channels, conv_blocks, params):
         while current < t // window_us:
             emit(current, pooled)
             current, pooled = current + 1, [0] * width

@@ -326,6 +326,15 @@ def test_cli_eval_manifest(capsys, tmp_path, rng):
     assert set(doc["metrics"]["ts_acc"]) == {"1", "3"}
 
 
+def test_cli_jobs_flag_is_gone(capsys, tmp_path):
+    # samples run one after another in one process; --jobs is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "eval", "--manifest",
+              str(tmp_path / "manifest.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: evkws")
+
+
 def test_cli_simulate_with_artifacts(capsys, sample_file, tmp_path):
     trace_csv = tmp_path / "trace.csv"
     graph_jsonl = tmp_path / "graph.jsonl"

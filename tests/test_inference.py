@@ -19,18 +19,23 @@ from evkws import (
     SensorConfig,
     ValidationError,
     WindowPool,
+    filter_stream,
     first_layer_inputs,
     gru_step,
     head_forward,
     pointnet_conv,
     random_weights,
+    stage_products,
     summarize_predictions,
 )
+import evkws.graph
+import evkws.inference
 from evkws.graph import NeighborTable
 from evkws.model import ConvLayer, GruBlock, LinearBlock
 
 from conftest import make_stream
 from oracles import (
+    ref_conv_stream,
     ref_first_layer_inputs,
     ref_gru_step,
     ref_head_forward,
@@ -57,13 +62,19 @@ def first_layer_one(pairs, p):
     return first_layer_inputs(one_row(pairs), np.array([p]))[0]
 
 
+def conv_rows(layer, rows, table):
+    """One stage over stage-input rows, their products taken first."""
+    return pointnet_conv(layer, stage_products(layer, rows, table.channel),
+                         table)
+
+
 def conv_one(layer, center, neighbors):
     """One stage on (center, [(feats, dc, dt)]) as one batch row: neighbor
     features are the history rows, the center the batch row."""
     rows = np.array([*(f for f, _, _ in neighbors), center],
                     dtype=np.int8).reshape(-1, len(center))
     table = one_row([(dc, dt) for _, dc, dt in neighbors])
-    return pointnet_conv(layer, rows, table)[0]
+    return conv_rows(layer, rows, table)[0]
 
 
 def rand_conv(rng, in_w, out_w):
@@ -149,13 +160,28 @@ def test_pointnet_conv_tiny_hand_case():
 def test_pointnet_conv_rejects_bad_widths():
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 4, 3)
-    with pytest.raises(ValidationError):
+    table = one_row([(1, 0)])            # rows: one neighbor, then the event
+    with pytest.raises(ValidationError):  # stage input wider than the stage
         conv_one(layer, np.zeros(5, dtype=np.int8), [])
-    with pytest.raises(ValidationError):
-        pointnet_conv(layer, np.zeros((2, 3), dtype=np.int8),
-                      one_row([(1, 0)]))
+    with pytest.raises(ValidationError):  # narrower
+        stage_products(layer, np.zeros((2, 3), dtype=np.int8), table.channel)
+    with pytest.raises(ValidationError):  # one channel short
+        stage_products(layer, np.zeros((2, 4), dtype=np.int8),
+                       table.channel[:1])
+    with pytest.raises(ValidationError):  # a channel beyond int8 offsets
+        stage_products(layer, np.zeros((2, 4), dtype=np.int8),
+                       np.array([0, 128]))
+    node = stage_products(layer, np.zeros((2, 4), dtype=np.int8),
+                          table.channel)
+    assert node.dtype == np.int32 and node.shape == (2, 3)
+    pointnet_conv(layer, node, table)
+    for bad in (node[:1], np.concatenate([node, node]),   # row count
+                node[:, :2], np.zeros((2, 4), np.int32),  # width
+                node.astype(np.int64), node[0]):
+        with pytest.raises(ValidationError):
+            pointnet_conv(layer, bad, table)
     with pytest.raises(ValidationError):  # fewer rows than batch events
-        pointnet_conv(layer, np.zeros((1, 4), dtype=np.int8),
+        pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),
                       NeighborTable(np.zeros((2, 0), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64),
                                     np.zeros((2, 0), dtype=np.int64),
@@ -252,8 +278,7 @@ def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
     dt = rng.integers(-10**6, 10**6, size=(n, k))
     row[valid] = np.arange(len(hist))
     dt[valid] = rng.integers(0, 10_000, size=len(hist))
-    got = pointnet_conv(layer, rows,
-                        NeighborTable(row, dc, dt, valid, channel))
+    got = conv_rows(layer, rows, NeighborTable(row, dc, dt, valid, channel))
     for i in range(n):
         expect = ref_pointnet_conv(
             layer.weight.tolist(), layer.bias.tolist(), layer.scale_num,
@@ -270,7 +295,9 @@ def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
 def test_pointnet_conv_rejects_inconsistent_tables(case):
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 2, 3)
-    rows = np.zeros((3, 2), dtype=np.int8)   # rows 0-1 history, row 2 event
+    # rows 0-1 history, row 2 event; products of the consistent channels
+    node = stage_products(layer, np.zeros((3, 2), dtype=np.int8),
+                          np.array([8, 13, 10]))
     row, dc, dt = np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]])
     valid = np.array([[True, True]])
     channel = np.array([8, 13, 10])
@@ -290,11 +317,11 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
         channel[1] = 103
     else:
         dt[0, 1] = -33           # quantizes to -1
-    pointnet_conv(layer, rows, NeighborTable(
+    pointnet_conv(layer, node, NeighborTable(
         np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]]),
         np.array([[True, True]]), np.array([8, 13, 10])))  # consistent
     with pytest.raises(ValidationError):
-        pointnet_conv(layer, rows,
+        pointnet_conv(layer, node,
                       NeighborTable(row, dc, dt, valid, channel))
 
 
@@ -528,23 +555,33 @@ def _oracle_case(seed, filtered):
     return weights, stream, gp, filtration, window_us
 
 
-@pytest.mark.parametrize("filtered", [False, True])
-@pytest.mark.parametrize("seed", range(8))
-def test_engine_matches_end_to_end_oracle(seed, filtered):
-    weights, stream, gp, filtration, window_us = _oracle_case(seed, filtered)
-    preds = InferenceEngine(weights, gp, filtration, window_us).run(stream)
-    events = list(zip(stream.t.tolist(), stream.c.tolist(),
-                      stream.p.tolist()))
+def _events(stream):
+    return list(zip(stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))
+
+
+def _oracle_predictions(weights, stream, gp, filtration, window_us):
     oracle_filter = None if filtration is None else (
         filtration.div_factor, filtration.weight,
         filtration.thresholds.tolist())
-    expect = ref_infer_stream(
-        events, stream.config.channels,
+    return ref_infer_stream(
+        _events(stream), stream.config.channels,
         [as_oracle_block(b) for b in weights.conv_layers],
         [as_oracle_block(b) for b in weights.head_blocks],
         gp, window_us, oracle_filter)
-    assert [(p.window_index, p.logits.tolist(), p.conf)
-            for p in preds] == expect
+
+
+def _triples(predictions):
+    return [(p.window_index, p.logits.tolist(), p.conf) for p in predictions]
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_matches_end_to_end_oracle(seed, filtered):
+    case = _oracle_case(seed, filtered)
+    weights, stream, gp, filtration, window_us = case
+    preds = InferenceEngine(weights, gp, filtration, window_us).run(stream)
+    expect = _oracle_predictions(*case)
+    assert _triples(preds) == expect
     assert expect and expect[0][0] == 0
 
 
@@ -664,3 +701,96 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     state.feed(np.array([500]), np.array([3]), np.array([1]))
     with pytest.raises(OrderingError):
         state.feed(np.array([400]), np.array([4]), np.array([1]))
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_chunk_size_never_changes_the_outputs(monkeypatch, filtered):
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.integers(0, 12_000, size=1200))
+    stream = EventStream(SensorConfig(32), t.astype(np.int64),
+                         rng.integers(0, 32, size=1200).astype(np.int32),
+                         rng.choice([-1, 1], size=1200).astype(np.int8))
+    filtration = None
+    if filtered:
+        filtration = FiltrationParams(
+            div_factor=4, weight=32, thresholds=rng.integers(32, 97, size=32))
+        assert len(filter_stream(stream, filtration)) > 256  # 1024 != 256
+    expect = _oracle_predictions(SPLIT_WEIGHTS, stream, SPLIT_GRAPH,
+                                 filtration, 1000)
+    edges = []
+    for chunk in (1, 5, 128, 256, 1024):
+        monkeypatch.setattr(evkws.inference, "CHUNK", chunk)
+        monkeypatch.setattr(evkws.graph, "CHUNK", chunk)
+        engine = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH, filtration, 1000)
+        assert _triples(engine.run(stream)) == expect, f"chunk {chunk}"
+        edges.append(evkws.graph.edges_per_event(stream, SPLIT_GRAPH))
+        np.testing.assert_array_equal(edges[-1], edges[0])
+    assert len(edges[0]) == len(stream) and edges[0].any()
+
+
+# ------------------------------------------------------- carried products
+
+POISON = np.array([np.iinfo(np.int32).max, np.iinfo(np.int32).min],
+                  dtype=np.int32)
+
+
+def _split_case(data):
+    """A 32-channel stream on a drawn subset of channels, and cuts."""
+    channels = data.draw(st.lists(st.integers(0, 31), min_size=1,
+                                  max_size=12, unique=True))
+    steps = data.draw(st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(0, 400),
+                            st.integers(900, 6000)),
+                  st.sampled_from(channels), st.sampled_from([-1, 1])),
+        min_size=1, max_size=60))
+    t = np.cumsum([gap for gap, _, _ in steps])
+    stream = EventStream(SensorConfig(32), t.astype(np.int64),
+                         np.array([c for _, c, _ in steps], dtype=np.int32),
+                         np.array([p for _, _, p in steps], dtype=np.int8))
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=6))
+    return stream, [0, *sorted(cuts), len(stream)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_of_channels_without_events_are_never_read(data):
+    stream, bounds = _split_case(data)
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH,
+                            window_us=1000).run(stream)
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    preds = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        unseen = np.setdiff1d(np.arange(32), stream.c[:lo])
+        for memory in state.memories:   # a checkerboard of both extremes
+            memory[unseen] = POISON[
+                (unseen[:, None] + np.arange(memory.shape[1])) % 2]
+        preds += state.feed(stream.t[lo:hi], stream.c[lo:hi],
+                            stream.p[lo:hi])
+    assert _same(preds + state.close(), whole)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_carried_products_equal_recomputed(data):
+    # after every feed, each seen channel's carried row is the product of
+    # its latest event's stage input, taken from the plain-Python oracle
+    stream, bounds = _split_case(data)
+    conv_blocks = [as_oracle_block(b) for b in SPLIT_WEIGHTS.conv_layers]
+    snapshots = [[dict(m) for m in memories] for _, _, memories in
+                 ref_conv_stream(_events(stream), 32, conv_blocks,
+                                 SPLIT_GRAPH)]
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    for lo, hi in zip(bounds, bounds[1:]):
+        state.feed(stream.t[lo:hi], stream.c[lo:hi], stream.p[lo:hi])
+        if hi == 0:
+            continue
+        for layer, carried, inputs in zip(SPLIT_WEIGHTS.conv_layers,
+                                          state.memories, snapshots[hi - 1]):
+            assert carried.dtype == np.int32
+            assert carried.shape == (32, layer.out_width)
+            seen = sorted(inputs)
+            assert seen == sorted(set(stream.c[:hi].tolist()))
+            recomputed = stage_products(
+                layer, np.array([inputs[ch] for ch in seen], dtype=np.int8),
+                np.array(seen))
+            np.testing.assert_array_equal(carried[seen], recomputed)
