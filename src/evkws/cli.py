@@ -27,11 +27,11 @@ from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
                      ValidationError, open_text)
 from .events import (FORMAT_CSV, EventStream, compute_stats, read_stream,
                      write_stream)
+from .filtering import filter_stream
 from .graph import dump_neighbors, edges_per_event
 from .hwmodel import latency_report, simulate, throughput_envelope
 from .inference import InferenceEngine, summarize_predictions
-from .metrics import (EvalRecord, event_rate_report, metric_report,
-                      read_records)
+from .metrics import EvalRecord, metric_report, read_records
 from .model import load_weights, random_weights
 
 EXIT_OK = 0
@@ -93,14 +93,11 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_filter(args, config: RunConfig) -> int:
-    from .filtering import filter_stream
-
     stream = _load_stream(args.input, config)
     filtered = filter_stream(stream, config.filtration_params())
     write_stream(filtered, args.output, _stream_format(args.output, config))
     if len(stream):
-        report = event_rate_report([stream], [filtered], config.hw.window_us)
-        reduction = report["reduction_pct"]
+        reduction = 100.0 * (1.0 - len(filtered) / len(stream))
     else:
         reduction = None  # 0/0: nothing to reduce
     _emit({"config": config.to_dict(),
@@ -192,8 +189,6 @@ def cmd_eval(args, config: RunConfig) -> int:
 def cmd_simulate(args, config: RunConfig) -> int:
     stream = _load_stream(args.input, config)
     if args.filtered:
-        from .filtering import filter_stream
-
         stream = filter_stream(stream, config.filtration_params())
     edges = edges_per_event(stream, config.graph)
     if args.dump_graph:

@@ -90,9 +90,9 @@ class EventStream:
 
     ``t``, ``c`` and ``p`` are parallel numpy arrays. Construction does not
     validate (hot paths build streams from already-checked data); every I/O
-    boundary calls :meth:`validate` explicitly. ``sample_id``, ``label`` and
-    ``end_of_word_bin`` are side-channel metadata, never serialized into the
-    event file and excluded from equality.
+    boundary calls :meth:`validate` explicitly. ``sample_id`` is side-channel
+    metadata, never serialized into the event file and excluded from
+    equality.
     """
 
     config: SensorConfig
@@ -100,8 +100,6 @@ class EventStream:
     c: np.ndarray
     p: np.ndarray
     sample_id: str = ""
-    label: int | None = None
-    end_of_word_bin: int | None = None
 
     @classmethod
     def from_events(cls, config: SensorConfig,

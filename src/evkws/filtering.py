@@ -135,11 +135,8 @@ def filter_stream(stream: EventStream,
             f"params cover {params.channels} channels, stream has "
             f"{stream.config.channels}")
     keep = _keep_mask(stream.t, stream.c, params)
-    out = EventStream(stream.config, stream.t[keep], stream.c[keep],
-                      stream.p[keep], sample_id=stream.sample_id,
-                      label=stream.label,
-                      end_of_word_bin=stream.end_of_word_bin)
-    return out
+    return EventStream(stream.config, stream.t[keep], stream.c[keep],
+                       stream.p[keep], sample_id=stream.sample_id)
 
 
 def _keep_mask(t: np.ndarray, c: np.ndarray,

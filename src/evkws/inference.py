@@ -269,11 +269,10 @@ class RunState:
 
     The graph builder's per-channel timestamps, each stage's products for
     the latest event on every channel (``memories``, int32 ``(channels,
-    out_width)`` per stage; a channel with no event yet holds the products
-    of a zero input row, which no neighbor table reads), the open pooling
-    window and the recurrent head state. ``feed`` takes one time-sorted
-    chunk and ``close`` ends the run; together they return the same
-    predictions however the stream is split.
+    out_width)`` per stage; a channel with no event yet holds zeros, which
+    no neighbor table reads), the open pooling window and the recurrent head
+    state. ``feed`` takes one time-sorted chunk and ``close`` ends the run;
+    together they return the same predictions however the stream is split.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
@@ -281,12 +280,8 @@ class RunState:
         self.weights = weights
         self.window_us = window_us
         self.graph = GraphBuilder(channels, graph_params)
-        self.memories = [
-            stage_products(layer,
-                           np.zeros((channels, layer.in_width), np.int8),
-                           np.arange(channels))
-            for layer in weights.conv_layers
-        ]
+        self.memories = [np.zeros((channels, layer.out_width), np.int32)
+                         for layer in weights.conv_layers]
         self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
         self.head = HeadState.fresh(weights)
 

@@ -20,11 +20,12 @@ recurrent blocks executed in declared order. The file is JSON:
     }
 
 Blocks appear conv-first (exactly four), then the head in execution order.
-Weight shapes: conv blocks store ``out x (in + 2)`` (two trailing columns
-take the relative channel and age inputs); linear blocks ``out x in``; a gru
-block stores ``(3*out) x (in + out)`` with gate rows ordered update, reset,
-candidate and input columns before recurrent columns. Bias length is ``out``
-(``3*out`` for gru). The final head block must emit ``class_count + 1``
+Every kind is a :class:`Block` and checks the same way; kinds differ only in
+``weight_shape(in, out)``: conv blocks store ``out x (in + 2)`` (two trailing
+columns take the relative channel and age inputs); linear blocks ``out x in``;
+a gru block stores ``(3*out) x (in + out)`` with gate rows ordered update,
+reset, candidate and input columns before recurrent columns. The bias holds
+one value per weight row. The final head block must emit ``class_count + 1``
 values: the class logits plus a confidence scalar.
 """
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,126 +58,115 @@ MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
 
 
 @dataclass(eq=False)
-class ConvLayer:
-    """One graph-convolution stage: affine map over features plus position."""
+class Block:
+    """One int8 affine block: ``weight`` (int8) and ``bias`` (int32, one
+    value per weight row) with the requantization scale of its output.
 
-    weight: np.ndarray   # int8, (out, in + POSITION_WIDTH)
-    bias: np.ndarray     # int32, (out,)
-    in_width: int
-    out_width: int
-    scale_num: int = 1
-    scale_shift: int = 0
+    Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
+    the only rule in which kinds differ.
+    """
 
-    def __post_init__(self):
-        _check_block(self, self.in_width + POSITION_WIDTH)
+    kind: ClassVar[str]
 
-    def __eq__(self, other):
-        return _block_eq(self, other)
-
-
-@dataclass(eq=False)
-class LinearBlock:
-    weight: np.ndarray   # int8, (out, in)
+    weight: np.ndarray
     bias: np.ndarray
     in_width: int
     out_width: int
     scale_num: int = 1
     scale_shift: int = 0
 
+    @staticmethod
+    def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
+        raise NotImplementedError
+
     def __post_init__(self):
-        _check_block(self, self.in_width)
+        if self.in_width < 1 or self.out_width < 1:
+            raise ValidationError("block widths must be positive")
+        weight = np.asarray(self.weight)
+        if weight.dtype != np.int8:
+            if (weight < I8_MIN).any() or (weight > I8_MAX).any():
+                raise ValidationError("weight values exceed int8 range")
+            weight = weight.astype(np.int8)
+        self.weight = weight
+        shape = self.weight_shape(self.in_width, self.out_width)
+        if weight.shape != shape:
+            raise ValidationError(
+                f"{self.kind} weight shape {weight.shape} does not match "
+                f"{shape} for in={self.in_width}, out={self.out_width}")
+        bias = np.asarray(self.bias, dtype=np.int64)
+        if bias.shape != shape[:1]:
+            raise ValidationError(
+                f"bias length {bias.shape} does not match {shape[0]} rows")
+        # Inputs are int8, so a row's accumulator stays within |bias| + 128 *
+        # sum|w|: below 2**31 it fits int32, and scale_num < 2**31 with shift
+        # <= 62 keeps requantization inside int64.
+        if not 1 <= self.scale_num < ACC_LIMIT:
+            raise ValidationError(
+                f"scale_num must be an integer in [1, 2**31), got "
+                f"{self.scale_num}")
+        if not 0 <= self.scale_shift <= MAX_SHIFT:
+            raise ValidationError(
+                f"scale_shift must lie in [0, {MAX_SHIFT}], got "
+                f"{self.scale_shift}")
+        bound = np.abs(bias) + 128 * np.abs(weight.astype(np.int64)).sum(
+            axis=1)
+        if (bound >= ACC_LIMIT).any():
+            row = int(np.argmax(bound >= ACC_LIMIT))
+            raise ValidationError(
+                f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
+                "2**31, so the 32-bit accumulator could wrap")
+        self.bias = bias.astype(np.int32)
 
     def __eq__(self, other):
-        return _block_eq(self, other)
+        if type(self) is not type(other):
+            return NotImplemented
+        return (self.in_width == other.in_width
+                and self.out_width == other.out_width
+                and self.scale_num == other.scale_num
+                and self.scale_shift == other.scale_shift
+                and np.array_equal(self.weight, other.weight)
+                and np.array_equal(self.bias, other.bias))
 
 
-@dataclass(eq=False)
-class GruBlock:
+class ConvLayer(Block):
+    """One graph-convolution stage: affine map over features plus position."""
+
+    kind = KIND_CONV
+
+    @staticmethod
+    def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
+        return out_width, in_width + POSITION_WIDTH
+
+
+class LinearBlock(Block):
+    kind = KIND_LINEAR
+
+    @staticmethod
+    def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
+        return out_width, in_width
+
+
+class GruBlock(Block):
     """Recurrent head block; ``out_width`` is the hidden size.
 
     Rows of ``weight`` stack the update, reset and candidate gates; columns
     hold the input weights first, then the recurrent weights.
     """
 
-    weight: np.ndarray   # int8, (3*out, in + out)
-    bias: np.ndarray     # int32, (3*out,)
-    in_width: int
-    out_width: int
-    scale_num: int = 1
-    scale_shift: int = 0
+    kind = KIND_GRU
 
-    def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ValidationError("block widths must be positive")
-        _check_weight(self)
-        if self.weight.shape != (3 * self.out_width,
-                                 self.in_width + self.out_width):
-            raise ValidationError(
-                f"gru weight shape {self.weight.shape} does not match "
-                f"3*{self.out_width} x ({self.in_width}+{self.out_width})")
-        bias = np.asarray(self.bias, dtype=np.int64)
-        if bias.shape != (3 * self.out_width,):
-            raise ValidationError(
-                f"gru bias length {bias.shape} does not match 3*out")
-        _check_ranges(self, bias)
-
-    def __eq__(self, other):
-        return _block_eq(self, other)
+    @staticmethod
+    def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
+        return 3 * out_width, in_width + out_width
 
 
-def _check_block(block, expected_in: int) -> None:
-    if block.in_width < 1 or block.out_width < 1:
-        raise ValidationError("block widths must be positive")
-    _check_weight(block)
-    if block.weight.shape != (block.out_width, expected_in):
-        raise ValidationError(
-            f"weight shape {block.weight.shape} does not match "
-            f"({block.out_width}, {expected_in})")
-    bias = np.asarray(block.bias, dtype=np.int64)
-    if bias.shape != (block.out_width,):
-        raise ValidationError(f"bias length {bias.shape} does not match out")
-    _check_ranges(block, bias)
-
-
-def _check_weight(block) -> None:
-    weight = np.asarray(block.weight)
-    if weight.dtype != np.int8:
-        if (weight < I8_MIN).any() or (weight > I8_MAX).any():
-            raise ValidationError("weight values exceed int8 range")
-        weight = weight.astype(np.int8)
-    object.__setattr__(block, "weight", weight)
-
-
-def _check_ranges(block, bias: np.ndarray) -> None:
-    """Inputs are int8, so a row's accumulator stays within |bias| + 128 *
-    sum|w|: below 2**31 it fits int32, and scale_num < 2**31 with shift <=
-    62 keeps requantization inside int64."""
-    if not 1 <= block.scale_num < ACC_LIMIT:
-        raise ValidationError(
-            f"scale_num must be an integer in [1, 2**31), got {block.scale_num}")
-    if not 0 <= block.scale_shift <= MAX_SHIFT:
-        raise ValidationError(
-            f"scale_shift must lie in [0, {MAX_SHIFT}], got {block.scale_shift}")
-    bound = np.abs(bias) + 128 * np.abs(block.weight.astype(np.int64)).sum(
-        axis=1)
-    if (bound >= ACC_LIMIT).any():
-        row = int(np.argmax(bound >= ACC_LIMIT))
-        raise ValidationError(
-            f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
-            "2**31, so the 32-bit accumulator could wrap")
-    object.__setattr__(block, "bias", bias.astype(np.int32))
-
-
-def _block_eq(a, b) -> bool:
-    if type(a) is not type(b):
-        return NotImplemented
-    return (a.in_width == b.in_width and a.out_width == b.out_width
-            and a.scale_num == b.scale_num and a.scale_shift == b.scale_shift
-            and np.array_equal(a.weight, b.weight)
-            and np.array_equal(a.bias, b.bias))
-
-
+BLOCK_KINDS = {cls.kind: cls for cls in (ConvLayer, LinearBlock, GruBlock)}
 HeadBlock = LinearBlock | GruBlock
+
+
+def _block_class(kind) -> type[Block] | None:
+    # the kind comes from the file and may be any JSON value, hashable or not
+    return BLOCK_KINDS.get(kind) if isinstance(kind, str) else None
 
 
 @dataclass(eq=False)
@@ -215,7 +205,7 @@ class ModelWeights:
         for i, block in enumerate(self.head_blocks):
             if block.in_width != width:
                 raise ValidationError(
-                    f"head block {i} ({_kind_of(block)}) input width "
+                    f"head block {i} ({block.kind}) input width "
                     f"{block.in_width} does not chain from {width}")
             width = block.out_width
         if width != self.class_count + 1:
@@ -229,10 +219,8 @@ class ModelWeights:
         return [layer.out_width for layer in self.conv_layers]
 
     def param_count(self) -> int:
-        n = 0
-        for block in [*self.conv_layers, *self.head_blocks]:
-            n += block.weight.size + int(np.asarray(block.bias).size)
-        return n
+        return sum(block.weight.size + block.bias.size
+                   for block in [*self.conv_layers, *self.head_blocks])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelWeights):
@@ -242,17 +230,9 @@ class ModelWeights:
                 and self.head_blocks == other.head_blocks)
 
 
-def _kind_of(block) -> str:
-    if isinstance(block, ConvLayer):
-        return KIND_CONV
-    if isinstance(block, LinearBlock):
-        return KIND_LINEAR
-    return KIND_GRU
-
-
 def _encode_block(block) -> dict:
     return {
-        "kind": _kind_of(block),
+        "kind": block.kind,
         "in": block.in_width,
         "out": block.out_width,
         "scale_num": block.scale_num,
@@ -283,10 +263,10 @@ def _decode_matrix(entry: dict, label: str, rows: int, cols: int) -> np.ndarray:
     except Exception as exc:
         raise ParseError(f"{label}: weight blob is not valid base64: {exc}")
     data = np.frombuffer(raw, dtype=np.int8)
-    if data.size != rows * cols:
+    if rows < 1 or cols < 1 or data.size != rows * cols:
         raise ValidationError(
-            f"{label}: weight holds {data.size} values, expected "
-            f"{rows}*{cols}={rows * cols}")
+            f"{label}: weight holds {data.size} values, expected a "
+            f"{rows} x {cols} matrix")
     return data.reshape(rows, cols).copy()
 
 
@@ -301,23 +281,17 @@ def _decode_block(entry: dict, index: int):
         bias = np.array(entry["bias"], dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{label}: missing or malformed field: {exc}")
-    common = dict(bias=bias, in_width=in_width, out_width=out_width,
-                  scale_num=scale_num, scale_shift=scale_shift)
+    cls = _block_class(kind)
+    if cls is None:
+        raise ValidationError(f"{label}: unknown block kind {kind!r}")
+    weight = _decode_matrix(entry, label,
+                            *cls.weight_shape(in_width, out_width))
     try:
-        if kind == KIND_CONV:
-            data = _decode_matrix(entry, label, out_width,
-                                  in_width + POSITION_WIDTH)
-            return ConvLayer(weight=data, **common)
-        if kind == KIND_LINEAR:
-            data = _decode_matrix(entry, label, out_width, in_width)
-            return LinearBlock(weight=data, **common)
-        if kind == KIND_GRU:
-            data = _decode_matrix(entry, label, 3 * out_width,
-                                  in_width + out_width)
-            return GruBlock(weight=data, **common)
+        return cls(weight=weight, bias=bias, in_width=in_width,
+                   out_width=out_width, scale_num=scale_num,
+                   scale_shift=scale_shift)
     except ValidationError as exc:
         raise ValidationError(f"{label}: {exc}") from None
-    raise ValidationError(f"{label}: unknown block kind {kind!r}")
 
 
 def load_weights(path: str) -> ModelWeights:
@@ -383,39 +357,22 @@ def random_weights(seed: int, arch: ModelArch | None = None) -> ModelWeights:
     """Draw a reproducible random model with the given shape."""
     arch = arch or ModelArch()
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        return rng.integers(-_W_RANGE, _W_RANGE + 1, size=(rows, cols),
-                            dtype=np.int64)
-
-    def draw_bias(n: int) -> np.ndarray:
-        return rng.integers(-256, 257, size=n, dtype=np.int64)
-
-    conv_layers = []
-    in_width = CONV1_IN_WIDTH
-    for out_width in arch.conv_widths:
-        fan_in = in_width + POSITION_WIDTH
-        conv_layers.append(ConvLayer(
-            weight=draw(out_width, fan_in), bias=draw_bias(out_width),
-            in_width=in_width, out_width=out_width,
-            scale_num=1, scale_shift=_auto_shift(fan_in)))
-        in_width = out_width
-
-    head_blocks: list[HeadBlock] = []
+    entries = [(ConvLayer, width) for width in arch.conv_widths]
     for kind, width in arch.head:
-        out_width = width if width else arch.class_count + 1
-        if kind == KIND_LINEAR:
-            head_blocks.append(LinearBlock(
-                weight=draw(out_width, in_width), bias=draw_bias(out_width),
-                in_width=in_width, out_width=out_width,
-                scale_num=1, scale_shift=_auto_shift(in_width)))
-        elif kind == KIND_GRU:
-            head_blocks.append(GruBlock(
-                weight=draw(3 * out_width, in_width + out_width),
-                bias=draw_bias(3 * out_width),
-                in_width=in_width, out_width=out_width,
-                scale_num=1, scale_shift=_auto_shift(in_width + out_width)))
-        else:
+        cls = _block_class(kind)
+        if cls is None or cls is ConvLayer:
             raise ValidationError(f"unknown head kind {kind!r}")
+        entries.append((cls, width or arch.class_count + 1))
+    blocks = []
+    in_width = CONV1_IN_WIDTH
+    for cls, out_width in entries:
+        rows, cols = cls.weight_shape(in_width, out_width)
+        blocks.append(cls(
+            weight=rng.integers(-_W_RANGE, _W_RANGE + 1, size=(rows, cols),
+                                dtype=np.int64),
+            bias=rng.integers(-256, 257, size=rows, dtype=np.int64),
+            in_width=in_width, out_width=out_width,
+            scale_num=1, scale_shift=_auto_shift(cols)))
         in_width = out_width
-    return ModelWeights(conv_layers, head_blocks, arch.class_count)
+    n_conv = len(arch.conv_widths)
+    return ModelWeights(blocks[:n_conv], blocks[n_conv:], arch.class_count)

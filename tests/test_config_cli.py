@@ -503,6 +503,23 @@ def test_cli_weight_blocks_not_a_list_of_objects(capsys, tmp_path,
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("kind", [["conv"], 3, None, {}, "lstm"])
+def test_cli_weight_kind_not_a_known_string(capsys, tmp_path, sample_file,
+                                            kind):
+    from evkws import random_weights, save_weights
+
+    path = tmp_path / "weights.json"
+    save_weights(random_weights(0), str(path))
+    doc = json.loads(path.read_text())
+    doc["blocks"][5]["kind"] = kind
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--set", "sensor.channels=64", "infer",
+                             "--weights", str(path), str(sample_file))
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
+    assert "unknown block kind" in json.loads(err)["error"]["message"]
+
+
 # ------------------------------------------------------- exit-code fuzzing
 
 @pytest.fixture(scope="session")

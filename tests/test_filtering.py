@@ -213,10 +213,8 @@ def test_params_validation():
 def test_filter_stream_preserves_metadata_and_config(rng):
     stream = make_stream(rng, n=300)
     stream.sample_id = "abc"
-    stream.label = 4
     out = filter_stream(stream, uniform_params())
     assert out.sample_id == "abc"
-    assert out.label == 4
     assert out.config == stream.config
     # output is a subsequence of the input
     pairs = set(zip(stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))

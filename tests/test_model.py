@@ -68,6 +68,14 @@ def test_custom_arch():
     assert isinstance(w.head_blocks[1], GruBlock)
 
 
+@pytest.mark.parametrize("kind", ["conv", "lstm", ["linear"]])
+def test_arch_rejects_a_head_kind_that_is_not_a_head_block(kind):
+    arch = ModelArch(conv_widths=(8, 8, 8, 8),
+                     head=((kind, 16), ("linear", 0)), class_count=3)
+    with pytest.raises(ValidationError, match="head kind"):
+        random_weights(0, arch)
+
+
 def test_round_trip(tmp_path):
     w = random_weights(9)
     path = tmp_path / "w.json"
@@ -124,6 +132,22 @@ def test_load_rejects_shape_mismatch(tmp_path):
         load_weights(str(path))
 
 
+@pytest.mark.parametrize("in_width,out_width", [(0, -2), (-1, -1), (2, 0)])
+def test_load_rejects_nonpositive_widths(tmp_path, in_width, out_width):
+    # the first two reshaped a weight blob to a negative shape: a traceback
+    path = tmp_path / "w.json"
+    save_weights(random_weights(0), str(path))
+    blob = json.loads(path.read_text())
+    block = blob["blocks"][5]
+    assert block["kind"] == "linear"
+    block.update({"in": in_width, "out": out_width, "bias": [],
+                  "weight": base64.b64encode(
+                      bytes(max(in_width * out_width, 0))).decode()})
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValidationError, match="block 5"):
+        load_weights(str(path))
+
+
 def test_load_rejects_conv_after_head(tmp_path):
     w = random_weights(0)
     path = tmp_path / "w.json"
@@ -154,14 +178,6 @@ def test_weights_validation_broken_chain():
                      class_count=11)
 
 
-def test_gru_block_rejects_zero_width():
-    with pytest.raises(ValidationError):
-        GruBlock(
-            weight=np.zeros((0, 4), dtype=np.int8),
-            bias=np.zeros(0, dtype=np.int32),
-            in_width=4, out_width=0, scale_num=1, scale_shift=8)
-
-
 def test_conv_layer_rejects_out_of_range_weight():
     weight = np.zeros((2, 5), dtype=np.int64)
     layer = ConvLayer(weight=weight, bias=np.zeros(2, dtype=np.int32),
@@ -190,6 +206,29 @@ def _block(kind, bias, **scales):
     return cls(weight=np.full(shape, -3, dtype=np.int8),
                bias=np.full(shape[0], bias, dtype=np.int64),
                in_width=1, out_width=2, **scales)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+def test_blocks_reject_wrong_shapes(kind):
+    cls, shape = BLOCK_SHAPES[kind]
+    assert cls.weight_shape(1, 2) == shape
+
+    def make(in_width=1, out_width=2, weight_shape=None, bias_len=None):
+        weight_shape = weight_shape or cls.weight_shape(in_width, out_width)
+        bias_len = weight_shape[0] if bias_len is None else bias_len
+        return cls(weight=np.zeros(weight_shape, dtype=np.int8),
+                   bias=np.zeros(bias_len, dtype=np.int32),
+                   in_width=in_width, out_width=out_width)
+
+    make()
+    rows, cols = shape
+    for bad in ({"weight_shape": (rows, cols + 1)},
+                {"weight_shape": (rows - 1, cols)},
+                {"weight_shape": (rows * cols,)},
+                {"bias_len": rows - 1}, {"bias_len": rows + 1},
+                {"in_width": 0}, {"out_width": 0}):
+        with pytest.raises(ValidationError):
+            make(**bad)
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
