@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .config import RunConfig, expand_sweep, load_config, write_config
@@ -31,7 +32,7 @@ from .filtering import filter_stream
 from .graph import dump_neighbors, edges_per_event
 from .hwmodel import latency_report, simulate, throughput_envelope
 from .inference import InferenceEngine, summarize_predictions
-from .metrics import EvalRecord, metric_report, read_records
+from .metrics import EvalRecord, metric_report, read_records, reduction_pct
 from .model import load_weights, random_weights
 
 EXIT_OK = 0
@@ -77,11 +78,13 @@ def _flatten(prefix: str, node, rows: list) -> None:
             rows.append([key, node])
 
 
-def _get_weights(args, config: RunConfig):
-    path = getattr(args, "weights", None) or config.weights_path
-    if path:
-        return load_weights(path)
-    return random_weights(args.seed)
+def _engine(args, config: RunConfig) -> InferenceEngine:
+    """The configured engine, with the ``--weights`` file, the configured
+    one, or random weights drawn from ``--seed``."""
+    path = args.weights or config.weights_path
+    weights = load_weights(path) if path else random_weights(args.seed)
+    return InferenceEngine(weights, config.graph, config.filtration_params(),
+                           config.hw.window_us)
 
 
 def cmd_stats(args, config: RunConfig) -> int:
@@ -96,24 +99,17 @@ def cmd_filter(args, config: RunConfig) -> int:
     stream = _load_stream(args.input, config)
     filtered = filter_stream(stream, config.filtration_params())
     write_stream(filtered, args.output, _stream_format(args.output, config))
-    if len(stream):
-        reduction = 100.0 * (1.0 - len(filtered) / len(stream))
-    else:
-        reduction = None  # 0/0: nothing to reduce
     _emit({"config": config.to_dict(),
            "input_events": len(stream),
            "output_events": len(filtered),
-           "reduction_pct": reduction},
+           "reduction_pct": reduction_pct(len(stream), len(filtered))},
           args.format)
     return EXIT_OK
 
 
 def cmd_infer(args, config: RunConfig) -> int:
     stream = _load_stream(args.input, config)
-    weights = _get_weights(args, config)
-    predictions = InferenceEngine(weights, config.graph,
-                                  config.filtration_params(),
-                                  config.hw.window_us).run(stream)
+    predictions = _engine(args, config).run(stream)
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
         for pred in predictions:
@@ -126,8 +122,6 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
     """Rows of ``path,label,end_bin``; paths resolve against the manifest."""
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     rows: list[tuple[str, int, int | None]] = []
     with open_text(path) as fh:
@@ -156,12 +150,9 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
 
 
 def _eval_one(path: str, label: int, end_bin: int | None,
-              config: RunConfig, weights) -> EvalRecord:
+              config: RunConfig, engine: InferenceEngine) -> EvalRecord:
     stream = _load_stream(path, config)
-    predictions = InferenceEngine(weights, config.graph,
-                                  config.filtration_params(),
-                                  config.hw.window_us).run(stream)
-    summary = summarize_predictions(predictions)
+    summary = summarize_predictions(engine.run(stream))
     if summary is None:
         # No window ever emitted (empty or fully filtered sample): score as
         # an always-wrong placeholder so the sample still counts.
@@ -177,8 +168,8 @@ def cmd_eval(args, config: RunConfig) -> int:
     if args.records:
         records = read_records(args.records)
     else:
-        weights = _get_weights(args, config)
-        records = [_eval_one(path, label, end_bin, config, weights)
+        engine = _engine(args, config)
+        records = [_eval_one(path, label, end_bin, config, engine)
                    for path, label, end_bin in _read_manifest(args.manifest)]
     report = metric_report(records, ks=ks)
     _emit({"config": config.to_dict(), "metrics": report.to_json_dict()},
@@ -213,8 +204,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_ablate(args, config: RunConfig) -> int:
-    import os
-
     combos = expand_sweep(args.sweep)
     os.makedirs(args.out_dir, exist_ok=True)
     index = []

@@ -84,15 +84,18 @@ class SensorConfig:
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EventStream:
     """A time-sorted event sequence plus the sensor config that produced it.
 
-    ``t``, ``c`` and ``p`` are parallel numpy arrays. Construction does not
-    validate (hot paths build streams from already-checked data); every I/O
-    boundary calls :meth:`validate` explicitly. ``sample_id`` is side-channel
-    metadata, never serialized into the event file and excluded from
-    equality.
+    ``t``, ``c`` and ``p`` are parallel numpy arrays. A stream is checked
+    once, when it is built: equal lengths, timestamps in unsigned 32 bits
+    and non-decreasing, channels below the channel count, polarity +1 or -1
+    (ValidationError, or OrderingError for a regressing timestamp). The
+    columns are then held as read-only int64 ``t``, int32 ``c`` and int8
+    ``p``, so no function that takes a stream checks it again.
+    ``sample_id`` is side-channel metadata, never serialized into the event
+    file and excluded from equality.
     """
 
     config: SensorConfig
@@ -101,23 +104,52 @@ class EventStream:
     p: np.ndarray
     sample_id: str = ""
 
+    def __post_init__(self):
+        self._check()
+        # Narrow only after the check, so an out-of-range value cannot wrap.
+        # Read-only views keep the checked values from being edited in place.
+        for name, dtype in (("t", np.int64), ("c", np.int32), ("p", np.int8)):
+            column = getattr(self, name).astype(dtype, copy=False).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def _check(self) -> None:
+        if not (len(self.t) == len(self.c) == len(self.p)):
+            raise ValidationError("t, c, p arrays must have equal length")
+        if len(self.t) == 0:
+            return
+        if int(self.t.min()) < 0 or int(self.t.max()) >= T_LIMIT:
+            raise ValidationError("timestamps must fit in unsigned 32 bits")
+        drops = np.flatnonzero(np.diff(self.t) < 0)
+        if drops.size:
+            i = int(drops[0]) + 1
+            raise OrderingError(
+                f"timestamps regress at record {i}: "
+                f"{int(self.t[i])} < {int(self.t[i - 1])}")
+        if int(self.c.min()) < 0 or int(self.c.max()) >= self.config.channels:
+            bad = int(np.flatnonzero(
+                (self.c < 0) | (self.c >= self.config.channels))[0])
+            raise ValidationError(
+                f"record {bad}: channel {int(self.c[bad])} outside "
+                f"[0, {self.config.channels})")
+        if not np.isin(self.p, (-1, 1)).all():
+            bad = int(np.flatnonzero(~np.isin(self.p, (-1, 1)))[0])
+            raise ValidationError(
+                f"record {bad}: polarity {int(self.p[bad])} not in {{-1, +1}}")
+
     @classmethod
     def from_events(cls, config: SensorConfig,
                     events: Sequence[tuple[int, int, int]],
                     sample_id: str = "") -> "EventStream":
-        t = np.array([e[0] for e in events], dtype=np.int64)
-        c = np.array([e[1] for e in events], dtype=np.int32)
-        p = np.array([e[2] for e in events], dtype=np.int8)
-        stream = cls(config, t, c, p, sample_id=sample_id)
-        stream.validate()
-        return stream
+        return cls(config,
+                   np.array([e[0] for e in events], dtype=np.int64),
+                   np.array([e[1] for e in events], dtype=np.int64),
+                   np.array([e[2] for e in events], dtype=np.int64),
+                   sample_id=sample_id)
 
     @classmethod
     def empty(cls, config: SensorConfig, sample_id: str = "") -> "EventStream":
-        return cls(config,
-                   np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.int32),
-                   np.empty(0, dtype=np.int8),
+        return cls(config, *(np.empty(0, dtype=np.int64),) * 3,
                    sample_id=sample_id)
 
     def __len__(self) -> int:
@@ -145,38 +177,13 @@ class EventStream:
             return 0
         return int(self.t[-1] - self.t[0])
 
-    def validate(self) -> None:
-        if not (len(self.t) == len(self.c) == len(self.p)):
-            raise ValidationError("t, c, p arrays must have equal length")
-        if len(self.t) == 0:
-            return
-        if int(self.t.min()) < 0 or int(self.t.max()) >= T_LIMIT:
-            raise ValidationError("timestamps must fit in unsigned 32 bits")
-        drops = np.flatnonzero(np.diff(self.t) < 0)
-        if drops.size:
-            i = int(drops[0]) + 1
-            raise OrderingError(
-                f"timestamps regress at record {i}: "
-                f"{int(self.t[i])} < {int(self.t[i - 1])}")
-        if int(self.c.min()) < 0 or int(self.c.max()) >= self.config.channels:
-            bad = int(np.flatnonzero(
-                (self.c < 0) | (self.c >= self.config.channels))[0])
-            raise ValidationError(
-                f"record {bad}: channel {int(self.c[bad])} outside "
-                f"[0, {self.config.channels})")
-        if not np.isin(self.p, (-1, 1)).all():
-            bad = int(np.flatnonzero(~np.isin(self.p, (-1, 1)))[0])
-            raise ValidationError(
-                f"record {bad}: polarity {int(self.p[bad])} not in {{-1, +1}}")
-
 
 def _topology_byte(topology: str) -> int:
     return TOPOLOGIES.index(topology)
 
 
 def write_stream(stream: EventStream, path: str, format: str = FORMAT_BINARY) -> None:
-    """Serialize a stream. The stream is validated before any bytes leave."""
-    stream.validate()
+    """Serialize a stream (valid, since it was checked when built)."""
     if format == FORMAT_BINARY:
         records = np.zeros(len(stream), dtype=_RECORD_DTYPE)
         records["t"] = stream.t
@@ -199,7 +206,7 @@ def write_stream(stream: EventStream, path: str, format: str = FORMAT_BINARY) ->
 def read_stream(path: str, format: str = FORMAT_BINARY,
                 config: SensorConfig | None = None,
                 sample_id: str | None = None) -> EventStream:
-    """Parse and validate an event file.
+    """Parse an event file into a checked stream.
 
     For binary files the header carries the sensor config; a config passed in
     as well must agree with it. CSV carries no header metadata, so ``config``
@@ -210,17 +217,12 @@ def read_stream(path: str, format: str = FORMAT_BINARY,
     if sample_id is None:
         sample_id = _stem(path)
     if format == FORMAT_BINARY:
-        stream = _read_binary(path, config)
+        config, columns = _read_binary(path, config)
     elif format == FORMAT_CSV:
-        stream = _read_csv(path, config)
+        columns = _read_csv(path, config)
     else:
         raise ConfigError(f"unknown stream format {format!r}")
-    stream.sample_id = sample_id
-    stream.validate()
-    # Narrow only after validation, so an out-of-range value cannot wrap.
-    stream.c = stream.c.astype(np.int32, copy=False)
-    stream.p = stream.p.astype(np.int8, copy=False)
-    return stream
+    return EventStream(config, *columns, sample_id=sample_id)
 
 
 def _stem(path: str) -> str:
@@ -228,7 +230,9 @@ def _stem(path: str) -> str:
     return name.rsplit(".", 1)[0] if "." in name else name
 
 
-def _read_binary(path: str, config: SensorConfig | None) -> EventStream:
+def _read_binary(path: str, config: SensorConfig | None
+                 ) -> tuple[SensorConfig, tuple[np.ndarray, ...]]:
+    """The header's sensor config and the ``t``, ``c``, ``p`` columns."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0:
@@ -236,7 +240,7 @@ def _read_binary(path: str, config: SensorConfig | None) -> EventStream:
             raise ConfigError(
                 f"{path}: zero-byte file carries no header; a sensor config "
                 "must be supplied")
-        return EventStream.empty(config)
+        return config, (np.empty(0, dtype=np.int64),) * 3
     if len(blob) < _HEADER.size:
         raise ParseError(f"{path}: truncated header", offset=len(blob))
     magic, version, channels, topo = _HEADER.unpack_from(blob)
@@ -257,22 +261,21 @@ def _read_binary(path: str, config: SensorConfig | None) -> EventStream:
             "not form a record",
             offset=_HEADER.size + len(body) - len(body) % _RECORD_DTYPE.itemsize)
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    return EventStream(file_config,
-                       records["t"].astype(np.int64),
-                       records["c"].astype(np.int32),
-                       records["p"].astype(np.int8))
+    # Copies, so that no column is a strided view of the file buffer.
+    return file_config, (records["t"].astype(np.int64),
+                         records["c"].astype(np.int32),
+                         records["p"].astype(np.int8))
 
 
-def _read_csv(path: str, config: SensorConfig | None) -> EventStream:
+def _read_csv(path: str,
+              config: SensorConfig | None) -> tuple[np.ndarray, ...]:
     if config is None:
         raise ConfigError(f"{path}: csv carries no header metadata; a sensor "
                           "config must be supplied")
     with open(path, "rb") as fh:
         blob = fh.read()
     columns = _decode_plain_csv(blob)
-    if columns is None:
-        return _scan_csv(path, config)
-    return EventStream(config, *columns)
+    return _scan_csv(path) if columns is None else columns
 
 
 def _decode_plain_csv(blob: bytes) -> tuple[np.ndarray, ...] | None:
@@ -307,12 +310,12 @@ def _decode_plain_csv(blob: bytes) -> tuple[np.ndarray, ...] | None:
     # a limit, so such rows go to the scanner, which names the field.
     if rows.min() == _INT64.min or rows.max() == _INT64.max:
         return None
-    # Only t keeps its int64 width; once read_stream narrows c and p, the
+    # Only t keeps its int64 width; once the stream narrows c and p, the
     # (n, 3) block is freed.
     return rows[:, 0].copy(), rows[:, 1], rows[:, 2]
 
 
-def _scan_csv(path: str, config: SensorConfig) -> EventStream:
+def _scan_csv(path: str) -> tuple[np.ndarray, ...]:
     """Line-by-line CSV decode: the definition of the CSV format.
 
     An optional ``t,c,p`` first line, blank lines skipped, every other line
@@ -340,12 +343,11 @@ def _scan_csv(path: str, config: SensorConfig) -> EventStream:
                 raise ParseError(f"{path}: non-integer field in {line!r}",
                                  line=lineno) from None
     try:
-        columns = [np.array(col, dtype=np.int64) for col in (ts, cs, ps)]
+        return tuple(np.array(col, dtype=np.int64) for col in (ts, cs, ps))
     except OverflowError:
         big = next(v for v in (*ts, *cs, *ps) if not -2**63 <= v < 2**63)
         raise ValidationError(
             f"{path}: value {big} does not fit in 64 bits") from None
-    return EventStream(config, *columns)
 
 
 @dataclass(eq=False)
@@ -490,7 +492,5 @@ def synth_stream(seed: int, config: SensorConfig, duration_us: int,
     c = np.concatenate(cs)
     p = np.concatenate(ps)
     order = np.lexsort((p, c, t))
-    stream = EventStream(config, t[order], c[order], p[order],
-                         sample_id=sample_id)
-    stream.validate()
-    return stream
+    return EventStream(config, t[order], c[order], p[order],
+                       sample_id=sample_id)

@@ -125,11 +125,10 @@ def filter_stream(stream: EventStream,
     """Filter a whole stream, preserving order and all event fields.
 
     The output is always a subsequence of the input; an event's fate depends
-    only on events sharing its channel. Raises OrderingError if timestamps
-    regress and ValidationError if a potential would exceed the 32-bit
+    only on events sharing its channel. Raises ValidationError if the params
+    cover another channel count or a potential would exceed the 32-bit
     ceiling.
     """
-    stream.validate()
     if params.channels != stream.config.channels:
         raise ValidationError(
             f"params cover {params.channels} channels, stream has "

@@ -180,7 +180,6 @@ class GraphBuilder:
 
 def _tables(stream: EventStream, params: GraphParams):
     """Replay a stream through a fresh builder, one table per chunk."""
-    stream.validate()
     builder = GraphBuilder(stream.config.channels, params)
     for i in range(0, len(stream), CHUNK):
         yield i, builder.insert(stream.t[i:i + CHUNK], stream.c[i:i + CHUNK])

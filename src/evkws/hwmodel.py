@@ -170,7 +170,6 @@ class SimTrace:
 
 def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     """Replay a stream with known edge counts through the pipeline model."""
-    stream.validate()
     edges = np.asarray(edges, dtype=np.int64)
     if edges.shape != stream.t.shape:
         raise ValidationError(

@@ -331,14 +331,12 @@ class InferenceEngine:
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
                  filtration: FiltrationParams | None = None,
                  window_us: int = DEFAULT_WINDOW_US):
-        weights.validate()
         self.weights = weights
         self.graph_params = graph_params
         self.filtration = filtration
         self.window_us = window_us
 
     def run(self, stream: EventStream) -> list[Prediction]:
-        stream.validate()
         if self.filtration is not None:
             stream = filter_stream(stream, self.filtration)
         state = RunState(self.weights, self.graph_params,

@@ -17,6 +17,7 @@ inclusive".
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,8 +134,6 @@ def read_records(path: str) -> list[EvalRecord]:
     A JSON line holds {"sample_id", "y", "y_hat", "t_hat", optional "t"}.
     In CSV an empty ``t`` field means no ground-truth bin.
     """
-    import json
-
     records: list[EvalRecord] = []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -175,9 +174,8 @@ def event_rate_report(pre: Sequence[EventStream],
                       window_us: int = DEFAULT_WINDOW_US) -> dict:
     """Stream statistics before and after filtration, plus the reduction.
 
-    ``post`` must pair with ``pre`` sample for sample. Reduction percent is
-    relative to the pre-filter event count; undefined (None) when the pre
-    side is empty of events.
+    ``post`` must pair with ``pre`` sample for sample. The reduction is
+    :func:`reduction_pct` of the pre- and post-filter event totals.
     """
     report: dict = {"pre": compute_stats(pre, window_us).to_json_dict(),
                     "post": None, "reduction_pct": None}
@@ -193,10 +191,12 @@ def event_rate_report(pre: Sequence[EventStream],
                     f"sample mismatch: {a.sample_id!r} vs {b.sample_id!r}")
         post_stats = compute_stats(post, window_us)
         report["post"] = post_stats.to_json_dict()
-        pre_total = report["pre"]["total_events"]
-        if pre_total:
-            report["reduction_pct"] = 100.0 * (
-                1.0 - post_stats.total_events / pre_total)
-        else:
-            report["reduction_pct"] = None
+        report["reduction_pct"] = reduction_pct(
+            report["pre"]["total_events"], post_stats.total_events)
     return report
+
+
+def reduction_pct(events_in: int, events_out: int) -> float | None:
+    """Percent of the input events that filtration removed; None when the
+    input holds no events (0/0: nothing to reduce)."""
+    return 100.0 * (1.0 - events_out / events_in) if events_in else None

@@ -57,10 +57,11 @@ ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
 MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One int8 affine block: ``weight`` (int8) and ``bias`` (int32, one
     value per weight row) with the requantization scale of its output.
+    Checked once, when built; both arrays are then read-only.
 
     Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
     the only rule in which kinds differ.
@@ -87,7 +88,9 @@ class Block:
             if (weight < I8_MIN).any() or (weight > I8_MAX).any():
                 raise ValidationError("weight values exceed int8 range")
             weight = weight.astype(np.int8)
-        self.weight = weight
+        weight = weight.view()  # read-only, so checked values stay checked
+        weight.flags.writeable = False
+        object.__setattr__(self, "weight", weight)
         shape = self.weight_shape(self.in_width, self.out_width)
         if weight.shape != shape:
             raise ValidationError(
@@ -115,7 +118,9 @@ class Block:
             raise ValidationError(
                 f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
                 "2**31, so the 32-bit accumulator could wrap")
-        self.bias = bias.astype(np.int32)
+        bias = bias.astype(np.int32)
+        bias.flags.writeable = False
+        object.__setattr__(self, "bias", bias)
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -169,18 +174,21 @@ def _block_class(kind) -> type[Block] | None:
     return BLOCK_KINDS.get(kind) if isinstance(kind, str) else None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelWeights:
-    """Full network: conv stack, head blocks in execution order, class count."""
+    """Full network: conv stack, head blocks in execution order, class count.
 
-    conv_layers: list[ConvLayer]
-    head_blocks: list[HeadBlock]
+    Checked once, when built: four chained conv layers, then a non-empty
+    head chained from them whose last block emits ``class_count + 1``.
+    """
+
+    conv_layers: tuple[ConvLayer, ...]
+    head_blocks: tuple[HeadBlock, ...]
     class_count: int
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "conv_layers", tuple(self.conv_layers))
+        object.__setattr__(self, "head_blocks", tuple(self.head_blocks))
         if self.class_count < 1:
             raise ValidationError("class_count must be at least 1")
         if len(self.conv_layers) != CONV_LAYER_COUNT:
@@ -244,7 +252,6 @@ def _encode_block(block) -> dict:
 
 
 def save_weights(weights: ModelWeights, path: str) -> None:
-    weights.validate()
     doc = {
         "version": WEIGHT_FORMAT_VERSION,
         "class_count": weights.class_count,

@@ -74,17 +74,17 @@ def linear_scan_neighbors(history, event, params):
     return sorted(found.items())
 
 
-def brute_force_neighbors(history, event, params):
+def brute_force_neighbors(t, c, channels, event, params):
     """Stateless rescan of the full history for one new event.
 
-    ``history`` is a time-sorted EventStream of everything before ``event``
-    (a (t, c, p) tuple); returns a sorted list of (channel, dt) pairs. The
-    latest event on a channel shadows older ones, as in linear_scan_neighbors.
+    ``t`` and ``c`` are the time-sorted timestamps and channels of everything
+    before ``event`` (a (t, c, p) tuple) on a ``channels``-channel sensor;
+    returns a sorted list of (channel, dt) pairs. The latest event on a
+    channel shadows older ones, as in linear_scan_neighbors.
     """
     t0, c0, _ = event
-    channels = history.config.channels
     last_index = np.full(channels, -1, dtype=np.int64)
-    last_index[history.c] = np.arange(len(history.t))  # later writes win
+    last_index[c] = np.arange(len(t))  # later writes win
     reach = params.r_c // params.skip_step
     found = []
     for k in range(-reach, reach + 1):
@@ -94,7 +94,7 @@ def brute_force_neighbors(history, event, params):
         j = int(last_index[channel])
         if j < 0:
             continue
-        dt = t0 - int(history.t[j])
+        dt = t0 - int(t[j])
         if params.r_t_low <= dt <= params.r_t_high:
             found.append((channel, dt))
     return found
@@ -241,11 +241,10 @@ def ref_conv_stream(events, channels, conv_blocks, params):
     """
     memories = [{} for _ in conv_blocks]
     for i, (t, c, p) in enumerate(events):
-        history = SimpleNamespace(
-            config=SimpleNamespace(channels=channels),
-            t=np.array([e[0] for e in events[:i]], dtype=np.int64),
-            c=np.array([e[1] for e in events[:i]], dtype=np.int64))
-        found = brute_force_neighbors(history, (t, c, p), params)
+        found = brute_force_neighbors(
+            np.array([e[0] for e in events[:i]], dtype=np.int64),
+            np.array([e[1] for e in events[:i]], dtype=np.int64),
+            channels, (t, c, p), params)
         x = ref_first_layer_inputs([(ch - c, dt) for ch, dt in found],
                                    (t, c, p))
         for block, memory in zip(conv_blocks, memories):

@@ -119,7 +119,6 @@ def test_criterion_3_incremental_graph_matches_brute_force():
     n = 10_000
     for trial in range(20):
         channels = int(rng.choice([32, 64, 128]))
-        cfg = SensorConfig(channels)
         stream = _random_sorted_stream(rng, channels, n, t_max=1_000_000)
         r_t_low = int(rng.integers(0, 2000))
         params = GraphParams(
@@ -127,9 +126,8 @@ def test_criterion_3_incremental_graph_matches_brute_force():
             skip_step=int(rng.integers(1, 5)),
             r_t_low=r_t_low,
             r_t_high=r_t_low + int(rng.integers(0, 20_000)))
-        t, c, p = stream.t, stream.c, stream.p
-        expect = [brute_force_neighbors(EventStream(cfg, t[:i], c[:i], p[:i]),
-                                        event, params)
+        t, c = stream.t, stream.c
+        expect = [brute_force_neighbors(t[:i], c[:i], channels, event, params)
                   for i, event in enumerate(stream)]
         for chunk in (CHUNK, 1000):
             builder = GraphBuilder(channels, params)

@@ -17,6 +17,7 @@ from evkws import (
     write_config,
     write_stream,
 )
+import evkws.events as events
 from evkws.cli import main
 from evkws.config import KEYS
 from evkws.filtering import make_thresholds
@@ -400,12 +401,58 @@ def test_cli_corrupt_file_is_parse_error(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
-def test_cli_domain_violation_is_validation_error(capsys, tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,c,p\n0,1,7\n")
-    code, out, err = run_cli(capsys, "stats", str(bad))
+# Each stream invariant, broken on the last of three events, with the error
+# every stream-reading subcommand reports for it.
+STREAM_VIOLATIONS = {
+    "regression": ([(0, 1, 1), (5, 1, 1), (4, 1, 1)], "OrderingError",
+                   "timestamps regress at record 2: 4 < 5"),
+    "channel": ([(0, 1, 1), (5, 1, 1), (6, 64, 1)], "ValidationError",
+                "record 2: channel 64 outside [0, 64)"),
+    "polarity": ([(0, 1, 1), (5, 1, 1), (6, 1, 7)], "ValidationError",
+                 "record 2: polarity 7 not in {-1, +1}"),
+    "t_overflow": ([(0, 1, 1), (5, 1, 1), (2**32, 1, 1)], "ValidationError",
+                   "timestamps must fit in unsigned 32 bits"),
+}
+STREAM_COMMANDS = {
+    "stats": ["stats", "{bad}"],
+    "filter": ["filter", "{bad}", "{out}"],
+    "infer": ["infer", "{bad}"],
+    "simulate": ["simulate", "--filtered", "{bad}"],
+}
+
+
+def _write_events(path, rows):
+    """Write rows as they are, bypassing the stream's own checks."""
+    if path.suffix == ".csv":
+        path.write_text("t,c,p\n" + "".join(f"{t},{c},{p}\n"
+                                            for t, c, p in rows))
+        return
+    records = np.zeros(len(rows), dtype=events._RECORD_DTYPE)
+    for name, values in zip("tcp", zip(*rows)):
+        records[name] = values
+    path.write_bytes(events._HEADER.pack(events.MAGIC, events.FORMAT_VERSION,
+                                         64, 0) + records.tobytes())
+
+
+@pytest.mark.parametrize("violation,command,ext", [
+    (violation, command, ext)
+    for violation in STREAM_VIOLATIONS for command in STREAM_COMMANDS
+    for ext in ("csv", "nas")
+    # a binary record's u32 timestamp cannot hold 2**32
+    if not (violation == "t_overflow" and ext == "nas")])
+def test_cli_domain_violation_is_validation_error(capsys, tmp_path, violation,
+                                                  command, ext):
+    rows, error_type, message = STREAM_VIOLATIONS[violation]
+    bad = tmp_path / f"bad.{ext}"
+    _write_events(bad, rows)
+    argv = [arg.format(bad=bad, out=tmp_path / f"out.{ext}")
+            for arg in STREAM_COMMANDS[command]]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 4
-    assert json.loads(err)["error"]["type"] == "ValidationError"
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": {
+        "type": error_type, "message": message, "exit_code": 4}}
+    assert not (tmp_path / f"out.{ext}").exists()
 
 
 @pytest.mark.parametrize("row", ["0,1,300", "0,1,-129",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_from_events_round_trip(cfg64):
 
 
 def _raw(cfg, events):
-    # bypasses the eager from_events validation
+    # the constructor itself, from the readers' column dtypes
     return EventStream(cfg,
                        np.array([e[0] for e in events], dtype=np.int64),
                        np.array([e[1] for e in events], dtype=np.int32),
@@ -66,23 +67,53 @@ def _raw(cfg, events):
 
 def test_validate_rejects_time_regression(cfg64):
     with pytest.raises(OrderingError, match="record 1"):
-        _raw(cfg64, [(5, 0, 1), (4, 0, 1)]).validate()
+        _raw(cfg64, [(5, 0, 1), (4, 0, 1)])
 
 
 def test_validate_rejects_out_of_range_channel(cfg64):
     with pytest.raises(ValidationError, match="channel"):
-        _raw(cfg64, [(0, 64, 1)]).validate()
+        _raw(cfg64, [(0, 64, 1)])
 
 
 def test_validate_rejects_bad_polarity(cfg64):
     with pytest.raises(ValidationError, match="polarity"):
-        _raw(cfg64, [(0, 0, 2)]).validate()
+        _raw(cfg64, [(0, 0, 2)])
 
 
 def test_validate_rejects_timestamp_overflow(cfg64):
-    with pytest.raises(ValidationError):
-        _raw(cfg64, [(T_LIMIT, 0, 1)]).validate()
-    EventStream.from_events(cfg64, [(T_LIMIT - 1, 0, 1)]).validate()
+    for t in (T_LIMIT, -1):
+        with pytest.raises(ValidationError, match="unsigned 32 bits"):
+            _raw(cfg64, [(t, 0, 1)])
+    stream = EventStream.from_events(cfg64, [(T_LIMIT - 1, 0, 1)])
+    assert stream.t.tolist() == [T_LIMIT - 1]
+
+
+def test_stream_is_frozen(cfg64):
+    stream = EventStream.from_events(cfg64, [(0, 1, 1)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stream.t = np.array([-5])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stream.sample_id = "other"
+    for column in (stream.t, stream.c, stream.p):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = -5
+    # a changed copy is built, so it is checked like any other stream
+    with pytest.raises(ValidationError, match="channel"):
+        dataclasses.replace(stream, c=np.array([64]))
+    assert dataclasses.replace(stream, sample_id="b").sample_id == "b"
+
+
+def test_construction_narrows_columns(cfg64):
+    wide = np.array([0, 5], dtype=np.int64)
+    stream = EventStream(cfg64, wide, np.array([3, 63], dtype=np.int64),
+                         np.array([1, -1], dtype=np.int64))
+    assert (stream.t.dtype, stream.c.dtype, stream.p.dtype) == (
+        np.int64, np.int32, np.int8)
+    assert stream.c.tolist() == [3, 63] and stream.p.tolist() == [1, -1]
+    assert wide.flags.writeable  # the caller's own array stays writable
+    # a value that int8 would wrap to a valid polarity is refused first
+    with pytest.raises(ValidationError, match="polarity 257"):
+        EventStream(cfg64, wide[:1], wide[:1], np.array([257]))
 
 
 def test_from_events_validates_eagerly(cfg64):
@@ -267,9 +298,12 @@ def test_binary_config_mismatch(tmp_path, rng):
 
 
 def test_write_validates_first(tmp_path, cfg64):
-    bad = _raw(cfg64, [(5, 0, 1), (1, 0, 1)])
+    # An invalid stream cannot be built, so none reaches the writer, not
+    # even as a changed copy of a valid one.
+    good = _raw(cfg64, [(5, 0, 1), (6, 0, 1)])
     with pytest.raises(OrderingError):
-        write_stream(bad, str(tmp_path / "x.nas"))
+        write_stream(dataclasses.replace(good, t=np.array([5, 1])),
+                     str(tmp_path / "x.nas"))
     assert not (tmp_path / "x.nas").exists()
 
 
@@ -342,7 +376,8 @@ def test_synth_stream_is_deterministic(cfg64):
     a = synth_stream(7, cfg64, duration_us=50_000, rate_profile=40_000)
     b = synth_stream(7, cfg64, duration_us=50_000, rate_profile=40_000)
     assert a == b
-    a.validate()
+    assert (a.t.dtype, a.c.dtype, a.p.dtype) == (np.int64, np.int32, np.int8)
+    assert (np.diff(a.t) >= 0).all()
     assert len(a) > 0
     assert a.t[-1] < 50_000
 

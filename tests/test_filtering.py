@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -92,10 +93,11 @@ def test_div_factor_zero_decays_one_per_microsecond():
 
 
 def test_time_regression_raises():
-    stream = EventStream(SensorConfig(64), np.array([10, 9]),
-                         np.array([3, 3]), np.array([1, 1]))
+    # a regressing stream fails when built, so it never reaches the filter
     with pytest.raises(OrderingError):
-        filter_stream(stream, uniform_params())
+        filter_stream(EventStream(SensorConfig(64), np.array([10, 9]),
+                                  np.array([3, 3]), np.array([1, 1])),
+                      uniform_params())
 
 
 def test_potential_overflow_raises():
@@ -211,8 +213,7 @@ def test_params_validation():
 
 
 def test_filter_stream_preserves_metadata_and_config(rng):
-    stream = make_stream(rng, n=300)
-    stream.sample_id = "abc"
+    stream = dataclasses.replace(make_stream(rng, n=300), sample_id="abc")
     out = filter_stream(stream, uniform_params())
     assert out.sample_id == "abc"
     assert out.config == stream.config

@@ -150,10 +150,10 @@ def test_incremental_matches_both_oracles(events, params):
     stream = EventStream.from_events(cfg, events)
     builder = GraphBuilder(channels=32, params=params)
     for i, ev in enumerate(events):
-        history = EventStream(cfg, stream.t[:i], stream.c[:i], stream.p[:i])
         got = insert(builder, Event(*ev))
         assert got == linear_scan_neighbors(events[:i], ev, params)
-        assert got == brute_force_neighbors(history, ev, params)
+        assert got == brute_force_neighbors(stream.t[:i], stream.c[:i], 32, ev,
+                                            params)
         assert len(got) <= params.max_degree
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -176,6 +177,26 @@ def test_weights_validation_broken_chain():
         ModelWeights(conv_layers=w.conv_layers,
                      head_blocks=[bad] + list(w.head_blocks[1:]),
                      class_count=11)
+
+
+def test_weights_and_blocks_are_frozen():
+    w = random_weights(0)
+    assert isinstance(w.conv_layers, tuple)
+    assert isinstance(w.head_blocks, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.conv_layers = w.conv_layers[:3]
+    for block in (w.conv_layers[0], w.head_blocks[0], w.head_blocks[2]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.weight = np.zeros_like(block.weight)
+        for array in (block.weight, block.bias):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 127
+    # a changed copy is built, so it is checked like any other
+    with pytest.raises(ValidationError):
+        dataclasses.replace(w, class_count=12)
+    with pytest.raises(ValidationError, match="int8 range"):
+        dataclasses.replace(w.conv_layers[0],
+                            weight=np.full(w.conv_layers[0].weight.shape, 128))
 
 
 def test_conv_layer_rejects_out_of_range_weight():
