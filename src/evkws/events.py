@@ -120,7 +120,9 @@ class EventStream:
             return
         if int(self.t.min()) < 0 or int(self.t.max()) >= T_LIMIT:
             raise ValidationError("timestamps must fit in unsigned 32 bits")
-        drops = np.flatnonzero(np.diff(self.t) < 0)
+        # neighbours compared, not differenced: a difference of unsigned
+        # timestamps wraps instead of going negative
+        drops = np.flatnonzero(self.t[1:] < self.t[:-1])
         if drops.size:
             i = int(drops[0]) + 1
             raise OrderingError(

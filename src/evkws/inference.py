@@ -21,22 +21,27 @@ as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128: ch_j
 joins the vertex's product ``[x_j, ch_j] @ [Wx, w_dc].T`` as one more input
 and ch_i * w_dc comes off after the maximum, with the bias. That product
 depends on the vertex alone, so ``stage_products`` computes it once, when
-the event arrives, and every later event that takes the vertex as a
-neighbor reuses it. A missing neighbor repeats the self vertex, so each
-neighbor column costs two gathers, an add and a maximum. Weights are
-checked at load time so that no accumulator or partial value reaches 2**31
-(|bias| + 128*sum|w| per row), which keeps int32 accumulation and the
-float64 products exact. A ``RunState`` carries each channel's latest stage
-products, the open window and the recurrent state across chunks, so chunk
-boundaries never change the result.
+the event arrives, and every later event that takes the vertex as a neighbor
+reuses it. A missing neighbor repeats the self vertex, so each neighbor
+column costs two gathers, an add and a maximum. The terms that depend on
+position alone come from tables each layer builds once, when it is built
+(``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
+anything from the weights. Weights are checked at load time so that no
+accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
+which keeps int32 accumulation and the float64 products exact. A
+``RunState`` carries each channel's latest stage products, the open window
+and the recurrent state across chunks, so chunk boundaries never change the
+result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0. Whenever an event lands past the current window, every elapsed window
 emits (empty ones as all zeros, the minimum of the rectified domain) and the
 head runs once per emission: linear and recurrent blocks in declared order,
-hidden blocks rectified, the final block affine, accumulating in 64 bits.
-Its output is class logits plus one confidence value. Recurrent state
-persists across windows of one sample and resets between samples.
+hidden blocks rectified, the final block affine. Its products are BLAS
+float64 matrix-vector products on each block's ``weight_t``, exact for the
+same reason, then summed with the bias in 64 bits. Its output is class
+logits plus one confidence value. Recurrent state persists across windows of
+one sample and resets between samples.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ from .events import DEFAULT_WINDOW_US, EventStream
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
-from .quant import (I8_MAX, div_round_half_away, div_round_half_up_nonneg,
-                    lut_sigmoid, lut_tanh, quantize_dt, requantize,
-                    rounding_rshift, saturate_i8)
+from .quant import (I8_MAX, I8_MIN, div_round_half_away,
+                    div_round_half_up_nonneg, lut_sigmoid, lut_tanh,
+                    quantize_dt, requantize, rounding_rshift, saturate_i8)
 
 
 def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
@@ -86,8 +91,7 @@ def stage_products(layer: ConvLayer, rows: np.ndarray,
     ext = np.empty((len(rows), in_w + 1))
     ext[:, :in_w] = rows
     ext[:, in_w] = channel
-    w = layer.weight[:, :in_w + 1].T.astype(np.float64)
-    return (ext @ w).astype(np.int32)
+    return (ext @ layer.weight_t[:in_w + 1]).astype(np.int32)
 
 
 def pointnet_conv(layer: ConvLayer, node: np.ndarray,
@@ -95,27 +99,30 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray,
     """One convolution stage over a batch of events.
 
     ``node`` holds ``stage_products`` of the rows ``table.row`` points into,
-    ending with one row per batch event (its self vertex). Returns the
-    rectified int8 outputs, one row per batch event. Invariant under
-    neighbor order, and element-wise non-decreasing when vertices are added.
+    ending with one row per batch event (its self vertex). Each neighbor
+    adds its age term from the layer's ``age_table``; after the maximum,
+    each event adds ``bias - ch_i * w_dc`` from its ``channel_table``. Both
+    tables are built with the layer, so a call derives nothing from the
+    weights. Returns the rectified int8 outputs, one row per batch event.
+    Invariant under neighbor order, and element-wise non-decreasing when
+    vertices are added.
     """
-    n, in_w, out_w = len(table.row), layer.in_width, layer.out_width
+    n, out_w = len(table.row), layer.out_width
     if node.dtype != np.int32 or node.shape != (len(table.channel), out_w):
         raise ValidationError(
             f"stage products are {node.dtype} {node.shape}, stage expects "
             f"int32 ({len(table.channel)}, {out_w})")
-    nbr, age = table.gather
-    w_dc, w_age = layer.weight[:, in_w:in_w + 2].T.astype(np.int32)
-    age_term = np.outer(np.arange(I8_MAX + 1, dtype=np.int32), w_age)
+    nbr, age = table.gather  # indices and channels checked here
     best = node[len(node) - n:].copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
-    for k in range(len(nbr)):  # indices checked by table.gather
+    for k in range(len(nbr)):
         node.take(nbr[k], axis=0, out=cand, mode="clip")
-        age_term.take(age[k], axis=0, out=aged, mode="clip")
+        layer.age_table.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
         np.maximum(best, cand, out=best)
-    own_channel = table.channel[len(node) - n:, None].astype(np.int32)
-    best += layer.bias - own_channel * w_dc              # ch_i * w_dc off
+    layer.channel_table.take(table.channel[len(node) - n:] + I8_MAX, axis=0,
+                             out=aged, mode="clip")
+    best += aged                                # bias - ch_i * w_dc
     out = requantize(best, layer.scale_num, layer.scale_shift)
     return np.maximum(out, 0, out=out)                   # rectify
 
@@ -209,9 +216,9 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     with a rounding shift by 8.
     """
     hidden = block.out_width
-    w = block.weight.astype(np.int64)
-    ax = w[:, :block.in_width] @ x.astype(np.int64) + block.bias
-    ah = w[:, block.in_width:] @ h.astype(np.int64)
+    w = block.weight_t  # float64 products, exact for int8 x and h
+    ax = (x @ w[:block.in_width]).astype(np.int64) + block.bias
+    ah = (h @ w[block.in_width:]).astype(np.int64)
 
     def gate_index(rows: slice, acc: np.ndarray) -> np.ndarray:
         return requantize(acc[rows], block.scale_num, block.scale_shift)
@@ -228,37 +235,35 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
                  window_index: int = 0) -> tuple[Prediction, HeadState]:
-    """Run the head once on a pooled window vector.
+    """Run the head once on a pooled window vector of int8 values.
 
     Returns the prediction and the advanced recurrent state (a new object;
-    the input state is left untouched).
+    the input state is left untouched). Every block input is int8, which
+    keeps the float64 products exact.
     """
     pooled = np.asarray(pooled)
-    if pooled.shape != (weights.head_blocks[0].in_width,):
+    if pooled.shape != (weights.head_blocks[0].in_width,) or (
+            pooled.dtype != np.int8
+            and ((pooled < I8_MIN) | (pooled > I8_MAX)).any()):
         raise ValidationError(
             f"pooled vector has shape {pooled.shape}, head expects "
-            f"({weights.head_blocks[0].in_width},)")
-    x = pooled.astype(np.int64)
+            f"({weights.head_blocks[0].in_width},) int8 values")
+    x = pooled
     new_hidden: list[np.ndarray] = []
-    gru_i = 0
     last = len(weights.head_blocks) - 1
     for i, block in enumerate(weights.head_blocks):
         if isinstance(block, GruBlock):
-            h = state.hidden[gru_i]
-            h_next = gru_step(block, saturate_i8(x), h)
-            new_hidden.append(h_next)
-            gru_i += 1
-            x = h_next.astype(np.int64)
+            x = gru_step(block, x, state.hidden[len(new_hidden)])
+            new_hidden.append(x)
+            continue
+        acc = (x @ block.weight_t).astype(np.int64) + block.bias
+        if i == last:
+            # logits keep sign and full range
+            x = rounding_rshift(acc * block.scale_num, block.scale_shift)
         else:
-            acc = block.weight.astype(np.int64) @ x + block.bias
-            if i == last:
-                # logits keep sign and full range
-                x = rounding_rshift(acc * block.scale_num, block.scale_shift)
-            else:
-                x = np.maximum(
-                    requantize(acc, block.scale_num, block.scale_shift),
-                    0).astype(np.int64)
-    logits = x[:-1].copy()
+            x = requantize(acc, block.scale_num, block.scale_shift)
+            np.maximum(x, 0, out=x)
+    logits = x[:-1].astype(np.int64)
     conf = int(x[-1])
     return (Prediction(window_index, logits, conf),
             HeadState(new_hidden))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -63,6 +63,12 @@ class Block:
     value per weight row) with the requantization scale of its output.
     Checked once, when built; both arrays are then read-only.
 
+    Tables derived from the weights are built once, with the block, and are
+    read-only too; ``==`` compares the six fields alone. ``weight_t`` is the
+    transposed weight in float64, ``(columns, rows)``, for BLAS products:
+    inputs are int8, so the load-time row bound keeps every partial sum an
+    integer below 2**31, exact in float64.
+
     Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
     the only rule in which kinds differ.
     """
@@ -75,10 +81,16 @@ class Block:
     out_width: int
     scale_num: int = 1
     scale_shift: int = 0
+    weight_t: np.ndarray = field(init=False, repr=False)
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
         raise NotImplementedError
+
+    def _freeze(self, name: str, array: np.ndarray) -> None:
+        array = array.view()  # read-only, so checked values stay checked
+        array.flags.writeable = False
+        object.__setattr__(self, name, array)
 
     def __post_init__(self):
         if self.in_width < 1 or self.out_width < 1:
@@ -88,9 +100,7 @@ class Block:
             if (weight < I8_MIN).any() or (weight > I8_MAX).any():
                 raise ValidationError("weight values exceed int8 range")
             weight = weight.astype(np.int8)
-        weight = weight.view()  # read-only, so checked values stay checked
-        weight.flags.writeable = False
-        object.__setattr__(self, "weight", weight)
+        self._freeze("weight", weight)
         shape = self.weight_shape(self.in_width, self.out_width)
         if weight.shape != shape:
             raise ValidationError(
@@ -118,9 +128,8 @@ class Block:
             raise ValidationError(
                 f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
                 "2**31, so the 32-bit accumulator could wrap")
-        bias = bias.astype(np.int32)
-        bias.flags.writeable = False
-        object.__setattr__(self, "bias", bias)
+        self._freeze("bias", bias.astype(np.int32))
+        self._freeze("weight_t", np.ascontiguousarray(weight.T, np.float64))
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -133,14 +142,34 @@ class Block:
                 and np.array_equal(self.bias, other.bias))
 
 
+@dataclass(frozen=True, eq=False)
 class ConvLayer(Block):
-    """One graph-convolution stage: affine map over features plus position."""
+    """One graph-convolution stage: affine map over features plus position.
+
+    Besides ``weight_t`` it holds two int32 tables, ``(rows, out_width)``,
+    of the terms that depend on a vertex's position alone: ``age_table``
+    row q is ``q * w_age`` for each quantized age q in [0, 127], and
+    ``channel_table`` row ``ch + 127`` is ``bias - ch * w_dc`` for each
+    channel ch in [-127, 127].
+    """
 
     kind = KIND_CONV
+    age_table: np.ndarray = field(init=False, repr=False)
+    channel_table: np.ndarray = field(init=False, repr=False)
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
         return out_width, in_width + POSITION_WIDTH
+
+    def __post_init__(self):
+        super().__post_init__()
+        # |bias| + 127*|w_dc| is below the checked row bound, so int32 holds
+        w_dc, w_age = self.weight[:, self.in_width:].T.astype(np.int32)
+        steps = np.arange(I8_MAX + 1, dtype=np.int32)
+        self._freeze("age_table", np.outer(steps, w_age))
+        channels = np.arange(-I8_MAX, I8_MAX + 1, dtype=np.int32)
+        self._freeze("channel_table",
+                        self.bias - np.outer(channels, w_dc))
 
 
 class LinearBlock(Block):

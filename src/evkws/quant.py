@@ -22,6 +22,7 @@ from .errors import ValidationError
 
 I8_MIN = -128
 I8_MAX = 127
+I64_MAX = 2**63 - 1
 
 # Age offsets enter the network scaled by 1/64 so the default 5000 us window
 # maps inside int8 range.
@@ -49,19 +50,32 @@ def rounding_rshift(value, shift: int) -> np.ndarray:
 
 
 def saturate_i8(value) -> np.ndarray:
-    """Clamp to [-128, 127] as int8."""
-    return np.clip(value, I8_MIN, I8_MAX).astype(np.int8)
+    """Clamp to [-128, 127] as int8.
+
+    Clamps with ``maximum``/``minimum``: ``np.clip`` costs several times
+    more on the short vectors of the head. No unsigned value lies below
+    -128, and numpy 2 refuses that bound for an unsigned array, so unsigned
+    input only takes the upper clamp.
+    """
+    value = np.asarray(value)
+    if value.dtype.kind != "u":
+        value = np.maximum(value, I8_MIN)
+    return np.minimum(value, I8_MAX).astype(np.int8)
 
 
 def requantize(acc, scale_num: int, scale_shift: int) -> np.ndarray:
     """32-bit accumulator back to int8: scale, rounding shift, saturate."""
     if scale_shift < 0:
         raise ValidationError("shift must be non-negative")
-    scaled = np.array(acc, dtype=np.int64)  # the one copy; the rest in place
+    acc = np.asarray(acc)
+    if acc.dtype == np.uint64 and (acc > np.uint64(I64_MAX)).any():
+        raise ValidationError("accumulator beyond the int64 range")
+    scaled = acc.astype(np.int64)  # the one copy; the rest in place
     scaled *= scale_num
     scaled += (1 << scale_shift) >> 1
     scaled >>= scale_shift
-    return np.clip(scaled, I8_MIN, I8_MAX, out=scaled).astype(np.int8)
+    np.maximum(scaled, I8_MIN, out=scaled)
+    return np.minimum(scaled, I8_MAX, out=scaled).astype(np.int8)
 
 
 def quantize_dt(dt_us) -> np.ndarray:

@@ -70,6 +70,17 @@ def test_validate_rejects_time_regression(cfg64):
         _raw(cfg64, [(5, 0, 1), (4, 0, 1)])
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_validate_rejects_time_regression_in_unsigned_columns(cfg64, dtype):
+    # a difference of unsigned timestamps wraps to a large positive step
+    with pytest.raises(OrderingError) as signed:
+        _raw(cfg64, [(5, 0, 1), (4, 0, 1)])
+    with pytest.raises(OrderingError, match="record 1") as unsigned:
+        EventStream(cfg64, np.array([5, 4], dtype=dtype),
+                    np.zeros(2, dtype=np.int32), np.ones(2, dtype=np.int8))
+    assert str(unsigned.value) == str(signed.value)
+
+
 def test_validate_rejects_out_of_range_channel(cfg64):
     with pytest.raises(ValidationError, match="channel"):
         _raw(cfg64, [(0, 64, 1)])

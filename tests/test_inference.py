@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +29,11 @@ from evkws import (
     random_weights,
     stage_products,
     summarize_predictions,
+    synth_stream,
 )
 import evkws.graph
 import evkws.inference
-from evkws.graph import NeighborTable
+from evkws.graph import CHUNK, NeighborTable
 from evkws.model import ConvLayer, GruBlock, LinearBlock
 
 from conftest import make_stream
@@ -442,6 +445,16 @@ def test_head_forward_checks_pooled_width():
     with pytest.raises(ValidationError):
         head_forward(weights, np.zeros(7, dtype=np.int8),
                      HeadState.fresh(weights))
+    # int8 values in any dtype run; others would break exact products
+    pooled = np.array([127, -128, 0, 1, 2, 3])
+    pred, _ = head_forward(weights, pooled, HeadState.fresh(weights))
+    expect, _ = head_forward(weights, pooled.astype(np.int8),
+                             HeadState.fresh(weights))
+    assert _triples([pred]) == _triples([expect])
+    for bad in (128, -129, 2**40):
+        pooled[0] = bad
+        with pytest.raises(ValidationError, match="int8"):
+            head_forward(weights, pooled, HeadState.fresh(weights))
 
 
 # ------------------------------------------------------------- predictions
@@ -585,25 +598,36 @@ def test_engine_matches_end_to_end_oracle(seed, filtered):
     assert expect and expect[0][0] == 0
 
 
+def _rows_at_the_bound(block, rows, rng, **changes):
+    """A copy of ``block`` whose ``rows`` hold int8 extremes and reach
+    |bias| + 128*sum|w| = 2**31 - 1, the bias alternating in sign."""
+    weight, bias = np.array(block.weight), block.bias.astype(np.int64)
+    weight[rows] = rng.choice([-127, 127], size=weight[rows].shape)
+    if isinstance(block, ConvLayer):
+        weight[rows, block.in_width] = 127                     # w_dc
+    extent = 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
+    room = 2**31 - 1 - extent[rows]
+    bias[rows] = room * np.resize([1, -1], len(room))
+    block = dataclasses.replace(block, weight=weight, bias=bias, **changes)
+    assert (np.abs(bias) + extent)[rows].tolist() == [2**31 - 1] * len(room)
+    return block
+
+
 def test_engine_at_the_accumulator_bound_matches_oracle():
     # 128 channels with events on both edge channels, every offset in reach;
-    # conv 2 has rows with |bias| + 128*sum|w| = 2**31 - 1 of either sign
+    # every row of conv 2 and some rows of the gru (one per gate) and of the
+    # final linear block sit at the accumulator bound, the last at shift 0
+    # so its logits keep every bit of the products
     rng = np.random.default_rng(7)
     width = 4
     convs = [rand_conv(rng, 3, width)] + [rand_conv(rng, width, width)
                                           for _ in range(3)]
-    weight = rng.choice([-127, 127], size=(width, width + 2)).astype(np.int8)
-    weight[:, width] = 127                                    # w_dc
-    room = 2**31 - 1 - 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
-    convs[1] = ConvLayer(weight=weight,
-                         bias=(room * [1, -1, 1, -1]).astype(np.int32),
-                         in_width=width, out_width=width, scale_num=1,
-                         scale_shift=24)
-    assert (np.abs(convs[1].bias.astype(np.int64))
-            + 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
-            == 2**31 - 1).all()
-    head = [rand_linear(rng, width, 8), rand_gru(rng, 8, 5),
-            rand_linear(rng, 5, 4)]
+    convs[1] = _rows_at_the_bound(convs[1], slice(None), rng, scale_num=1,
+                                  scale_shift=24)
+    head = [rand_linear(rng, width, 8),
+            _rows_at_the_bound(rand_gru(rng, 8, 5), [0, 5, 10], rng),
+            _rows_at_the_bound(rand_linear(rng, 5, 4), [0, 2], rng,
+                               scale_num=1, scale_shift=0)]
     weights = ModelWeights(conv_layers=convs, head_blocks=head,
                            class_count=3)
     n = 300
@@ -726,6 +750,26 @@ def test_chunk_size_never_changes_the_outputs(monkeypatch, filtered):
         edges.append(evkws.graph.edges_per_event(stream, SPLIT_GRAPH))
         np.testing.assert_array_equal(edges[-1], edges[0])
     assert len(edges[0]) == len(stream) and edges[0].any()
+
+
+def test_default_model_matches_end_to_end_oracle(monkeypatch):
+    # the deployed widths (72-wide convs, a 64-wide gru), so every product
+    # is BLAS-sized, with the README quick-start graph and filtration; a
+    # sparse 30 ms stream keeps the oracle to about a second
+    weights = random_weights(5)
+    stream = synth_stream(11, SensorConfig(64), 30_000, 100.0)
+    gp = GraphParams(r_c=6, skip_step=1, r_t_low=0, r_t_high=5000)
+    filtration = FiltrationParams(div_factor=10, weight=32,
+                                  thresholds=np.full(64, 48))
+    assert weights.conv_widths == [72] * 4
+    assert len(filter_stream(stream, filtration)) > 64
+    expect = _oracle_predictions(weights, stream, gp, filtration, 10_000)
+    assert len(expect) == 3
+    for chunk in (CHUNK, 16):  # one chunk, then products carried across
+        monkeypatch.setattr(evkws.inference, "CHUNK", chunk)
+        monkeypatch.setattr(evkws.graph, "CHUNK", chunk)
+        engine = InferenceEngine(weights, gp, filtration)
+        assert _triples(engine.run(stream)) == expect, f"chunk {chunk}"
 
 
 # ------------------------------------------------------- carried products

@@ -199,6 +199,53 @@ def test_weights_and_blocks_are_frozen():
                             weight=np.full(w.conv_layers[0].weight.shape, 128))
 
 
+def _derived(block):
+    """Every derived table of a block, recomputed from its weight and bias
+    in Python ints."""
+    w, b = block.weight.tolist(), block.bias.tolist()
+    tables = {"weight_t": [list(map(float, col)) for col in zip(*w)]}
+    if isinstance(block, ConvLayer):
+        w_dc = [row[block.in_width] for row in w]
+        w_age = [row[block.in_width + 1] for row in w]
+        tables["age_table"] = [[q * a for a in w_age] for q in range(128)]
+        tables["channel_table"] = [[bias - ch * d for bias, d in zip(b, w_dc)]
+                                   for ch in range(-127, 128)]
+    return tables
+
+
+def test_derived_tables_are_read_only_and_match_the_weights():
+    w = random_weights(2)
+    for block in [*w.conv_layers, *w.head_blocks]:
+        for name, expect in _derived(block).items():
+            table = getattr(block, name)
+            assert table.dtype == (np.float64 if name == "weight_t"
+                                   else np.int32)
+            assert table.tolist() == expect
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+    assert not hasattr(w.head_blocks[0], "channel_table")
+
+
+def test_replaced_block_derives_its_own_tables():
+    w = random_weights(2)
+    for block in (w.conv_layers[1], w.head_blocks[0], w.head_blocks[2]):
+        weight = -np.array(block.weight)
+        copy = dataclasses.replace(block, weight=weight, bias=block.bias + 1)
+        for name, expect in _derived(copy).items():
+            assert getattr(copy, name).tolist() == expect
+            assert getattr(copy, name).tolist() != _derived(block)[name]
+        with pytest.raises(ValueError):  # a table is never passed in
+            dataclasses.replace(block, weight_t=block.weight_t)
+
+
+def test_block_equality_ignores_derived_tables():
+    a, b = random_weights(2).conv_layers[0], random_weights(2).conv_layers[0]
+    for name in _derived(b):
+        object.__setattr__(b, name, np.zeros(1))
+    assert a == b
+    assert a != dataclasses.replace(a, bias=a.bias + 1)
+
+
 def test_conv_layer_rejects_out_of_range_weight():
     weight = np.zeros((2, 5), dtype=np.int64)
     layer = ConvLayer(weight=weight, bias=np.zeros(2, dtype=np.int32),

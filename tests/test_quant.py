@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from evkws import ValidationError
 from evkws.quant import (
     DT_SHIFT,
+    I64_MAX,
     I8_MAX,
     I8_MIN,
     LUT_INPUT_STEP,
@@ -25,7 +26,7 @@ from evkws.quant import (
     saturate_i8,
 )
 
-from oracles import ref_requant
+from oracles import ref_requant, ref_sat8
 
 
 # ------------------------------------------------------------------ shifts
@@ -76,13 +77,50 @@ def test_requantize_saturates():
         requantize(np.array([100, -100]), 3, 2), [75, -75])
 
 
-@given(acc=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1, max_size=20),
-       num=st.integers(1, 2**31 - 1), shift=st.integers(0, 62))
+INT64_EDGES = st.sampled_from([-2**63, -2**63 + 1, -129, -128, 127, 128,
+                               I64_MAX - 1, I64_MAX])
+
+
+@given(values=st.lists(st.integers(-2**63, I64_MAX) | INT64_EDGES,
+                       min_size=1, max_size=20))
 @settings(max_examples=300, deadline=None)
-def test_requantize_array_equals_scalar(acc, num, shift):
+def test_saturate_equals_oracle_over_int64(values):
+    got = saturate_i8(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int8
+    assert got.tolist() == [ref_sat8(v) for v in values]
+    scalar = saturate_i8(values[0])  # a Python int
+    assert scalar.dtype == np.int8 and scalar == ref_sat8(values[0])
+
+
+@given(data=st.data(), num=st.integers(1, 2**31 - 1),
+       shift=st.integers(0, 62))
+@settings(max_examples=300, deadline=None)
+def test_requantize_array_equals_scalar(data, num, shift):
+    # every accumulator whose scaled value plus rounding offset fits int64:
+    # at num 1 and shift 0 that is all of int64
+    lo, hi = -(2**63 // num), (I64_MAX - ((1 << shift) >> 1)) // num
+    acc = data.draw(st.lists(
+        st.integers(-2**31, 2**31 - 1) | st.integers(lo, hi)
+        | st.sampled_from([lo, hi]), min_size=1, max_size=20))
     got = requantize(np.array(acc, dtype=np.int64), num, shift)
     assert got.dtype == np.int8
     assert got.tolist() == [ref_requant(a, num, shift) for a in acc]
+    scalar = requantize(acc[0], num, shift)  # a Python int
+    assert scalar.dtype == np.int8
+    assert scalar == ref_requant(acc[0], num, shift)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_unsigned_inputs_saturate_without_wrapping(dtype):
+    top = int(np.iinfo(dtype).max)
+    values = np.array([0, 127, 128, top], dtype=dtype)
+    assert saturate_i8(values).tolist() == [0, 127, 127, 127]
+    assert requantize(values[:3], 1, 0).tolist() == [0, 127, 127]
+    if top > I64_MAX:  # no int64 holds it: refused, not wrapped to -1
+        with pytest.raises(ValidationError, match="int64"):
+            requantize(values, 1, 0)
+    else:
+        assert requantize(values, 1, 0).tolist() == [0, 127, 127, 127]
 
 
 def test_quantize_dt_scales_by_64():
