@@ -28,18 +28,22 @@ position alone come from tables each layer builds once, when it is built
 (``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
 anything from the weights. Weights are checked at load time so that no
 accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
-which keeps int32 accumulation and the float64 products exact. A
-``RunState`` carries each channel's latest stage products, the open window
-and the recurrent state across chunks, so chunk boundaries never change the
-result.
+which keeps int32 accumulation exact. Products run in float32 wherever
+128*sum|w| of every row is at most 2**24, which float32 holds exactly, and
+in float64 otherwise (``Block.weight_t``). Requantize clamps each int32
+accumulator to the window outside which its output saturates, so it scales
+in int32 and folds the ReLU into that clamp. A ``RunState`` carries each
+channel's latest stage products, the open window and the recurrent state
+across chunks, in one int32 node buffer per stage, so chunk boundaries
+never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0. Whenever an event lands past the current window, every elapsed window
 emits (empty ones as all zeros, the minimum of the rectified domain) and the
 head runs once per emission: linear and recurrent blocks in declared order,
 hidden blocks rectified, the final block affine. Its products are BLAS
-float64 matrix-vector products on each block's ``weight_t``, exact for the
-same reason, then summed with the bias in 64 bits. Its output is class
+matrix-vector products on each block's ``weight_t``, exact by the same
+rule, then summed with the bias in 64 bits. Its output is class
 logits plus one confidence value. Recurrent state persists across windows of
 one sample and resets between samples.
 """
@@ -70,13 +74,14 @@ def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
                      np.asarray(p, dtype=np.int8)], axis=1)
 
 
-def stage_products(layer: ConvLayer, rows: np.ndarray,
-                   channel: np.ndarray) -> np.ndarray:
+def stage_products(layer: ConvLayer, rows: np.ndarray, channel: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Vertex products ``[x, ch] @ [Wx, w_dc].T`` of stage-input rows.
 
     ``rows`` holds int8 stage inputs and ``channel`` each row's channel.
     Returns int32 ``(len(rows), out_width)``: one row per vertex, computed
     once and reused by every event that takes that vertex as a neighbor.
+    With ``out`` (int32 of that shape) the products are cast into it.
     """
     in_w = layer.in_width
     channel = np.asarray(channel)
@@ -87,11 +92,19 @@ def stage_products(layer: ConvLayer, rows: np.ndarray,
             f"channels, stage expects (rows, {in_w}) with one channel a row")
     if len(channel) and np.abs(channel).max() > I8_MAX:
         raise ValidationError(f"channels beyond +-{I8_MAX}")
-    # exact in float64 below the row bound checked at load
-    ext = np.empty((len(rows), in_w + 1))
+    # exact in weight_t's dtype: float32 wherever it holds every partial sum
+    weight_t = layer.weight_t[:in_w + 1]
+    ext = np.empty((len(rows), in_w + 1), weight_t.dtype)
     ext[:, :in_w] = rows
     ext[:, in_w] = channel
-    return (ext @ layer.weight_t[:in_w + 1]).astype(np.int32)
+    if out is None:
+        out = np.empty((len(rows), layer.out_width), np.int32)
+    elif out.dtype != np.int32 or out.shape != (len(rows), layer.out_width):
+        raise ValidationError(
+            f"product rows are {out.dtype} {out.shape}, stage writes int32 "
+            f"({len(rows)}, {layer.out_width})")
+    out[...] = ext @ weight_t
+    return out
 
 
 def pointnet_conv(layer: ConvLayer, node: np.ndarray,
@@ -123,8 +136,7 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray,
     layer.channel_table.take(table.channel[len(node) - n:] + I8_MAX, axis=0,
                              out=aged, mode="clip")
     best += aged                                # bias - ch_i * w_dc
-    out = requantize(best, layer.scale_num, layer.scale_shift)
-    return np.maximum(out, 0, out=out)                   # rectify
+    return requantize(best, layer.scale_num, layer.scale_shift, rectify=True)
 
 
 class WindowPool:
@@ -216,7 +228,7 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     with a rounding shift by 8.
     """
     hidden = block.out_width
-    w = block.weight_t  # float64 products, exact for int8 x and h
+    w = block.weight_t  # exact products for int8 x and h, in its dtype
     ax = (x @ w[:block.in_width]).astype(np.int64) + block.bias
     ah = (h @ w[block.in_width:]).astype(np.int64)
 
@@ -239,7 +251,7 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
 
     Returns the prediction and the advanced recurrent state (a new object;
     the input state is left untouched). Every block input is int8, which
-    keeps the float64 products exact.
+    keeps the products in each block's ``weight_t`` dtype exact.
     """
     pooled = np.asarray(pooled)
     if pooled.shape != (weights.head_blocks[0].in_width,) or (
@@ -261,8 +273,8 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
             # logits keep sign and full range
             x = rounding_rshift(acc * block.scale_num, block.scale_shift)
         else:
-            x = requantize(acc, block.scale_num, block.scale_shift)
-            np.maximum(x, 0, out=x)
+            x = requantize(acc, block.scale_num, block.scale_shift,
+                           rectify=True)
     logits = x[:-1].astype(np.int64)
     conf = int(x[-1])
     return (Prediction(window_index, logits, conf),
@@ -276,8 +288,13 @@ class RunState:
     the latest event on every channel (``memories``, int32 ``(channels,
     out_width)`` per stage; a channel with no event yet holds zeros, which
     no neighbor table reads), the open pooling window and the recurrent head
-    state. ``feed`` takes one time-sorted chunk and ``close`` ends the run;
+    state. ``feed`` takes time-sorted events and ``close`` ends the run;
     together they return the same predictions however the stream is split.
+
+    Each stage owns one int32 node buffer of ``channels + CHUNK`` rows: the
+    carried memories (``memories`` are views of its first rows), then the
+    products of the chunk's own events, cast into it in place. ``feed``
+    runs longer inputs ``CHUNK`` events at a time.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
@@ -285,24 +302,35 @@ class RunState:
         self.weights = weights
         self.window_us = window_us
         self.graph = GraphBuilder(channels, graph_params)
-        self.memories = [np.zeros((channels, layer.out_width), np.int32)
-                         for layer in weights.conv_layers]
+        self._chunk = CHUNK
+        self._nodes = [np.zeros((channels + CHUNK, layer.out_width), np.int32)
+                       for layer in weights.conv_layers]
+        self.memories = [node[:channels] for node in self._nodes]
         self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
         self.head = HeadState.fresh(weights)
 
     def feed(self, t: np.ndarray, c: np.ndarray,
              p: np.ndarray) -> list[Prediction]:
-        """Run a chunk; returns the predictions of the windows it closed."""
-        if not len(t):
-            return []
+        """Run events; returns the predictions of the windows they closed."""
+        predictions = []
+        for i in range(0, len(t), self._chunk):
+            end = i + self._chunk
+            predictions += self._feed_chunk(t[i:end], c[i:end], p[i:end])
+        return predictions
+
+    def _feed_chunk(self, t: np.ndarray, c: np.ndarray,
+                    p: np.ndarray) -> list[Prediction]:
         table = self.graph.insert(t, c)
         x = first_layer_inputs(table, p)
-        channel = table.channel[self.graph.channels:]
-        for i, layer in enumerate(self.weights.conv_layers):
-            node = np.concatenate([self.memories[i],
-                                   stage_products(layer, x, channel)])
+        channels, n = self.graph.channels, len(table.row)
+        latest = self.graph.latest
+        moved = np.flatnonzero(latest >= channels)  # channels with new events
+        for layer, node in zip(self.weights.conv_layers, self._nodes):
+            node = node[:channels + n]
+            stage_products(layer, x, table.channel[channels:],
+                           out=node[channels:])
             x = pointnet_conv(layer, node, table)
-            self.memories[i] = node[self.graph.latest]
+            node[moved] = node[latest[moved]]
         t = np.asarray(t, dtype=np.int64)
         window = t // self.window_us
         starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])

@@ -55,6 +55,7 @@ CONV_LAYER_COUNT = 4
 
 ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
 MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
+FLOAT32_EXACT = 2**24  # float32 holds every integer up to here
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +66,12 @@ class Block:
 
     Tables derived from the weights are built once, with the block, and are
     read-only too; ``==`` compares the six fields alone. ``weight_t`` is the
-    transposed weight in float64, ``(columns, rows)``, for BLAS products:
-    inputs are int8, so the load-time row bound keeps every partial sum an
-    integer below 2**31, exact in float64.
+    transposed weight, ``(columns, rows)``, for BLAS products of int8
+    inputs. It is float32 when ``128 * sum|w|`` of every row is at most
+    2**24 (every block of fan-in up to 1024): every partial sum, in any
+    order and with or without fused multiply-adds, is then an integer that
+    float32 holds exactly. Otherwise it is float64, exact below the
+    load-time row bound of 2**31.
 
     Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
     the only rule in which kinds differ.
@@ -121,15 +125,16 @@ class Block:
             raise ValidationError(
                 f"scale_shift must lie in [0, {MAX_SHIFT}], got "
                 f"{self.scale_shift}")
-        bound = np.abs(bias) + 128 * np.abs(weight.astype(np.int64)).sum(
-            axis=1)
+        extent = 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
+        bound = np.abs(bias) + extent
         if (bound >= ACC_LIMIT).any():
             row = int(np.argmax(bound >= ACC_LIMIT))
             raise ValidationError(
                 f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
                 "2**31, so the 32-bit accumulator could wrap")
         self._freeze("bias", bias.astype(np.int32))
-        self._freeze("weight_t", np.ascontiguousarray(weight.T, np.float64))
+        exact = np.float32 if extent.max() <= FLOAT32_EXACT else np.float64
+        self._freeze("weight_t", np.ascontiguousarray(weight.T, exact))
 
     def __eq__(self, other):
         if type(self) is not type(other):

@@ -16,6 +16,9 @@ with a rounding shift by 8.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .errors import ValidationError
@@ -63,19 +66,70 @@ def saturate_i8(value) -> np.ndarray:
     return np.minimum(value, I8_MAX).astype(np.int8)
 
 
-def requantize(acc, scale_num: int, scale_shift: int) -> np.ndarray:
-    """32-bit accumulator back to int8: scale, rounding shift, saturate."""
+@functools.lru_cache(maxsize=256)
+def _window(dtype: np.dtype, scale_num: int, scale_shift: int, low: int):
+    """Where ``requantize`` clamps accumulators of ``dtype`` and the type
+    it scales in: ``(clamp dtype, lo, hi, scale dtype, rounding offset)``.
+    """
+    half = (1 << scale_shift) >> 1
+    # Python ints, so that no bound overflows; 0 < hi and lo < 2**62
+    lo = (((low + 1) << scale_shift) - half - 1) // scale_num
+    hi = -((half - (I8_MAX << scale_shift)) // scale_num)
+    info = np.iinfo(dtype)
+    if lo > info.max:               # widen to a dtype that holds lo
+        dtype, info = np.dtype(np.int64), np.iinfo(np.int64)
+    lo, hi = max(lo, int(info.min)), min(hi, int(info.max))
+    reach = max(-lo, hi) * scale_num + half
+    scale = (np.int32 if reach < 2**31 else np.int64 if reach <= I64_MAX
+             else object)
+    return dtype, dtype.type(lo), dtype.type(hi), scale, half
+
+
+def requantize(acc, scale_num: int, scale_shift: int,
+               rectify: bool = False) -> np.ndarray:
+    """32-bit accumulator back to int8: scale, rounding shift, saturate.
+    With ``rectify``, negative outputs become 0 as well (ReLU).
+
+    Clamps first, in the accumulator's own dtype, to the window ``[lo,
+    hi]`` outside which the output saturates: ``lo`` is the largest
+    accumulator that gives the lowest output (-128, or 0 when rectifying)
+    and ``hi`` the smallest that gives 127. Then it scales in the narrowest
+    of int32, int64 and Python ints that holds the window's scaled ends
+    plus the rounding offset, so the result is exact for every integer
+    accumulator (uint64 up to the int64 range) and every ``scale_num >= 1``.
+    A layer's window fits int32, so a conv stage never widens its
+    accumulators. When ``scale_num <= 2**scale_shift`` the window's scaled
+    ends already lie in the output range; otherwise a last clamp saturates.
+    Clamps take ``ndarray.clip`` with bounds of the array's dtype: on a
+    chunk's accumulators that costs a third of ``maximum`` and ``minimum``,
+    and the method skips the dispatch cost of ``np.clip``. The window of
+    each dtype and scale is derived once and cached.
+    """
+    # Python ints, so that the window's arithmetic cannot wrap
+    scale_num, scale_shift = operator.index(scale_num), operator.index(
+        scale_shift)
     if scale_shift < 0:
         raise ValidationError("shift must be non-negative")
+    if scale_num < 1:
+        raise ValidationError("scale_num must be positive")
     acc = np.asarray(acc)
+    if acc.dtype.kind not in "iu":
+        acc = acc.astype(np.int64)
     if acc.dtype == np.uint64 and (acc > np.uint64(I64_MAX)).any():
         raise ValidationError("accumulator beyond the int64 range")
-    scaled = acc.astype(np.int64)  # the one copy; the rest in place
+    low = 0 if rectify else I8_MIN
+    dtype, lo, hi, scale, half = _window(acc.dtype, scale_num, scale_shift,
+                                         low)
+    acc = acc.astype(dtype, copy=False)
+    scaled = acc.clip(lo, hi, out=np.empty_like(acc))
+    scaled = scaled.astype(scale, copy=False)
     scaled *= scale_num
-    scaled += (1 << scale_shift) >> 1
+    scaled += half
     scaled >>= scale_shift
-    np.maximum(scaled, I8_MIN, out=scaled)
-    return np.minimum(scaled, I8_MAX, out=scaled).astype(np.int8)
+    if scale_num > 1 << scale_shift:
+        bound = scaled.dtype.type
+        scaled.clip(bound(low), bound(I8_MAX), out=scaled)
+    return scaled.astype(np.int8)
 
 
 def quantize_dt(dt_us) -> np.ndarray:

@@ -183,6 +183,15 @@ def test_pointnet_conv_rejects_bad_widths():
                 node.astype(np.int64), node[0]):
         with pytest.raises(ValidationError):
             pointnet_conv(layer, bad, table)
+    rows = np.ones((2, 4), dtype=np.int8)
+    out = np.zeros((3, 3), np.int32)
+    view = out[1:]                              # written in place
+    assert stage_products(layer, rows, table.channel, out=view) is view
+    np.testing.assert_array_equal(out[1:], stage_products(layer, rows,
+                                                          table.channel))
+    for bad in (out, out[1:].astype(np.int64), out[1:].astype(np.float32)):
+        with pytest.raises(ValidationError):   # product rows of one shape
+            stage_products(layer, rows, table.channel, out=bad)
     with pytest.raises(ValidationError):  # fewer rows than batch events
         pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),
                       NeighborTable(np.zeros((2, 0), dtype=np.int64),
@@ -213,6 +222,36 @@ def test_pointnet_conv_matches_oracle(seed, n_neighbors):
                                [(f.tolist(), dc, dt)
                                 for f, dc, dt in neighbors])
     assert got.tolist() == expect
+
+
+def test_conv_layer_at_the_float32_bound_matches_oracle():
+    # every weight -128 over 1022 features, channel and age: 128 * sum|w|
+    # = 2**24, the last row bound at which the products run in float32
+    rng = np.random.default_rng(11)
+    in_w = 1022
+    layer = ConvLayer(weight=np.full((3, in_w + 2), -128, np.int8),
+                      bias=np.array([0, 2**16 + 1, -2**16]), in_width=in_w,
+                      out_width=3, scale_num=1, scale_shift=17)
+    assert layer.weight_t.dtype == np.float32
+    extremes = [np.full(in_w, -128, np.int8), np.full(in_w, 127, np.int8),
+                *rng.choice(np.array([-128, 127], np.int8), size=(6, in_w))]
+    # the products themselves, every bit, at both channel extremes
+    rows = np.array(extremes)
+    channel = np.resize([-127, 127], len(rows))
+    expect = [[-128 * (sum(r) + ch)] * 3
+              for r, ch in zip(rows.tolist(), channel.tolist())]
+    assert stage_products(layer, rows, channel).tolist() == expect
+    for case in range(8):
+        center = extremes[case]
+        neighbors = [(extremes[int(rng.integers(len(extremes)))],
+                      int(rng.choice([-127, -1, 1, 127])),
+                      int(rng.choice([0, 8128, 10_000])))
+                     for _ in range(int(rng.integers(0, 4)))]
+        got = conv_one(layer, center, neighbors)
+        assert got.tolist() == ref_pointnet_conv(
+            layer.weight.tolist(), layer.bias.tolist(), layer.scale_num,
+            layer.scale_shift, center.tolist(),
+            [(f.tolist(), dc, dt) for f, dc, dt in neighbors]), case
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -725,6 +764,26 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     state.feed(np.array([500]), np.array([3]), np.array([1]))
     with pytest.raises(OrderingError):
         state.feed(np.array([400]), np.array([4]), np.array([1]))
+
+
+def test_one_feed_longer_than_a_chunk_equals_run():
+    # RunState's node buffers hold CHUNK events; a longer feed still runs
+    rng = np.random.default_rng(9)
+    n = 3 * CHUNK + 1
+    stream = EventStream(SensorConfig(32),
+                         np.sort(rng.integers(0, 9000, size=n)),
+                         rng.integers(0, 32, size=n).astype(np.int32),
+                         rng.choice([-1, 1], size=n).astype(np.int8))
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH,
+                            window_us=1000).run(stream)
+    assert len(whole) == 9
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    preds = state.feed(stream.t, stream.c, stream.p)
+    assert _same(preds + state.close(), whole)
+    for layer, memory in zip(SPLIT_WEIGHTS.conv_layers, state.memories):
+        assert memory.dtype == np.int32
+        assert memory.shape == (32, layer.out_width)
+        assert memory.flags.writeable and memory.base is not None
 
 
 @pytest.mark.parametrize("filtered", [False, True])

@@ -213,17 +213,40 @@ def _derived(block):
     return tables
 
 
+def _exact_float(block):
+    """The product dtype rule: float32 when 128 * sum|w| of every row is at
+    most 2**24, the largest range of integers float32 holds exactly."""
+    extent = max(128 * sum(abs(v) for v in row)
+                 for row in block.weight.tolist())
+    return np.float32 if extent <= 2**24 else np.float64
+
+
 def test_derived_tables_are_read_only_and_match_the_weights():
     w = random_weights(2)
     for block in [*w.conv_layers, *w.head_blocks]:
         for name, expect in _derived(block).items():
             table = getattr(block, name)
-            assert table.dtype == (np.float64 if name == "weight_t"
+            assert table.dtype == (_exact_float(block) if name == "weight_t"
                                    else np.int32)
             assert table.tolist() == expect
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1
+        assert block.weight_t.dtype == np.float32  # fan-in <= 1024
     assert not hasattr(w.head_blocks[0], "channel_table")
+
+
+@pytest.mark.parametrize("fan_in,dtype", [(1024, np.float32),
+                                          (1025, np.float64)])
+def test_products_are_float32_up_to_the_bound(fan_in, dtype):
+    # all |w| = 128: fan-in 1024 reaches 128 * sum|w| = 2**24 exactly
+    block = LinearBlock(weight=np.full((2, fan_in), -128, np.int8),
+                        bias=np.zeros(2, np.int32), in_width=fan_in,
+                        out_width=2)
+    assert block.weight_t.dtype == _exact_float(block) == dtype
+    x = np.full(fan_in, -128, np.int8)
+    x[::3] = 127
+    expect = sum(-128 * v for v in x.tolist())
+    assert (x @ block.weight_t).tolist() == [expect, expect]
 
 
 def test_replaced_block_derives_its_own_tables():

@@ -110,6 +110,54 @@ def test_requantize_array_equals_scalar(data, num, shift):
     assert scalar == ref_requant(acc[0], num, shift)
 
 
+def test_requantize_near_the_int64_ends_does_not_wrap():
+    # acc * scale_num + 2**61 used to wrap in int64: -2 instead of 2
+    assert requantize(np.array([I64_MAX]), 1, 62).tolist() == [2]
+    assert ref_requant(I64_MAX, 1, 62) == 2
+    assert requantize(np.array([-2**63]), 1, 62).tolist() == [-2]
+    assert requantize(np.array([I64_MAX, -I64_MAX]), 2**31 - 1,
+                      62).tolist() == [127, -128]
+    # numpy integer scales, as a Block built in code may hold, are exact too
+    acc = [I64_MAX, -I64_MAX, 2**50]
+    assert requantize(np.array(acc), np.int64(12345),
+                      np.int64(61)).tolist() == [
+        ref_requant(a, 12345, 61) for a in acc] == [127, -128, 6]
+
+
+ACC_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32,
+              np.uint64]
+
+
+@given(data=st.data(), dtype=st.sampled_from(ACC_DTYPES),
+       num=st.integers(1, 2**31 - 1) | st.sampled_from([1, 2, 2**31 - 1]),
+       shift=st.integers(0, 62) | st.sampled_from([0, 30, 31, 55, 56, 62]),
+       rectify=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_requantize_equals_oracle_over_the_whole_domain(data, dtype, num,
+                                                         shift, rectify):
+    # every accumulator of every integer dtype (uint64 up to int64), every
+    # scale the blocks accept, with and without rectification; the edges
+    # include the accumulators around each output's threshold
+    info = np.iinfo(dtype)
+    lo, hi = int(info.min), min(int(info.max), I64_MAX)
+    edges = [lo, lo + 1, hi - 1, hi] + [
+        ((k << shift) - ((1 << shift) >> 1)) // num + d
+        for k in (-127, 0, 1, 127) for d in (-1, 0, 1)]
+    acc = data.draw(st.lists(
+        st.integers(lo, hi)
+        | st.sampled_from([v for v in edges if lo <= v <= hi]),
+        min_size=1, max_size=20))
+    got = requantize(np.array(acc, dtype=dtype), num, shift, rectify=rectify)
+    assert got.dtype == np.int8
+    expect = [ref_requant(a, num, shift) for a in acc]
+    assert got.tolist() == [max(0, v) if rectify else v for v in expect]
+
+
+def test_requantize_rejects_a_zero_scale():
+    with pytest.raises(ValidationError, match="scale_num"):
+        requantize(np.array([1]), 0, 0)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 def test_unsigned_inputs_saturate_without_wrapping(dtype):
     top = int(np.iinfo(dtype).max)
