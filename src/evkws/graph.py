@@ -74,7 +74,10 @@ class NeighborTable:
     ``dt[i, k]`` the age of that vertex and ``valid[i, k]`` whether it is a
     neighbor at all. Channels and the offsets of valid entries lie within
     [-127, 127], and their ages quantize to at least 0. The length is the
-    number of edges.
+    number of edges. ``GraphBuilder.insert`` lays each neighbor column out
+    contiguously: its tables hold ``(n, K)`` views of ``(K, n)`` arrays,
+    which ``gather`` and the stage-1 features read through ``.T`` without
+    a copy.
     """
 
     row: np.ndarray      # int64, (n, K)
@@ -97,19 +100,19 @@ class NeighborTable:
         """``(K, n)`` rows and quantized ages, one gather per column, where
         a missing neighbor repeats the event's own row at age 0. Checked
         once per table: indices in range, valid entries as documented."""
-        row, valid, channel = self.row, self.valid, self.channel
-        n, total = len(row), len(channel)
-        own = np.arange(total - n, total)[:, None]
-        age = np.where(valid, quantize_dt(self.dt), 0)
+        row, valid, channel = self.row.T, self.valid.T, self.channel
+        n, total = row.shape[1], len(channel)
+        own = np.arange(total - n, total)
+        age = quantize_dt(self.dt.T) * valid
         if (total < n or ((row < 0) | (row >= total)).any()
                 or (np.abs(channel) > I8_MAX).any()
-                or (valid & ((channel[row] != channel[own] + self.dc) | (
-                    np.abs(self.dc) > I8_MAX) | (age < 0))).any()):
+                or (valid & ((channel[row] != channel[own] + self.dc[:, None])
+                             | (np.abs(self.dc[:, None]) > I8_MAX)
+                             | (age < 0))).any()):
             raise ValidationError(
                 f"neighbor table of {n} events over {total} rows breaks "
                 "its row, channel, dc or age range")
-        return (np.ascontiguousarray(np.where(valid, row, own).T),
-                np.ascontiguousarray(age.T, dtype=np.intp))
+        return np.where(valid, row, own), age.astype(np.intp)
 
 
 class GraphBuilder:
@@ -155,12 +158,14 @@ class GraphBuilder:
         latest[1:] = -1
         latest[np.arange(1, n + 1), c] = channels + np.arange(n)
         np.maximum.accumulate(latest, axis=0, out=latest)
-        target = c[:, None] + self.dc
+        # (K, n): one row per neighbor column, indexing latest[:n] flat
+        target = c + self.dc[:, None]
         inside = (target >= 0) & (target < channels)
         target = np.where(inside, target, 0)
-        row = latest[np.arange(n)[:, None], target]
+        target += np.arange(0, n * channels, channels)
+        row = latest.ravel().take(target)
         times = np.concatenate([self._t, t])
-        dt = t[:, None] - times[row]
+        dt = t - times[row]
         seen = np.concatenate([self._seen, np.ones(n, dtype=bool)])
         params = self.params
         valid = (inside & seen[row] & (dt >= params.r_t_low)
@@ -170,7 +175,7 @@ class GraphBuilder:
         self._seen = seen[self.latest]
         if n:
             self._last_t = int(t[-1])
-        return NeighborTable(row, self.dc, dt, valid,
+        return NeighborTable(row.T, self.dc, dt.T, valid.T,
                              np.concatenate([latest[0], c]))
 
     def insert_event(self, event: Event) -> NeighborTable:

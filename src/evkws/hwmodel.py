@@ -15,6 +15,16 @@ through sensor delay, a FIFO, and the single processing stage:
   and an arrival finding ``fifo_depth`` events already waiting overflows
   and is dropped (recorded, not fatal). The trace's ``max_queue_depth`` is
   the most events waiting at once;
+* an arrival that finds the stage free starts on arrival and leaves the
+  FIFO empty, so the stage's state after it depends on that event alone
+  (Lindley's recursion). Only an event arriving before its predecessor
+  would be done, had that one started on arrival, can begin a busy run.
+  The simulation replays each busy run event by event, from such an event
+  to the first arrival that finds the stage free, and leaves every other
+  event at admit = arrival. Replayed or not, every admit and done time is
+  the same floating-point sum, so skipping is exact. A drop changes no
+  server time, so a run is replayed past its drops, and events that look
+  like run starts inside a replayed run are skipped;
 * a window closes once its last event has finished processing and a
   later-window event has arrived (timestamp propagation); the final window
   closes by an end-of-sample flush at window end plus ``flush_timeout_us``.
@@ -179,28 +189,45 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
         raise ValidationError("edge counts must be non-negative")
 
     arrival = stream.t.astype(np.float64) + params.nas_latency_us
-    levels, level = np.unique(edges, return_inverse=True)
-    service = np.array([params.latency_us(e) for e in levels.tolist()])[level]
-    admit: list[float] = []  # NaN for a dropped event
-    # The one server takes events in arrival order, so admit times never
-    # decrease: the FIFO is a queue of the stalled events' admit times.
+    # latency_us of every event: the same division it makes, in float64 so
+    # that no edge count wraps (cycle counts below 2**53 are exact)
+    service = ((params.cycle_base + params.cycle_per_vertex * (edges + 1.0))
+               / (params.clock_hz / 1e6))
+    admit_us = arrival.copy()  # NaN for a dropped event
+    idle_done = arrival + service
+    # Only an event arriving before idle_done of its predecessor can begin a
+    # busy run (module docstring); the loop replays each run. The one server
+    # takes events in arrival order, so admit times never decrease: the
+    # FIFO is a queue of the stalled events' admit times.
     waiting: deque[float] = deque()
-    server_free = 0.0
-    stalls = max_depth = 0
-    for a, cost in zip(arrival.tolist(), service.tolist()):
-        while waiting and waiting[0] <= a:  # admitted by a: left the FIFO
-            waiting.popleft()
-        if len(waiting) >= params.fifo_depth:
-            admit.append(np.nan)
-            continue
-        start = a if a > server_free else server_free
-        server_free = start + cost
-        admit.append(start)
-        if start > a:
-            stalls += 1
-            waiting.append(start)
-            max_depth = max(max_depth, len(waiting))
-    admit_us = np.array(admit, dtype=np.float64)
+    depth, max_depth = params.fifo_depth, 0
+    arrival_of, cost_of = arrival.item, service.item
+    stalled, starts, lost = [], [], []
+    end = 0  # events up to `end` are replayed or start on arrival
+    for first in (np.flatnonzero(arrival[1:] < idle_done[:-1]) + 1).tolist():
+        if first <= end:
+            continue  # inside a run already replayed, or its last event
+        server_free = idle_done.item(first - 1)
+        for i in range(first, len(arrival)):
+            a = arrival_of(i)
+            while waiting and waiting[0] <= a:  # admitted by a: left the FIFO
+                waiting.popleft()
+            if len(waiting) >= depth:
+                lost.append(i)
+                continue
+            if a >= server_free:
+                break  # the stage is free: i starts on arrival, FIFO empty
+            stalled.append(i)
+            starts.append(server_free)
+            waiting.append(server_free)
+            server_free += cost_of(i)
+            if len(waiting) > max_depth:
+                max_depth = len(waiting)
+        else:
+            break  # the run lasts to the end of the stream
+        end = i
+    admit_us[stalled] = starts
+    admit_us[lost] = np.nan
     done_us = admit_us + service  # the same sums the loop made
     dropped = np.isnan(admit_us)
 
@@ -225,7 +252,7 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     return SimTrace(
         arrival_us=arrival, admit_us=admit_us, done_us=done_us, edges=edges,
         dropped=dropped, window_predictions=window_predictions,
-        window_to_prediction_us=w2p, stall_count=stalls,
+        window_to_prediction_us=w2p, stall_count=len(stalled),
         max_queue_depth=max_depth, params=params)
 
 

@@ -66,10 +66,11 @@ from .quant import (I8_MAX, I8_MIN, div_round_half_away,
 
 def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
     """Stage-1 feature rows of a batch of events (int8, ``(n, 3)``)."""
-    count = np.maximum(table.valid.sum(axis=1), 1)
-    mean_dc = div_round_half_away(table.valid @ table.dc, count)
+    valid = table.valid.T  # (K, n), as the builder made it
+    count = np.maximum(valid.sum(axis=0), 1)
+    mean_dc = div_round_half_away(table.dc @ valid, count)
     mean_dt = div_round_half_up_nonneg(
-        np.where(table.valid, table.dt, 0).sum(axis=1), count)
+        (table.dt.T * valid).sum(axis=0), count)
     return np.stack([saturate_i8(mean_dc), quantize_dt(mean_dt),
                      np.asarray(p, dtype=np.int8)], axis=1)
 

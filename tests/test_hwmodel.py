@@ -6,12 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from evkws import (
     EventStream,
+    FiltrationParams,
+    GraphParams,
     HwParams,
     SensorConfig,
+    ThresholdSchedule,
     ValidationError,
     calibrate_cycle_model,
+    edges_per_event,
+    filter_stream,
     latency_report,
     simulate,
+    synth_stream,
     throughput_envelope,
 )
 
@@ -104,6 +110,14 @@ def test_edge_counts_must_pair_with_events():
         simulate(stream_of([0]), [-1], HwParams())
 
 
+def test_huge_edge_counts_do_not_wrap():
+    params = HwParams()
+    for edges in (2**58, 2**62):
+        trace = simulate(stream_of([0]), [edges], params)
+        assert trace.done_us[0] - trace.admit_us[0] == pytest.approx(
+            params.latency_us(edges), rel=1e-12)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
        spread=st.sampled_from([5, 50, 500, 5000]))
 @settings(max_examples=60, deadline=None)
@@ -152,8 +166,13 @@ def test_simulate_matches_reference(events, depth, window_us, flush, clock):
     params = HwParams(clock_hz=clock_hz, cycle_base=cycle_base,
                       cycle_per_vertex=cycle_per_vertex, fifo_depth=depth,
                       window_us=window_us, flush_timeout_us=flush)
-    trace = simulate(stream_of(times.tolist()), edges, params)
-    expect = ref_simulate(times.tolist(), edges, params)
+    assert_equals_reference(stream_of(times.tolist()), edges, params)
+
+
+def assert_equals_reference(stream, edges, params):
+    """``simulate`` equals ``ref_simulate`` bit for bit; returns the trace."""
+    trace = simulate(stream, edges, params)
+    expect = ref_simulate(stream.t.tolist(), list(edges), params)
     nan = float("nan")
     for name in ("admit_us", "done_us"):
         np.testing.assert_array_equal(
@@ -163,6 +182,55 @@ def test_simulate_matches_reference(events, depth, window_us, flush, clock):
     for name in ("stall_count", "overflow_count", "max_queue_depth",
                  "window_predictions", "window_to_prediction_us"):
         assert getattr(trace, name) == getattr(expect, name), name
+    return trace
+
+
+def test_arrival_as_the_stage_frees_does_not_stall():
+    # 1 MHz and one cycle each: 2 us a vertex-less event. Event 1 waits
+    # until 25 and is done at 27, the instant event 2 arrives
+    params = HwParams(clock_hz=1e6, cycle_base=1, cycle_per_vertex=1)
+    trace = simulate(stream_of([0, 0, 4]), [0, 0, 0], params)
+    assert trace.admit_us.tolist() == [23.0, 25.0, 27.0]
+    assert trace.done_us.tolist() == [25.0, 27.0, 29.0]
+    assert trace.stall_count == 1 and trace.max_queue_depth == 1
+
+
+def test_arrival_after_a_drop_finds_the_stage_free():
+    # event 2 overflows the one-slot FIFO; event 3 arrives after event 1 is
+    # done, so it starts on arrival, though it arrives before event 2 would
+    # have been done had event 2 started on arrival (23 + 4.07 us)
+    trace = assert_equals_reference(stream_of([0, 0, 0, 1]), [0, 0, 20, 0],
+                                    HwParams(fifo_depth=1))
+    assert trace.dropped.tolist() == [False, False, True, False]
+    assert trace.done_us[1] == pytest.approx(23.94)
+    assert trace.arrival_us[3] == 24.0 < trace.arrival_us[2] + 4.07
+    assert trace.admit_us[3] == 24.0
+    assert trace.stall_count == 1
+
+
+def _hw_timing_stream():
+    """About 2,000 kept events of a filtered 64-channel 625 ev/s/ch stream
+    and their edge counts: the hw_timing shape of the benchmark."""
+    cfg = SensorConfig(channels=64)
+    raw = synth_stream(21, cfg, 100_000, 625.0)
+    kept = filter_stream(raw, FiltrationParams.from_schedule(
+        ThresholdSchedule("exponential", 64, 32), 8, 32, 64))
+    return kept, edges_per_event(kept, GraphParams(10, 1, 0, 5000))
+
+
+# the 200 MHz model leaves short busy runs; a stage 20 times slower runs
+# near saturation, with busy runs over 1,000 events and, at depth 2, drops
+@pytest.mark.parametrize("clock_hz", [200e6, 10e6])
+@pytest.mark.parametrize("depth", [1024, 2])
+def test_hw_timing_stream_matches_reference(clock_hz, depth):
+    kept, edges = _hw_timing_stream()
+    assert 1_500 < len(kept) < 2_500
+    trace = assert_equals_reference(
+        kept, edges.tolist(), HwParams(clock_hz=clock_hz, fifo_depth=depth))
+    assert trace.stall_count > 50
+    if clock_hz < 200e6:
+        assert trace.max_queue_depth > 1 and (
+            depth > 2 or trace.overflow_count > 100)
 
 
 def test_saturated_rate_matches_cycle_model():

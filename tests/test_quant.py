@@ -92,6 +92,29 @@ def test_saturate_equals_oracle_over_int64(values):
     assert scalar.dtype == np.int8 and scalar == ref_sat8(values[0])
 
 
+SATURATE_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                   np.uint16, np.uint32, np.uint64, np.float64]
+
+
+@given(data=st.data(), dtype=st.sampled_from(SATURATE_DTYPES))
+@settings(max_examples=300, deadline=None)
+def test_saturate_equals_oracle_over_every_dtype(data, dtype):
+    # each dtype's whole range and both ends; floats also take fractions,
+    # which the int8 cast truncates toward zero
+    if dtype == np.float64:
+        values = st.floats(allow_nan=False, allow_infinity=True) | \
+            st.floats(-200, 200) | st.sampled_from([-128.5, -127.5, 127.5])
+    else:
+        info = np.iinfo(dtype)
+        lo, hi = int(info.min), int(info.max)
+        values = st.integers(lo, hi) | st.sampled_from(
+            [v for v in (lo, -129, -128, 127, 128, hi) if lo <= v <= hi])
+    drawn = data.draw(st.lists(values, min_size=1, max_size=20))
+    got = saturate_i8(np.array(drawn, dtype=dtype))
+    assert got.dtype == np.int8
+    assert got.tolist() == [int(ref_sat8(v)) for v in drawn]
+
+
 @given(data=st.data(), num=st.integers(1, 2**31 - 1),
        shift=st.integers(0, 62))
 @settings(max_examples=300, deadline=None)
