@@ -82,9 +82,15 @@ class HwParams:
             raise ValidationError("edge count must be non-negative")
         return self.cycle_base + self.cycle_per_vertex * (1 + edges)
 
-    def latency_us(self, edges: int) -> float:
-        # Divide by MHz so the common defaults come out exact in binary.
-        return self.cycles(edges) / (self.clock_hz / 1e6)
+    def latency_us(self, edges: int | np.ndarray) -> float | np.ndarray:
+        """Service time for an edge count or an array of them. Float64, so
+        no count wraps (cycle counts below 2**53 are exact); dividing by MHz
+        makes the common defaults come out exact in binary."""
+        edges = np.asarray(edges)
+        if (edges < 0).any():
+            raise ValidationError("edge counts must be non-negative")
+        return ((self.cycle_base + self.cycle_per_vertex * (edges + 1.0))
+                / (self.clock_hz / 1e6))
 
 
 @dataclass(frozen=True)
@@ -185,14 +191,8 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
         raise ValidationError(
             f"edge counts {edges.shape} do not pair with events "
             f"{stream.t.shape}")
-    if edges.size and int(edges.min()) < 0:
-        raise ValidationError("edge counts must be non-negative")
-
+    service = params.latency_us(edges)
     arrival = stream.t.astype(np.float64) + params.nas_latency_us
-    # latency_us of every event: the same division it makes, in float64 so
-    # that no edge count wraps (cycle counts below 2**53 are exact)
-    service = ((params.cycle_base + params.cycle_per_vertex * (edges + 1.0))
-               / (params.clock_hz / 1e6))
     admit_us = arrival.copy()  # NaN for a dropped event
     idle_done = arrival + service
     # Only an event arriving before idle_done of its predecessor can begin a

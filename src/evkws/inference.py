@@ -20,30 +20,31 @@ runs once per event and stage. Every vertex of event i then shares one term,
 as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128: ch_j
 joins the vertex's product ``[x_j, ch_j] @ [Wx, w_dc].T`` as one more input
 and ch_i * w_dc comes off after the maximum, with the bias. That product
-depends on the vertex alone, so ``stage_products`` computes it once, when
-the event arrives, and every later event that takes the vertex as a neighbor
-reuses it. A missing neighbor repeats the self vertex, so each neighbor
-column costs two gathers, an add and a maximum. The terms that depend on
-position alone come from tables each layer builds once, when it is built
-(``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
-anything from the weights. Weights are checked at load time so that no
-accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
-which keeps int32 accumulation exact. Products run in float32 wherever
-128*sum|w| of every row is at most 2**24, which float32 holds exactly, and
-in float64 otherwise (``Block.weight_t``). Requantize clamps each int32
-accumulator to the window outside which its output saturates, so it scales
-in int32 and folds the ReLU into that clamp. A ``RunState`` carries each
-channel's latest stage products, the open window and the recurrent state
-across chunks, in one int32 node buffer per stage, so chunk boundaries
-never change the result.
+depends on the vertex alone, so each stage (``pointnet_conv``) computes it
+with ``stage_products`` once, for the chunk's own events, and every later
+event that takes the vertex as a neighbor reuses it. A missing neighbor
+repeats the self vertex, so each neighbor column costs two gathers, an add
+and a maximum. The terms that depend on position alone come from tables each
+layer builds once, when it is built (``ConvLayer.age_table`` and
+``channel_table``), so no chunk derives anything from the weights. Weights
+are checked at load time so that no accumulator or partial value reaches
+2**31 (|bias| + 128*sum|w| per row), which keeps int32 accumulation exact.
+Products run in float32 wherever 128*sum|w| of every row is at most 2**24,
+which float32 holds exactly, and in float64 otherwise (``Block.weight_t``).
+Requantize clamps each int32 accumulator to the window outside which its
+output saturates, so it scales in int32 and folds the ReLU into that clamp.
+A ``RunState`` carries each channel's latest stage products, the open window
+and the recurrent state across chunks, in one int32 node buffer per stage,
+so chunk boundaries never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
-t=0. Whenever an event lands past the current window, every elapsed window
-emits (empty ones as all zeros, the minimum of the rectified domain) and the
-head runs once per emission: linear and recurrent blocks in declared order,
-hidden blocks rectified, the final block affine. Its products are BLAS
-matrix-vector products on each block's ``weight_t``, exact by the same
-rule, then summed with the bias in 64 bits. Its output is class
+t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
+windows are derived. Whenever a row lands past the open window, every
+elapsed window emits (empty ones as all zeros, the minimum of the rectified
+domain) and the head runs once per emission: linear and recurrent blocks in
+declared order, hidden blocks rectified, the final block affine. Its
+products are BLAS matrix-vector products on each block's ``weight_t``, exact
+by the same rule, then summed with the bias in 64 bits. Its output is class
 logits plus one confidence value. Recurrent state persists across windows of
 one sample and resets between samples.
 """
@@ -108,18 +109,20 @@ def stage_products(layer: ConvLayer, rows: np.ndarray, channel: np.ndarray,
     return out
 
 
-def pointnet_conv(layer: ConvLayer, node: np.ndarray,
+def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
                   table: NeighborTable) -> np.ndarray:
     """One convolution stage over a batch of events.
 
-    ``node`` holds ``stage_products`` of the rows ``table.row`` points into,
-    ending with one row per batch event (its self vertex). Each neighbor
-    adds its age term from the layer's ``age_table``; after the maximum,
-    each event adds ``bias - ch_i * w_dc`` from its ``channel_table``. Both
-    tables are built with the layer, so a call derives nothing from the
-    weights. Returns the rectified int8 outputs, one row per batch event.
-    Invariant under neighbor order, and element-wise non-decreasing when
-    vertices are added.
+    ``x`` holds the batch's int8 stage inputs, one row per event, and
+    ``node`` the ``stage_products`` of the rows ``table.row`` points into;
+    the call checks all three, then writes the batch's own products into
+    the last ``len(x)`` rows of ``node`` (their self vertices). Each
+    neighbor adds its age term from the layer's ``age_table``; after the
+    maximum, each event adds ``bias - ch_i * w_dc`` from its
+    ``channel_table``. Both tables are built with the layer, so a call
+    derives nothing from the weights. Returns the rectified int8 outputs,
+    one row per batch event. Invariant under neighbor order, and
+    element-wise non-decreasing when vertices are added.
     """
     n, out_w = len(table.row), layer.out_width
     if node.dtype != np.int32 or node.shape != (len(table.channel), out_w):
@@ -127,14 +130,16 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray,
             f"stage products are {node.dtype} {node.shape}, stage expects "
             f"int32 ({len(table.channel)}, {out_w})")
     nbr, age = table.gather  # indices and channels checked here
-    best = node[len(node) - n:].copy()
+    own = len(node) - n
+    best = stage_products(layer, x, table.channel[own:],
+                          out=node[own:]).copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
     for k in range(len(nbr)):
         node.take(nbr[k], axis=0, out=cand, mode="clip")
         layer.age_table.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
         np.maximum(best, cand, out=best)
-    layer.channel_table.take(table.channel[len(node) - n:] + I8_MAX, axis=0,
+    layer.channel_table.take(table.channel[own:] + I8_MAX, axis=0,
                              out=aged, mode="clip")
     best += aged                                # bias - ch_i * w_dc
     return requantize(best, layer.scale_num, layer.scale_shift, rectify=True)
@@ -143,10 +148,12 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray,
 class WindowPool:
     """Running per-feature max over fixed windows aligned at t=0.
 
-    ``push`` returns the (index, vector) pairs of every window completed by
-    the new timestamp, including all-zero vectors for windows nothing landed
-    in; ``flush`` closes the window holding the last event. A stream with no
-    events emits nothing.
+    ``push`` takes a chunk of ``width``-wide feature rows with their
+    time-sorted timestamps and returns the (index, vector) pairs of every
+    window the chunk completed; ``flush`` closes the window holding the last
+    row. Each window's max starts from zeros, and every window nothing
+    landed in emits the pool's one read-only zero vector. A stream with no
+    rows emits nothing.
     """
 
     def __init__(self, width: int, window_us: int = DEFAULT_WINDOW_US):
@@ -154,37 +161,45 @@ class WindowPool:
             raise ValidationError("feature width must be positive")
         if window_us < 1:
             raise ValidationError("window width must be positive")
-        self.width = width
         self.window_us = window_us
-        self.reset()
-
-    def reset(self) -> None:
-        self._current = 0
-        self._acc = np.zeros(self.width, dtype=np.int8)
-        self._any = False
+        self._zero = np.zeros(width, dtype=np.int8)
+        self._zero.flags.writeable = False
+        self._current = 0     # the open window
+        self._acc = None      # its running max; None until a row lands
 
     def push(self, features: np.ndarray,
-             t_us: int) -> list[tuple[int, np.ndarray]]:
-        window = t_us // self.window_us
-        if window < self._current:
+             t: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        t = np.asarray(t, dtype=np.int64)
+        if t.ndim != 1 or features.shape != (len(t), len(self._zero)):
+            raise ValidationError(f"feature rows {features.shape} do not "
+                                  f"pair with {t.shape} timestamps")
+        if not len(t):
+            return []
+        window = t // self.window_us
+        if window[0] < self._current or (t[1:] < t[:-1]).any():
             raise OrderingError(
-                f"event at {t_us} us belongs to window {window}, already at "
-                f"{self._current}")
+                f"rows at {t[0]}..{t[-1]} us regress or start before "
+                f"window {self._current}")
+        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        maxes = np.maximum.reduceat(features, starts, axis=0)
+        acc = self._zero if self._acc is None else self._acc
         emitted: list[tuple[int, np.ndarray]] = []
-        while self._current < window:
-            emitted.append((self._current, self._acc))
-            self._acc = np.zeros(self.width, dtype=np.int8)
-            self._current += 1
-        self._acc = np.maximum(self._acc, features.astype(np.int8))
-        self._any = True
+        for w, rows_max in zip(window[starts].tolist(),
+                               maxes.astype(np.int8, copy=False)):
+            if w > self._current:
+                emitted.append((self._current, acc))
+                emitted += [(k, self._zero)
+                            for k in range(self._current + 1, w)]
+                self._current, acc = w, self._zero
+            acc = np.maximum(acc, rows_max)
+        self._acc = acc
         return emitted
 
     def flush(self) -> list[tuple[int, np.ndarray]]:
-        if not self._any:
+        if self._acc is None:
             return []
         out = [(self._current, self._acc)]
-        self._acc = np.zeros(self.width, dtype=np.int8)
-        self._any = False
+        self._acc = None
         return out
 
 
@@ -292,18 +307,17 @@ class RunState:
     state. ``feed`` takes time-sorted events and ``close`` ends the run;
     together they return the same predictions however the stream is split.
 
-    Each stage owns one int32 node buffer of ``channels + CHUNK`` rows: the
-    carried memories (``memories`` are views of its first rows), then the
-    products of the chunk's own events, cast into it in place. ``feed``
-    runs longer inputs ``CHUNK`` events at a time.
+    ``feed`` runs ``CHUNK`` events at a time, one ``pointnet_conv`` call per
+    stage into the stage's int32 node buffer of ``channels + CHUNK`` rows:
+    the carried memories (``memories`` are views of its first rows), then
+    the chunk's own products. The chunk's stage-4 rows go to
+    ``WindowPool.push`` whole.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
                  channels: int, window_us: int = DEFAULT_WINDOW_US):
         self.weights = weights
-        self.window_us = window_us
         self.graph = GraphBuilder(channels, graph_params)
-        self._chunk = CHUNK
         self._nodes = [np.zeros((channels + CHUNK, layer.out_width), np.int32)
                        for layer in weights.conv_layers]
         self.memories = [node[:channels] for node in self._nodes]
@@ -314,8 +328,8 @@ class RunState:
              p: np.ndarray) -> list[Prediction]:
         """Run events; returns the predictions of the windows they closed."""
         predictions = []
-        for i in range(0, len(t), self._chunk):
-            end = i + self._chunk
+        for i in range(0, len(t), CHUNK):
+            end = i + CHUNK
             predictions += self._feed_chunk(t[i:end], c[i:end], p[i:end])
         return predictions
 
@@ -323,23 +337,13 @@ class RunState:
                     p: np.ndarray) -> list[Prediction]:
         table = self.graph.insert(t, c)
         x = first_layer_inputs(table, p)
-        channels, n = self.graph.channels, len(table.row)
+        channels, rows = self.graph.channels, len(table.channel)
         latest = self.graph.latest
         moved = np.flatnonzero(latest >= channels)  # channels with new events
         for layer, node in zip(self.weights.conv_layers, self._nodes):
-            node = node[:channels + n]
-            stage_products(layer, x, table.channel[channels:],
-                           out=node[channels:])
-            x = pointnet_conv(layer, node, table)
+            x = pointnet_conv(layer, node[:rows], x, table)
             node[moved] = node[latest[moved]]
-        t = np.asarray(t, dtype=np.int64)
-        window = t // self.window_us
-        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
-        predictions = []
-        for start, pooled in zip(starts.tolist(),
-                                 np.maximum.reduceat(x, starts, axis=0)):
-            predictions += self._emit(self.pool.push(pooled, int(t[start])))
-        return predictions
+        return self._emit(self.pool.push(x, t))
 
     def close(self) -> list[Prediction]:
         """Close the window holding the last event."""
@@ -375,12 +379,7 @@ class InferenceEngine:
             stream = filter_stream(stream, self.filtration)
         state = RunState(self.weights, self.graph_params,
                          stream.config.channels, self.window_us)
-        predictions: list[Prediction] = []
-        for i in range(0, len(stream), CHUNK):
-            predictions += state.feed(stream.t[i:i + CHUNK],
-                                      stream.c[i:i + CHUNK],
-                                      stream.p[i:i + CHUNK])
-        return predictions + state.close()
+        return state.feed(stream.t, stream.c, stream.p) + state.close()
 
 
 def summarize_predictions(

@@ -270,23 +270,34 @@ def ref_infer_stream(events, channels, conv_blocks, head_blocks, params,
     """
     if filtration is not None:
         events = [events[i] for i in transcribed_filter(events, *filtration)]
+    times, rows = [], []
+    for t, x, _ in ref_conv_stream(events, channels, conv_blocks, params):
+        times.append(t)
+        rows.append(x)
     hidden = [[0] * b["out"] for b in head_blocks if b["kind"] == "gru"]
-    width = conv_blocks[-1]["out"]
     out = []
-    current, pooled = 0, [0] * width
-
-    def emit(window, vector):
-        nonlocal hidden
+    for window, vector in ref_window_pool(times, rows, window_us):
         logits, conf, hidden = ref_head_forward(head_blocks, vector, hidden)
         out.append((window, logits, conf))
+    return out
 
-    for t, x, _ in ref_conv_stream(events, channels, conv_blocks, params):
+
+def ref_window_pool(times, rows, window_us):
+    """Element-wise max of feature rows per window aligned at t=0.
+
+    ``times`` is non-decreasing, one per row. Returns one (window, vector)
+    per window from 0 through the last row's; each vector's max starts from
+    zeros, so a window no row landed in is all zeros. No rows, no windows.
+    """
+    out = []
+    current, pooled = 0, [0] * len(rows[0]) if rows else []
+    for t, x in zip(times, rows):
         while current < t // window_us:
-            emit(current, pooled)
-            current, pooled = current + 1, [0] * width
+            out.append((current, pooled))
+            current, pooled = current + 1, [0] * len(x)
         pooled = [max(a, b) for a, b in zip(pooled, x)]
-    if events:
-        emit(current, pooled)
+    if rows:
+        out.append((current, pooled))
     return out
 
 

@@ -44,6 +44,7 @@ from oracles import (
     ref_head_forward,
     ref_infer_stream,
     ref_pointnet_conv,
+    ref_window_pool,
 )
 
 
@@ -66,9 +67,12 @@ def first_layer_one(pairs, p):
 
 
 def conv_rows(layer, rows, table):
-    """One stage over stage-input rows, their products taken first."""
-    return pointnet_conv(layer, stage_products(layer, rows, table.channel),
-                         table)
+    """One stage over stage-input rows: the history rows' products taken
+    first, the batch rows' inside the stage."""
+    hist = len(rows) - len(table.row)
+    node = np.zeros((len(rows), layer.out_width), np.int32)
+    stage_products(layer, rows[:hist], table.channel[:hist], out=node[:hist])
+    return pointnet_conv(layer, node, rows[hist:], table)
 
 
 def conv_one(layer, center, neighbors):
@@ -174,15 +178,20 @@ def test_pointnet_conv_rejects_bad_widths():
     with pytest.raises(ValidationError):  # a channel beyond int8 offsets
         stage_products(layer, np.zeros((2, 4), dtype=np.int8),
                        np.array([0, 128]))
-    node = stage_products(layer, np.zeros((2, 4), dtype=np.int8),
-                          table.channel)
-    assert node.dtype == np.int32 and node.shape == (2, 3)
-    pointnet_conv(layer, node, table)
+    x, node = np.ones((1, 4), dtype=np.int8), np.zeros((2, 3), np.int32)
+    pointnet_conv(layer, node, x, table)
+    node[:] = 12345              # a rejected call writes nothing
     for bad in (node[:1], np.concatenate([node, node]),   # row count
-                node[:, :2], np.zeros((2, 4), np.int32),  # width
+                node[:, :2], np.full((2, 4), 12345, np.int32),  # width
                 node.astype(np.int64), node[0]):
         with pytest.raises(ValidationError):
-            pointnet_conv(layer, bad, table)
+            pointnet_conv(layer, bad, x, table)
+        assert (bad == 12345).all()
+    for bad in (x[:, :3], np.ones((1, 5), np.int8),       # width
+                np.ones((2, 4), np.int8), x[0]):          # one row an event
+        with pytest.raises(ValidationError):
+            pointnet_conv(layer, node, bad, table)
+        assert (node == 12345).all()
     rows = np.ones((2, 4), dtype=np.int8)
     out = np.zeros((3, 3), np.int32)
     view = out[1:]                              # written in place
@@ -194,6 +203,7 @@ def test_pointnet_conv_rejects_bad_widths():
             stage_products(layer, rows, table.channel, out=bad)
     with pytest.raises(ValidationError):  # fewer rows than batch events
         pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),
+                      np.zeros((2, 4), dtype=np.int8),
                       NeighborTable(np.zeros((2, 0), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64),
                                     np.zeros((2, 0), dtype=np.int64),
@@ -359,52 +369,119 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
         channel[1] = 103
     else:
         dt[0, 1] = -33           # quantizes to -1
-    pointnet_conv(layer, node, NeighborTable(
+    x = np.array([[5, -7]], dtype=np.int8)
+    pointnet_conv(layer, node, x, NeighborTable(
         np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]]),
         np.array([[True, True]]), np.array([8, 13, 10])))  # consistent
+    node[2] = 12345              # any write of the event's products shows
+    before = node.copy()
     with pytest.raises(ValidationError):
-        pointnet_conv(layer, node,
+        pointnet_conv(layer, node, x,
                       NeighborTable(row, dc, dt, valid, channel))
+    np.testing.assert_array_equal(node, before)
+
+
+def _graph_batch(rng, channels=8):
+    """A neighbor table from a builder that has seen one earlier batch, so
+    it points into history rows as well as the batch's own."""
+    builder = GraphBuilder(channels, GraphParams(r_c=3, r_t_high=4000))
+    t = np.sort(rng.integers(0, 6000, size=int(rng.integers(2, 24))))
+    c = rng.integers(0, channels, size=len(t))
+    cut = int(rng.integers(1, len(t)))
+    builder.insert(t[:cut], c[:cut])
+    return builder.insert(t[cut:], c[cut:])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pointnet_conv_writes_its_products_in_place(seed):
+    rng = np.random.default_rng(seed)
+    in_w, out_w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    layer = rand_conv(rng, in_w, out_w)
+    table = _graph_batch(rng)
+    n = len(table.row)
+    x = rng.integers(-128, 128, size=(n, in_w)).astype(np.int8)
+    node = rng.integers(-2**20, 2**20, size=(len(table.channel), out_w),
+                        dtype=np.int32)
+    history = node[:-n].copy()
+    pointnet_conv(layer, node, x, table)
+    np.testing.assert_array_equal(
+        node[-n:], stage_products(layer, x, table.channel[-n:]))
+    np.testing.assert_array_equal(node[:-n], history)
 
 
 # ------------------------------------------------------------- window pool
 
+def _pooled(emissions):
+    return [(i, v.tolist()) for i, v in emissions]
+
+
 def test_window_pool_emits_gaps_as_zeros():
     pool = WindowPool(width=2, window_us=10)
-    assert pool.push(np.array([3, 1], dtype=np.int8), 0) == []
-    assert pool.push(np.array([1, 5], dtype=np.int8), 9) == []
-    out = pool.push(np.array([2, 2], dtype=np.int8), 35)
-    assert [(i, v.tolist()) for i, v in out] == [
-        (0, [3, 5]), (1, [0, 0]), (2, [0, 0])]
-    out = pool.flush()
-    assert [(i, v.tolist()) for i, v in out] == [(3, [2, 2])]
+    assert pool.push(np.array([[3, 1], [1, 5]], dtype=np.int8), [0, 9]) == []
+    out = pool.push(np.array([[2, 2], [0, 1]], dtype=np.int8), [35, 39])
+    assert _pooled(out) == [(0, [3, 5]), (1, [0, 0]), (2, [0, 0])]
+    zero = out[1][1]                    # one read-only zero, shared
+    assert out[2][1] is zero and not zero.flags.writeable
+    assert _pooled(pool.flush()) == [(3, [2, 2])]
+    assert pool.flush() == []
 
 
 def test_window_pool_flush_without_events():
     pool = WindowPool(width=2, window_us=10)
+    assert pool.push(np.zeros((0, 2), dtype=np.int8), []) == []
     assert pool.flush() == []
 
 
 def test_window_pool_boundary_times():
     pool = WindowPool(width=1, window_us=10)
-    pool.push(np.array([7], dtype=np.int8), 0)
-    out = pool.push(np.array([4], dtype=np.int8), 10)  # exactly next window
-    assert [(i, v.tolist()) for i, v in out] == [(0, [7])]
+    out = pool.push(np.array([[7], [4]], dtype=np.int8), [0, 10])
+    assert _pooled(out) == [(0, [7])]    # 10 is exactly the next window
 
 
 def test_window_pool_rejects_regression():
     pool = WindowPool(width=1, window_us=10)
-    pool.push(np.array([1], dtype=np.int8), 25)
-    with pytest.raises(OrderingError):
-        pool.push(np.array([1], dtype=np.int8), 15)
+    pool.push(np.array([[1]], dtype=np.int8), [25])
+    with pytest.raises(OrderingError):   # starts behind the open window
+        pool.push(np.array([[1], [1]], dtype=np.int8), [15, 30])
+    with pytest.raises(OrderingError):   # regresses within the chunk
+        pool.push(np.array([[1], [1]], dtype=np.int8), [31, 29])
+    with pytest.raises(ValidationError):  # one row a timestamp
+        pool.push(np.array([[1], [1]], dtype=np.int8), [31])
+    with pytest.raises(ValidationError):  # a chunk, not one row
+        pool.push(np.array([1], dtype=np.int8), 31)
+    with pytest.raises(ValidationError):  # the pool's width
+        pool.push(np.array([[1, 1]], dtype=np.int8), [31])
+    assert _pooled(pool.push(np.array([[3]], dtype=np.int8), [20])) == []
+    assert _pooled(pool.flush()) == [(2, [3])]
 
 
 def test_window_pool_max_is_elementwise():
     pool = WindowPool(width=3, window_us=100)
-    pool.push(np.array([5, -3, 0], dtype=np.int8), 1)
-    pool.push(np.array([2, 4, -1], dtype=np.int8), 2)
+    pool.push(np.array([[5, -3, 0], [2, 4, -1]], dtype=np.int8), [1, 2])
     out = pool.flush()
-    assert out[0][1].tolist() == [5, 4, 0]
+    assert out[0][1].tolist() == [5, 4, 0]   # each max starts from zeros
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_pool_pieces_match_oracle(data):
+    width = data.draw(st.integers(1, 4))
+    gaps = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 30),
+                                        st.integers(30, 400)), max_size=40))
+    start = data.draw(st.sampled_from([0, 7, 95]))
+    t = start + np.cumsum(gaps, dtype=np.int64)
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(-128, 127), min_size=width, max_size=width),
+        min_size=len(t), max_size=len(t))), dtype=np.int8).reshape(-1, width)
+    cuts = data.draw(st.lists(st.integers(0, len(t)), max_size=6))
+    pool = WindowPool(width, window_us=25)
+    got = []
+    bounds = [0, *sorted(cuts), len(t)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got += _pooled(pool.push(rows[lo:hi], t[lo:hi]))
+    assert got + _pooled(pool.flush()) == ref_window_pool(
+        t.tolist(), rows.tolist(), 25)
 
 
 # -------------------------------------------------------------------- head
@@ -757,6 +834,28 @@ def test_named_splits_equal_single_run(cfg64, cut, case):
                             window_us=1000).run(stream)
     assert [p.window_index for p in whole] == list(range(7))
     assert _same(_fed_in_pieces(stream, [cut]), whole)
+
+
+def test_long_gap_matches_oracle_whole_and_in_pieces():
+    # two 60-event bursts 1.2 s apart: over a thousand empty windows, all
+    # emitted by one push, or by pieces cut inside the gap
+    rng = np.random.default_rng(21)
+    burst = np.sort(rng.integers(0, 2500, size=60))
+    t = np.concatenate([burst, 1_200_000 + burst])
+    c = rng.integers(0, 32, size=len(t))
+    p = rng.choice([-1, 1], size=len(t))
+    stream = EventStream(SensorConfig(32), t.astype(np.int64),
+                         c.astype(np.int32), p.astype(np.int8))
+    expect = _oracle_predictions(SPLIT_WEIGHTS, stream, SPLIT_GRAPH, None,
+                                 1000)
+    last = int(t[-1]) // 1000
+    assert [w for w, _, _ in expect] == list(range(last + 1))
+    assert last + 1 - len(set((t // 1000).tolist())) >= 1000  # empty ones
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH,
+                            window_us=1000).run(stream)
+    assert _triples(whole) == expect
+    for cuts in ([60], [30, 60, 60, 90], [59, 61]):
+        assert _triples(_fed_in_pieces(stream, cuts)) == expect, cuts
 
 
 def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
