@@ -134,8 +134,10 @@ class EventStream:
             raise ValidationError(
                 f"record {bad}: channel {int(self.c[bad])} outside "
                 f"[0, {self.config.channels})")
-        if not np.isin(self.p, (-1, 1)).all():
-            bad = int(np.flatnonzero(~np.isin(self.p, (-1, 1)))[0])
+        # two comparisons, not np.isin, which sorts its input
+        polar = (self.p == 1) | (self.p == -1)
+        if not polar.all():
+            bad = int(np.flatnonzero(~polar)[0])
             raise ValidationError(
                 f"record {bad}: polarity {int(self.p[bad])} not in {{-1, +1}}")
 

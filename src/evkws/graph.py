@@ -16,6 +16,13 @@ Events go in as time-sorted batches, each answered with one table whose
 entries point into one history row per channel (the state before the batch)
 followed by the batch's own rows. Batch size never changes the answer; whole
 streams go through in batches of ``CHUNK`` events, which bounds memory.
+
+A batch of ``n`` events is answered from a ``(channels, n + 1)`` grid of the
+row each channel last held before each event. Every cell run of that grid
+holds one row, so the grid is filled by one ``np.repeat`` over the runs in
+start order, a segmented broadcast with no scan (Blelloch, "Prefix Sums and
+Their Applications", CMU-CS-90-190); each neighbor column then costs two
+gathers. Only each channel's last cell outlives the batch.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ from .quant import I8_MAX, quantize_dt
 # Events per batch when a whole stream is processed. Larger batches spread
 # each stage call's fixed cost over more events, and with the engine carrying
 # stage products a batch multiplies only its own rows. On the 128-channel
-# benchmark workload (bench/run.py wide_raw, 2-vCPU x86_64) 256 ran at about
-# 9.4 us/event against 10.6 for 128; 512 ran at 8.1 but raised peak resident
-# memory 4-4.5%, too close to the benchmark's 5% bound.
+# benchmark workload (bench/run.py wide_raw, 2-vCPU x86_64) 256 ran about 11%
+# faster per event than 128 when it was chosen; since the engine's stages
+# write into preallocated node buffers, 512 and 1024 gave no consistent gain
+# and raised peak resident memory by 1.3-3.8 MB.
 CHUNK = 256
 
 
@@ -119,7 +127,8 @@ class GraphBuilder:
     """One-record-per-channel incremental neighborhood builder.
 
     After ``insert``, ``latest[ch]`` is the row of channel ``ch``'s latest
-    event among that batch's history and batch rows.
+    event among that batch's history and batch rows, in an array of its own
+    (the batch's grid is not kept).
     """
 
     def __init__(self, channels: int, params: GraphParams):
@@ -131,6 +140,13 @@ class GraphBuilder:
         self.dc = np.array([k * params.skip_step
                             for k in range(-reach, reach + 1) if k],
                            dtype=np.int64)
+        # (K, channels): column k's target channel for an event on each
+        # channel, 0 where the target lies off the sensor, and that mask
+        target = np.arange(channels) + self.dc[:, None]
+        self._inside = (target >= 0) & (target < channels)
+        self._target = np.where(self._inside, target, 0)
+        for table in (self._inside, self._target):
+            table.flags.writeable = False
         self.reset()
 
     def reset(self) -> None:
@@ -147,36 +163,46 @@ class GraphBuilder:
         if n and (c.min() < 0 or c.max() >= channels):
             bad = int(c[(c < 0) | (c >= channels)][0])
             raise ValidationError(f"channel {bad} outside [0, {channels})")
-        if n and (t[0] < self._last_t or (np.diff(t) < 0).any()):
+        if n and (t[0] < self._last_t or (t[1:] < t[:-1]).any()):
             raise OrderingError(
                 f"timestamps regress within the batch or before the last "
                 f"inserted {self._last_t}")
-        # latest[j, ch]: row of the latest event on ch before batch event j.
-        # Batch rows follow the history rows, so a running max picks them.
-        latest = np.empty((n + 1, channels), dtype=np.int64)
-        latest[0] = np.arange(channels)
-        latest[1:] = -1
-        latest[np.arange(1, n + 1), c] = channels + np.arange(n)
-        np.maximum.accumulate(latest, axis=0, out=latest)
-        # (K, n): one row per neighbor column, indexing latest[:n] flat
-        target = c + self.dc[:, None]
-        inside = (target >= 0) & (target < channels)
-        target = np.where(inside, target, 0)
-        target += np.arange(0, n * channels, channels)
-        row = latest.ravel().take(target)
+        # grid[ch * span + j]: row of the latest event on ch before batch
+        # event j (j = n: after the batch). Channel ch's cells hold its
+        # history row ch from ch * span, and batch event i's row
+        # channels + i from c[i] * span + i + 1, each until the next run
+        # starts. The starts are distinct; sorted, their indices are the
+        # runs' rows and their gaps the run lengths (np.diff with append
+        # would concatenate first).
+        span = n + 1
+        starts = np.concatenate([np.arange(0, channels * span, span),
+                                 c * span + np.arange(1, span)])
+        rows = np.argsort(starts, kind="stable")
+        first = starts.take(rows)
+        lengths = np.empty_like(first)
+        lengths[:-1] = first[1:]
+        lengths[-1] = channels * span
+        lengths -= first
+        grid = np.repeat(rows, lengths)
+        # (K, n): one row per neighbor column, indexing the grid flat; an
+        # off-sensor target reads channel 0 and is masked out
+        target = self._target.take(c, axis=1)
+        target *= span
+        target += np.arange(n)
+        row = grid.take(target)
         times = np.concatenate([self._t, t])
-        dt = t - times[row]
+        dt = t - times.take(row)
         seen = np.concatenate([self._seen, np.ones(n, dtype=bool)])
         params = self.params
-        valid = (inside & seen[row] & (dt >= params.r_t_low)
-                 & (dt <= params.r_t_high))
-        self.latest = latest[n]
+        valid = (self._inside.take(c, axis=1) & seen.take(row)
+                 & (dt >= params.r_t_low) & (dt <= params.r_t_high))
+        self.latest = grid[n::span].copy()
         self._t = times[self.latest]
         self._seen = seen[self.latest]
         if n:
             self._last_t = int(t[-1])
         return NeighborTable(row.T, self.dc, dt.T, valid.T,
-                             np.concatenate([latest[0], c]))
+                             np.concatenate([np.arange(channels), c]))
 
     def insert_event(self, event: Event) -> NeighborTable:
         """Query neighbors for one event, then record it on its channel."""
@@ -192,7 +218,8 @@ def _tables(stream: EventStream, params: GraphParams):
 
 def edges_per_event(stream: EventStream, params: GraphParams) -> np.ndarray:
     """Edge count of every event's neighbor set, in stream order."""
-    counts = [table.valid.sum(axis=1) for _, table in _tables(stream, params)]
+    counts = [table.valid.T.sum(axis=0)
+              for _, table in _tables(stream, params)]
     return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
 

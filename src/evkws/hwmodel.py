@@ -77,8 +77,10 @@ class HwParams:
         if self.flush_timeout_us < 0:
             raise ValidationError("flush timeout must be non-negative")
 
-    def cycles(self, edges: int) -> int:
-        if edges < 0:
+    def cycles(self, edges: int | np.ndarray) -> int | np.ndarray:
+        """Cycles to process an event with ``edges`` neighbors: the one cycle
+        rule, for an int (giving an int) or an array of edge counts."""
+        if (np.asarray(edges) < 0).any():
             raise ValidationError("edge count must be non-negative")
         return self.cycle_base + self.cycle_per_vertex * (1 + edges)
 
@@ -86,10 +88,7 @@ class HwParams:
         """Service time for an edge count or an array of them. Float64, so
         no count wraps (cycle counts below 2**53 are exact); dividing by MHz
         makes the common defaults come out exact in binary."""
-        edges = np.asarray(edges)
-        if (edges < 0).any():
-            raise ValidationError("edge counts must be non-negative")
-        return ((self.cycle_base + self.cycle_per_vertex * (edges + 1.0))
+        return (self.cycles(np.asarray(edges, dtype=np.float64))
                 / (self.clock_hz / 1e6))
 
 

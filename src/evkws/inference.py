@@ -180,7 +180,8 @@ class WindowPool:
             raise OrderingError(
                 f"rows at {t[0]}..{t[-1]} us regress or start before "
                 f"window {self._current}")
-        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                window[1:] != window[:-1])))
         maxes = np.maximum.reduceat(features, starts, axis=0)
         acc = self._zero if self._acc is None else self._acc
         emitted: list[tuple[int, np.ndarray]] = []

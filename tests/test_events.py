@@ -91,6 +91,36 @@ def test_validate_rejects_bad_polarity(cfg64):
         _raw(cfg64, [(0, 0, 2)])
 
 
+# polarity columns of other dtypes: values are compared, never wrapped, so a
+# uint8 255 (int8 -1) or a float 1.5 is refused and a bool True is +1
+@pytest.mark.parametrize("dtype, values, refused", [
+    (np.int8, [1, -1, 1], None),
+    (np.int8, [1, 0], "record 1: polarity 0"),
+    (np.int64, [-1, 1], None),
+    (np.int64, [-1, 255], "record 1: polarity 255"),
+    (np.int64, [2, 0], "record 0: polarity 2"),
+    (np.uint8, [1, 1], None),
+    (np.uint8, [1, 255], "record 1: polarity 255"),
+    (np.uint8, [0, 1], "record 0: polarity 0"),
+    (np.bool_, [True, True], None),
+    (np.bool_, [True, False], "record 1: polarity 0"),
+    (np.float64, [1.0, -1.0], None),
+    (np.float64, [1.0, 1.5], "record 1: polarity 1"),
+    (np.float64, [-1.0, 2.0], "record 1: polarity 2"),
+])
+def test_polarity_check_across_dtypes(cfg64, dtype, values, refused):
+    p = np.array(values, dtype=dtype)
+    t, c = np.arange(len(p)), np.zeros(len(p), dtype=np.int32)
+    if refused is None:
+        stream = EventStream(cfg64, t, c, p)
+        assert stream.p.dtype == np.int8
+        assert stream.p.tolist() == [int(v) for v in values]
+    else:
+        with pytest.raises(ValidationError) as err:
+            EventStream(cfg64, t, c, p)
+        assert str(err.value) == refused + " not in {-1, +1}"
+
+
 def test_validate_rejects_timestamp_overflow(cfg64):
     for t in (T_LIMIT, -1):
         with pytest.raises(ValidationError, match="unsigned 32 bits"):

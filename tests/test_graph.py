@@ -17,6 +17,7 @@ from evkws import (
     ValidationError,
     edges_per_event,
 )
+from evkws.events import SUPPORTED_CHANNEL_COUNTS
 from evkws.graph import CHUNK, dump_neighbors
 
 from oracles import brute_force_neighbors, linear_scan_neighbors
@@ -176,6 +177,58 @@ def test_batched_query_and_edge_counts(events, params, chunk):
     assert got == expect
     counts = edges_per_event(stream, params)
     assert [len(e) for e in expect] == counts.tolist()
+
+
+@st.composite
+def wide_streams(draw):
+    """Channel count (1, 2, 64 or 128) and up to ~700 sorted events, spread
+    over the channels or a one-channel burst, with equal timestamps (zero
+    gaps) in both."""
+    channels = draw(st.sampled_from([1, 2, 64, 128]))
+    n = draw(st.integers(0, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.cumsum(rng.integers(0, draw(st.sampled_from([1, 3, 40, 400])), n))
+    if draw(st.booleans()):
+        c = np.full(n, rng.integers(0, channels))
+    else:
+        c = rng.integers(0, channels, n)
+    return channels, t, c
+
+
+@given(drawn=wide_streams(),
+       params=st.builds(GraphParams, r_c=st.integers(0, 12),
+                        skip_step=st.integers(1, 4),
+                        r_t_low=st.integers(0, 60),
+                        r_t_high=st.integers(60, 3000)),
+       sizes=st.lists(st.integers(0, 2 * CHUNK), min_size=1, max_size=4)
+       .filter(any))
+@settings(max_examples=40, deadline=None)
+def test_batched_insert_on_wide_and_bursty_streams(drawn, params, sizes):
+    # empty batches included; each batch's answers equal the stateless
+    # rescan, and its carried rows equal a plain scan of that batch
+    channels, t, c = drawn
+    builder = GraphBuilder(channels, params)
+    got, start, k = [], 0, 0
+    while start < len(t) or k < len(sizes):
+        size = sizes[k % len(sizes)]
+        k += 1
+        bt, bc = t[start:start + size], c[start:start + size]
+        table = builder.insert(bt, bc)
+        for i in range(len(bt)):
+            ev = (int(bt[i]), int(bc[i]), 1)
+            pairs = table.pairs(i, ev[1])
+            assert pairs == brute_force_neighbors(
+                t[:start + i], c[:start + i], channels, ev, params)
+            got.append(len(pairs))
+        last = list(range(channels))
+        for i, ch in enumerate(bc.tolist()):
+            last[ch] = channels + i
+        assert builder.latest.tolist() == last
+        assert builder.latest.base is None
+        start += size
+    if channels in SUPPORTED_CHANNEL_COUNTS:  # a stream needs a real sensor
+        stream = EventStream(SensorConfig(channels), t, c, np.ones_like(c))
+        assert edges_per_event(stream, params).tolist() == got
 
 
 def test_batch_rejects_regressing_or_foreign_events():
