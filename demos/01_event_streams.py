@@ -14,7 +14,8 @@ profile = np.linspace(900.0, 120.0, config.channels)
 stream = synth_stream(seed=7, config=config, duration_us=500_000,
                       rate_profile=profile)
 print(f"{len(stream)} events over {stream.t[-1] - stream.t[0]} us")
-print("first five:", [tuple(e) for e in list(stream)[:5]])
+print("first five:", list(zip(stream.t[:5].tolist(), stream.c[:5].tolist(),
+                               stream.p[:5].tolist())))
 
 workdir = tempfile.mkdtemp()
 

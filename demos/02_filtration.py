@@ -44,4 +44,4 @@ tiny = EventStream.from_events(config, [(0, 0, 1), (100, 0, 1), (300, 0, 1)])
 params = FiltrationParams(div_factor=8, weight=32,
                           thresholds=np.full(64, 64, dtype=np.int64))
 out = filter_stream(tiny, params)
-print("hand trace survivors:", [e.t for e in out], "(expected [100])")
+print("hand trace survivors:", out.t.tolist(), "(expected [100])")

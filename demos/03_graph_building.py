@@ -16,33 +16,34 @@ print(f"reach {params.r_c} channels at stride {params.skip_step}, "
 print(f"degree can never exceed {params.max_degree}")
 
 
-def rescan(history, event):
-    """Neighbors recomputed from the full history: the latest earlier event
-    on each reachable channel, kept if its age fits the window."""
-    latest = {prior.c: prior for prior in history}
+def rescan(i):
+    """Neighbors of event i recomputed from the full history: the latest
+    earlier event on each reachable channel, kept if its age fits the
+    window."""
+    latest = dict(zip(stream.c[:i].tolist(), stream.t[:i].tolist()))
+    t, c = int(stream.t[i]), int(stream.c[i])
     reach = params.r_c // params.skip_step
     found = []
     for k in range(-reach, reach + 1):
-        prior = latest.get(event.c + k * params.skip_step)
+        ch = c + k * params.skip_step
+        prior = latest.get(ch)
         if k and prior is not None and \
-                params.r_t_low <= event.t - prior.t <= params.r_t_high:
-            found.append((prior.c, event.t - prior.t))
+                params.r_t_low <= t - prior <= params.r_t_high:
+            found.append((ch, t - prior))
     return found
 
 
 builder = GraphBuilder(config.channels, params)
 degrees = np.zeros(len(stream), dtype=np.int64)
 for start in range(0, len(stream), CHUNK):
-    # one neighbor table per chunk: one row per event, one column per offset
-    table = builder.insert(stream.t[start:start + CHUNK],
-                           stream.c[start:start + CHUNK])
-    degrees[start:start + len(table.row)] = table.valid.sum(axis=1)
+    # one neighbor table per chunk: one row per offset, one column per event
+    c = stream.c[start:start + CHUNK]
+    table = builder.insert(stream.t[start:start + CHUNK], c)
+    degrees[start:start + len(c)] = table.valid.sum(axis=0)
     # spot-check a handful against the stateless rescan of full history
-    for i in range(len(table.row)):
+    for i in range(len(c)):
         if (start + i) % 1000 == 0:
-            event = stream.event(start + i)
-            history = [stream.event(j) for j in range(start + i)]
-            assert table.pairs(i, event.c) == rescan(history, event)
+            assert table.pairs(i, int(c[i])) == rescan(start + i)
 
 print(f"checked {len(stream)} events in chunks of {CHUNK}, "
       f"mean degree {degrees.mean():.2f}, max {degrees.max()}")

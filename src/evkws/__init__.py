@@ -10,7 +10,7 @@ implementation.
 
 from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
                      ValidationError)
-from .events import (DEFAULT_WINDOW_US, Event, EventStream, SensorConfig,
+from .events import (DEFAULT_WINDOW_US, EventStream, SensorConfig,
                      StreamStats, compute_stats, read_stream, synth_stream,
                      write_stream)
 from .filtering import (FiltrationParams, ThresholdSchedule, filter_stream,
@@ -21,8 +21,7 @@ from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       throughput_envelope)
 from .inference import (HeadState, InferenceEngine, Prediction, RunState,
                         WindowPool, first_layer_inputs, gru_step, head_forward,
-                        pointnet_conv, stage_products,
-                        summarize_predictions)
+                        pointnet_conv, summarize_predictions)
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
 from .model import (ConvLayer, GruBlock, LinearBlock, ModelArch, ModelWeights,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "EvkwsError", "OrderingError", "ParseError",
     "ValidationError",
-    "DEFAULT_WINDOW_US", "Event", "EventStream", "SensorConfig",
+    "DEFAULT_WINDOW_US", "EventStream", "SensorConfig",
     "StreamStats", "compute_stats", "read_stream", "synth_stream",
     "write_stream",
     "FiltrationParams", "ThresholdSchedule", "filter_stream",
@@ -45,7 +44,7 @@ __all__ = [
     "latency_report", "simulate", "throughput_envelope",
     "HeadState", "InferenceEngine", "Prediction", "RunState", "WindowPool",
     "first_layer_inputs", "gru_step", "head_forward", "pointnet_conv",
-    "stage_products", "summarize_predictions",
+    "summarize_predictions",
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",
     "metric_report", "read_records", "ts_accuracy",
     "ConvLayer", "GruBlock", "LinearBlock", "ModelArch", "ModelWeights",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,12 +59,15 @@ _CSV_HEADER = "t,c,p"
 _INT64 = np.iinfo(np.int64)
 
 
-class Event(NamedTuple):
-    """One address-event: timestamp in microseconds, channel, polarity."""
-
-    t: int
-    c: int
-    p: int
+def check_polarity(p: np.ndarray) -> None:
+    """Raise ValidationError naming the first record whose polarity is not
+    +1 or -1."""
+    # two comparisons, not np.isin, which sorts its input
+    polar = (p == 1) | (p == -1)
+    if not polar.all():
+        bad = int(np.flatnonzero(~polar)[0])
+        raise ValidationError(
+            f"record {bad}: polarity {int(p[bad])} not in {{-1, +1}}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,7 @@ class EventStream:
             raise ValidationError(
                 f"record {bad}: channel {int(self.c[bad])} outside "
                 f"[0, {self.config.channels})")
-        # two comparisons, not np.isin, which sorts its input
-        polar = (self.p == 1) | (self.p == -1)
-        if not polar.all():
-            bad = int(np.flatnonzero(~polar)[0])
-            raise ValidationError(
-                f"record {bad}: polarity {int(self.p[bad])} not in {{-1, +1}}")
+        check_polarity(self.p)
 
     @classmethod
     def from_events(cls, config: SensorConfig,
@@ -158,13 +156,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self) -> Iterator[Event]:
-        for t, c, p in zip(self.t.tolist(), self.c.tolist(), self.p.tolist()):
-            yield Event(t, c, p)
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.c[i]), int(self.p[i]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):

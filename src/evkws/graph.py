@@ -12,17 +12,20 @@ the degree of any neighbor set is at most ``2 * floor(r_c / skip_step)``.
 ``dt`` is always non-negative; zero-age edges across channels exist only when
 ``r_t_low`` is 0.
 
-Events go in as time-sorted batches, each answered with one table whose
-entries point into one history row per channel (the state before the batch)
-followed by the batch's own rows. Batch size never changes the answer; whole
-streams go through in batches of ``CHUNK`` events, which bounds memory.
+Events go in as time-sorted batches of timestamp and channel columns, each
+answered with one ``(K, n)`` table, one row per channel offset and one
+column per event, whose entries point into one history row per channel (the
+state before the batch) followed by the batch's own rows. The builder makes
+the table in that layout and every reader uses it so. Batch size never
+changes the answer; whole streams go through in batches of ``CHUNK`` events,
+which bounds memory.
 
 A batch of ``n`` events is answered from a ``(channels, n + 1)`` grid of the
 row each channel last held before each event. Every cell run of that grid
 holds one row, so the grid is filled by one ``np.repeat`` over the runs in
 start order, a segmented broadcast with no scan (Blelloch, "Prefix Sums and
-Their Applications", CMU-CS-90-190); each neighbor column then costs two
-gathers. Only each channel's last cell outlives the batch.
+Their Applications", CMU-CS-90-190); each offset's row of the table then
+costs two gathers. Only each channel's last cell outlives the batch.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import Event, EventStream
+from .events import EventStream
 from .quant import I8_MAX, quantize_dt
 
 # Events per batch when a whole stream is processed. Larger batches spread
@@ -74,44 +77,44 @@ class GraphParams:
 
 @dataclass(frozen=True)
 class NeighborTable:
-    """Neighbors of a batch of ``n`` events, one row per event.
+    """Neighbors of a batch of ``n`` events, one column per event.
 
-    ``row[i, k]`` indexes the rows of one history event per channel followed
+    ``row[k, i]`` indexes the rows of one history event per channel followed
     by the batch events, ``channel[r]`` being row ``r``'s channel. ``dc[k]``
-    is column ``k``'s channel offset (the row's channel minus the event's),
-    ``dt[i, k]`` the age of that vertex and ``valid[i, k]`` whether it is a
+    is row ``k``'s channel offset (the row's channel minus the event's),
+    ``dt[k, i]`` the age of that vertex and ``valid[k, i]`` whether it is a
     neighbor at all. Channels and the offsets of valid entries lie within
     [-127, 127], and their ages quantize to at least 0. The length is the
-    number of edges. ``GraphBuilder.insert`` lays each neighbor column out
-    contiguously: its tables hold ``(n, K)`` views of ``(K, n)`` arrays,
-    which ``gather`` and the stage-1 features read through ``.T`` without
-    a copy.
+    number of edges. ``GraphBuilder.insert`` builds ``row``, ``dt`` and
+    ``valid`` as C-contiguous ``(K, n)`` arrays, so the ``n`` entries of
+    each offset are one contiguous row, which ``gather`` and the stage-1
+    features read as they are.
     """
 
-    row: np.ndarray      # int64, (n, K)
+    row: np.ndarray      # int64, (K, n)
     dc: np.ndarray       # int64, (K,)
-    dt: np.ndarray       # int64, (n, K)
-    valid: np.ndarray    # bool, (n, K)
+    dt: np.ndarray       # int64, (K, n)
+    valid: np.ndarray    # bool, (K, n)
     channel: np.ndarray  # int64, (history + n,)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
 
     def pairs(self, i: int, center_channel: int) -> list[tuple[int, int]]:
-        """(channel, dt) of each neighbor of row ``i``, ascending channel."""
+        """(channel, dt) of each neighbor of event ``i``, ascending channel."""
         return [(center_channel + dc, dt) for dc, dt, ok in zip(
-            self.dc.tolist(), self.dt[i].tolist(), self.valid[i].tolist())
-            if ok]
+            self.dc.tolist(), self.dt[:, i].tolist(),
+            self.valid[:, i].tolist()) if ok]
 
     @cached_property
     def gather(self) -> tuple[np.ndarray, np.ndarray]:
         """``(K, n)`` rows and quantized ages, one gather per column, where
         a missing neighbor repeats the event's own row at age 0. Checked
         once per table: indices in range, valid entries as documented."""
-        row, valid, channel = self.row.T, self.valid.T, self.channel
+        row, valid, channel = self.row, self.valid, self.channel
         n, total = row.shape[1], len(channel)
         own = np.arange(total - n, total)
-        age = quantize_dt(self.dt.T) * valid
+        age = quantize_dt(self.dt) * valid
         if (total < n or ((row < 0) | (row >= total)).any()
                 or (np.abs(channel) > I8_MAX).any()
                 or (valid & ((channel[row] != channel[own] + self.dc[:, None])
@@ -140,33 +143,43 @@ class GraphBuilder:
         self.dc = np.array([k * params.skip_step
                             for k in range(-reach, reach + 1) if k],
                            dtype=np.int64)
-        # (K, channels): column k's target channel for an event on each
+        # (K, channels): offset k's target channel for an event on each
         # channel, 0 where the target lies off the sensor, and that mask
         target = np.arange(channels) + self.dc[:, None]
         self._inside = (target >= 0) & (target < channels)
         self._target = np.where(self._inside, target, 0)
         for table in (self._inside, self._target):
             table.flags.writeable = False
-        self.reset()
-
-    def reset(self) -> None:
-        self._t = np.zeros(self.channels, dtype=np.int64)
-        self._seen = np.zeros(self.channels, dtype=bool)
+        self._t = np.zeros(channels, dtype=np.int64)
+        self._seen = np.zeros(channels, dtype=bool)
         self._last_t = 0
-        self.latest = np.arange(self.channels)
+        self.latest = np.arange(channels)
 
-    def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
-        """Query neighbors for a time-sorted batch, then record it."""
+    def check(self, t, c) -> tuple[np.ndarray, np.ndarray]:
+        """A batch's timestamp and channel columns as int64, once they pass
+        ``insert``'s checks: one dimension and one length (ValidationError),
+        channels on the sensor (ValidationError), timestamps non-decreasing
+        from the last inserted one (OrderingError). Records nothing."""
         t = np.asarray(t, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
-        n, channels = len(t), self.channels
-        if n and (c.min() < 0 or c.max() >= channels):
+        if t.ndim != 1 or c.shape != t.shape:
+            raise ValidationError(
+                f"timestamps {t.shape} and channels {c.shape} are not two "
+                "columns of one length")
+        channels = self.channels
+        if len(t) and (c.min() < 0 or c.max() >= channels):
             bad = int(c[(c < 0) | (c >= channels)][0])
             raise ValidationError(f"channel {bad} outside [0, {channels})")
-        if n and (t[0] < self._last_t or (t[1:] < t[:-1]).any()):
+        if len(t) and (t[0] < self._last_t or (t[1:] < t[:-1]).any()):
             raise OrderingError(
                 f"timestamps regress within the batch or before the last "
                 f"inserted {self._last_t}")
+        return t, c
+
+    def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
+        """Query neighbors for a time-sorted batch, then record it."""
+        t, c = self.check(t, c)
+        n, channels = len(t), self.channels
         # grid[ch * span + j]: row of the latest event on ch before batch
         # event j (j = n: after the batch). Channel ch's cells hold its
         # history row ch from ch * span, and batch event i's row
@@ -201,12 +214,13 @@ class GraphBuilder:
         self._seen = seen[self.latest]
         if n:
             self._last_t = int(t[-1])
-        return NeighborTable(row.T, self.dc, dt.T, valid.T,
+        return NeighborTable(row, self.dc, dt, valid,
                              np.concatenate([np.arange(channels), c]))
 
-    def insert_event(self, event: Event) -> NeighborTable:
-        """Query neighbors for one event, then record it on its channel."""
-        return self.insert([event.t], [event.c])
+    def insert_event(self, t: int, c: int) -> NeighborTable:
+        """``insert`` of the one-event batch ``([t], [c])``. Nothing in the
+        package calls it; bench/worker.py still wraps it by name."""
+        return self.insert([t], [c])
 
 
 def _tables(stream: EventStream, params: GraphParams):
@@ -218,7 +232,7 @@ def _tables(stream: EventStream, params: GraphParams):
 
 def edges_per_event(stream: EventStream, params: GraphParams) -> np.ndarray:
     """Edge count of every event's neighbor set, in stream order."""
-    counts = [table.valid.T.sum(axis=0)
+    counts = [table.valid.sum(axis=0)
               for _, table in _tables(stream, params)]
     return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
@@ -226,7 +240,7 @@ def edges_per_event(stream: EventStream, params: GraphParams) -> np.ndarray:
 def dump_neighbors(stream: EventStream, params: GraphParams, fh: IO[str]) -> None:
     """Write one JSON line per event: {t, c, neighbors: [{c, dt}, ...]}."""
     for start, table in _tables(stream, params):
-        for i in range(len(table.row)):
+        for i in range(table.row.shape[1]):
             t, c = int(stream.t[start + i]), int(stream.c[start + i])
             fh.write(json.dumps({
                 "t": t,

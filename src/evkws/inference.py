@@ -14,28 +14,30 @@ Stage-1 input features of an event are [mean neighbor channel offset, mean
 neighbor age (scaled), polarity], zeros when the neighborhood is empty.
 
 A stream runs in chunks of ``CHUNK`` events, one stage at a time over a
-chunk's neighbor table. Requantize (scale_num >= 1) and ReLU are monotone,
-so the maximum over vertices is taken on the accumulators and requantize
-runs once per event and stage. Every vertex of event i then shares one term,
-as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128: ch_j
-joins the vertex's product ``[x_j, ch_j] @ [Wx, w_dc].T`` as one more input
-and ch_i * w_dc comes off after the maximum, with the bias. That product
-depends on the vertex alone, so each stage (``pointnet_conv``) computes it
-with ``stage_products`` once, for the chunk's own events, and every later
-event that takes the vertex as a neighbor reuses it. A missing neighbor
-repeats the self vertex, so each neighbor column costs two gathers, an add
-and a maximum. The terms that depend on position alone come from tables each
-layer builds once, when it is built (``ConvLayer.age_table`` and
-``channel_table``), so no chunk derives anything from the weights. Weights
-are checked at load time so that no accumulator or partial value reaches
-2**31 (|bias| + 128*sum|w| per row), which keeps int32 accumulation exact.
-Products run in float32 wherever 128*sum|w| of every row is at most 2**24,
-which float32 holds exactly, and in float64 otherwise (``Block.weight_t``).
-Requantize clamps each int32 accumulator to the window outside which its
-output saturates, so it scales in int32 and folds the ReLU into that clamp.
-A ``RunState`` carries each channel's latest stage products, the open window
-and the recurrent state across chunks, in one int32 node buffer per stage,
-so chunk boundaries never change the result.
+chunk's ``(K, n)`` neighbor table, whose rows are the chunk's neighbor
+columns (one channel offset each). Requantize (scale_num >= 1) and ReLU are
+monotone, so the maximum over vertices is taken on the accumulators and
+requantize runs once per event and stage. Every vertex of event i then shares
+one term, as dc_j * w_dc = ch_j * w_dc - ch_i * w_dc for channels below 128:
+ch_j joins the vertex's product ``[x_j, ch_j] @ [Wx, w_dc].T`` as one more
+input and ch_i * w_dc comes off after the maximum, with the bias. That
+product depends on the vertex alone, so each stage (``pointnet_conv``)
+computes it once, for the chunk's own events, in one matrix product written
+into the stage's node buffer, and every later event that takes the vertex as
+a neighbor reuses it. A missing neighbor repeats the self vertex, so each
+neighbor column costs two gathers, an add and a maximum. The terms that
+depend on position alone come from tables each layer builds once, when it is
+built (``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
+anything from the weights. Weights are checked at load time so that no
+accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
+which keeps int32 accumulation exact. Products run in float32 wherever
+128*sum|w| of every row is at most 2**24, which float32 holds exactly, and in
+float64 otherwise (``Block.weight_t``). Requantize clamps each int32
+accumulator to the window outside which its output saturates, so it scales in
+int32 and folds the ReLU into that clamp. A ``RunState`` carries each
+channel's latest stage products, the open window and the recurrent state
+across chunks, in one int32 node buffer per stage, so chunk boundaries never
+change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import DEFAULT_WINDOW_US, EventStream
+from .events import DEFAULT_WINDOW_US, EventStream, check_polarity
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
@@ -67,72 +69,45 @@ from .quant import (I8_MAX, I8_MIN, div_round_half_away,
 
 def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
     """Stage-1 feature rows of a batch of events (int8, ``(n, 3)``)."""
-    valid = table.valid.T  # (K, n), as the builder made it
-    count = np.maximum(valid.sum(axis=0), 1)
-    mean_dc = div_round_half_away(table.dc @ valid, count)
+    count = np.maximum(table.valid.sum(axis=0), 1)
+    mean_dc = div_round_half_away(table.dc @ table.valid, count)
     mean_dt = div_round_half_up_nonneg(
-        (table.dt.T * valid).sum(axis=0), count)
+        (table.dt * table.valid).sum(axis=0), count)
     return np.stack([saturate_i8(mean_dc), quantize_dt(mean_dt),
                      np.asarray(p, dtype=np.int8)], axis=1)
 
 
-def stage_products(layer: ConvLayer, rows: np.ndarray, channel: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Vertex products ``[x, ch] @ [Wx, w_dc].T`` of stage-input rows.
-
-    ``rows`` holds int8 stage inputs and ``channel`` each row's channel.
-    Returns int32 ``(len(rows), out_width)``: one row per vertex, computed
-    once and reused by every event that takes that vertex as a neighbor.
-    With ``out`` (int32 of that shape) the products are cast into it.
-    """
-    in_w = layer.in_width
-    channel = np.asarray(channel)
-    if (rows.ndim != 2 or rows.shape[1] != in_w
-            or channel.shape != (len(rows),)):
-        raise ValidationError(
-            f"stage inputs have shape {rows.shape} with {channel.shape} "
-            f"channels, stage expects (rows, {in_w}) with one channel a row")
-    if len(channel) and np.abs(channel).max() > I8_MAX:
-        raise ValidationError(f"channels beyond +-{I8_MAX}")
-    # exact in weight_t's dtype: float32 wherever it holds every partial sum
-    weight_t = layer.weight_t[:in_w + 1]
-    ext = np.empty((len(rows), in_w + 1), weight_t.dtype)
-    ext[:, :in_w] = rows
-    ext[:, in_w] = channel
-    if out is None:
-        out = np.empty((len(rows), layer.out_width), np.int32)
-    elif out.dtype != np.int32 or out.shape != (len(rows), layer.out_width):
-        raise ValidationError(
-            f"product rows are {out.dtype} {out.shape}, stage writes int32 "
-            f"({len(rows)}, {layer.out_width})")
-    out[...] = ext @ weight_t
-    return out
-
-
 def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
                   table: NeighborTable) -> np.ndarray:
-    """One convolution stage over a batch of events.
+    """One convolution stage over a batch of ``n`` events.
 
-    ``x`` holds the batch's int8 stage inputs, one row per event, and
-    ``node`` the ``stage_products`` of the rows ``table.row`` points into;
-    the call checks all three, then writes the batch's own products into
-    the last ``len(x)`` rows of ``node`` (their self vertices). Each
-    neighbor adds its age term from the layer's ``age_table``; after the
-    maximum, each event adds ``bias - ch_i * w_dc`` from its
-    ``channel_table``. Both tables are built with the layer, so a call
-    derives nothing from the weights. Returns the rectified int8 outputs,
-    one row per batch event. Invariant under neighbor order, and
+    ``x`` holds the batch's int8 stage inputs, ``(n, in_width)``, and
+    ``node`` the int32 vertex products ``[x, ch] @ [Wx, w_dc].T`` of the
+    rows ``table.row`` points into; the call checks all three, then writes
+    the batch's own products into the last ``n`` rows of ``node`` (their
+    self vertices), where every later event that takes them as neighbors
+    reads them. Each neighbor adds its age term from the layer's
+    ``age_table``; after the maximum, each event adds ``bias - ch_i * w_dc``
+    from its ``channel_table``. Both tables are built with the layer, so a
+    call derives nothing from the weights. Returns the rectified int8
+    outputs, one row per batch event. Invariant under neighbor order, and
     element-wise non-decreasing when vertices are added.
     """
-    n, out_w = len(table.row), layer.out_width
+    n, in_w, out_w = table.row.shape[1], layer.in_width, layer.out_width
     if node.dtype != np.int32 or node.shape != (len(table.channel), out_w):
         raise ValidationError(
             f"stage products are {node.dtype} {node.shape}, stage expects "
             f"int32 ({len(table.channel)}, {out_w})")
+    if x.shape != (n, in_w):
+        raise ValidationError(
+            f"stage inputs have shape {x.shape}, stage expects ({n}, {in_w})")
     nbr, age = table.gather  # indices and channels checked here
     own = len(node) - n
-    best = stage_products(layer, x, table.channel[own:],
-                          out=node[own:]).copy()
+    # exact in weight_t's dtype: float32 wherever it holds every partial sum
+    weight_t = layer.weight_t[:in_w + 1]
+    node[own:] = np.concatenate([x, table.channel[own:, None]], axis=1,
+                                dtype=weight_t.dtype) @ weight_t
+    best = node[own:].copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
     for k in range(len(nbr)):
         node.take(nbr[k], axis=0, out=cand, mode="clip")
@@ -327,7 +302,20 @@ class RunState:
 
     def feed(self, t: np.ndarray, c: np.ndarray,
              p: np.ndarray) -> list[Prediction]:
-        """Run events; returns the predictions of the windows they closed."""
+        """Run events; returns the predictions of the windows they closed.
+
+        The three columns are checked whole before any event runs (as
+        ``GraphBuilder.check`` checks a batch, and polarity +1 or -1), so a
+        refused call leaves the run as it was.
+        """
+        # the int64 columns that check returns are dropped, so a long input
+        # is not held twice; each chunk's insert converts its own slice
+        shape = self.graph.check(t, c)[0].shape
+        p = np.asarray(p)
+        if p.shape != shape:
+            raise ValidationError(
+                f"polarities {p.shape} do not pair with {shape} events")
+        check_polarity(p)
         predictions = []
         for i in range(0, len(t), CHUNK):
             end = i + CHUNK

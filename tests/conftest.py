@@ -62,6 +62,11 @@ def rng():
     return np.random.default_rng(0)
 
 
+def events_of(stream):
+    """The stream's records as a list of (t, c, p) int triples."""
+    return list(zip(stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))
+
+
 def make_stream(rng, channels=64, n=200, t_max=50_000, sorted_t=True,
                 topology="cascade"):
     """Random well-formed stream for property tests."""

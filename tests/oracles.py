@@ -131,6 +131,14 @@ def ref_affine(weight_rows, x, bias):
     return out
 
 
+def ref_stage_products(weight_rows, rows, channels):
+    """Vertex products [x, ch] @ [Wx, w_dc].T of stage-input rows, one list
+    of ints per row: the conv weight's feature columns on the row, plus its
+    channel-offset column on the row's channel, with no bias."""
+    return [ref_affine(weight_rows, list(x) + [ch], [0] * len(weight_rows))
+            for x, ch in zip(rows, channels)]
+
+
 def ref_first_layer_inputs(neighbors, event):
     """neighbors: list of (dc, dt); event: (t, c, p)."""
     _t, _c, p = event

@@ -32,6 +32,7 @@ from evkws import (
 from evkws.graph import CHUNK
 from evkws.model import ModelWeights, random_weights
 
+from conftest import events_of
 from oracles import (
     brute_force_neighbors,
     ref_head_forward,
@@ -68,9 +69,8 @@ def test_criterion_1_filter_matches_transcription():
             div_factor=int(rng.integers(0, 13)),
             weight=int(rng.integers(0, 129)),
             thresholds=thresholds)
-        got = [tuple(e) for e in filter_stream(stream, params)]
-        events = list(zip(stream.t.tolist(), stream.c.tolist(),
-                          stream.p.tolist()))
+        got = events_of(filter_stream(stream, params))
+        events = events_of(stream)
         expected_idx = transcribed_filter(events, params.div_factor,
                                           params.weight,
                                           thresholds.tolist())
@@ -96,13 +96,13 @@ def test_criterion_2_worked_filtration_examples():
     stream = EventStream.from_events(cfg, [(0, 0, 1), (7, 3, -1),
                                            (7, 3, 1), (900, 63, 1)])
     out = filter_stream(stream, params(32, 32))
-    assert [tuple(e) for e in out] == [tuple(e) for e in stream]
+    assert events_of(out) == events_of(stream)
 
     # (c) events at 0/100/300: second crosses 64, first and third stay at 32
     stream = EventStream.from_events(cfg, [(0, 0, 1), (100, 0, 1),
                                            (300, 0, 1)])
     out = filter_stream(stream, params(32, 64))
-    assert [e.t for e in out] == [100]
+    assert out.t.tolist() == [100]
 
     # (d) events at 0/1000: decay floor(1000/256)=3 leaves 61 < 64
     stream = EventStream.from_events(cfg, [(0, 0, 1), (1000, 0, 1)])
@@ -128,20 +128,20 @@ def test_criterion_3_incremental_graph_matches_brute_force():
             r_t_high=r_t_low + int(rng.integers(0, 20_000)))
         t, c = stream.t, stream.c
         expect = [brute_force_neighbors(t[:i], c[:i], channels, event, params)
-                  for i, event in enumerate(stream)]
+                  for i, event in enumerate(events_of(stream))]
         for chunk in (CHUNK, 1000):
             builder = GraphBuilder(channels, params)
             for start in range(0, n, chunk):
                 table = builder.insert(t[start:start + chunk],
                                        c[start:start + chunk])
-                assert (table.valid.sum(axis=1) <= params.max_degree).all()
+                assert (table.valid.sum(axis=0) <= params.max_degree).all()
                 for i, ch in enumerate(c[start:start + chunk].tolist()):
                     assert table.pairs(i, ch) == expect[start + i], \
                         f"trial {trial}, chunk {chunk}, event {start + i}"
         builder = GraphBuilder(channels, params)
         for i in range(1000):  # one-event inserts cost ~70 us each
-            event = stream.event(i)
-            assert builder.insert_event(event).pairs(0, event.c) == \
+            ch = int(c[i])
+            assert builder.insert(t[i:i + 1], c[i:i + 1]).pairs(0, ch) == \
                 expect[i], f"trial {trial}, one-event insert {i}"
 
 

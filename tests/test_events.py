@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from evkws import (
     ConfigError,
-    Event,
     EventStream,
     OrderingError,
     ParseError,
@@ -23,7 +22,7 @@ from evkws import (
 import evkws.events as events
 from evkws.events import T_LIMIT
 
-from conftest import make_stream
+from conftest import events_of, make_stream
 
 
 # ----------------------------------------------------------------- configs
@@ -52,8 +51,7 @@ def test_from_events_round_trip(cfg64):
     evs = [(0, 3, 1), (10, 3, -1), (10, 7, 1)]
     stream = EventStream.from_events(cfg64, evs)
     assert len(stream) == 3
-    assert list(stream) == [Event(0, 3, 1), Event(10, 3, -1), Event(10, 7, 1)]
-    assert stream.event(2) == Event(10, 7, 1)
+    assert events_of(stream) == evs
     assert stream.span_us == 10
 
 

@@ -20,7 +20,7 @@ from evkws import (
 from evkws.cli import main
 from evkws.filtering import V_LIMIT
 
-from conftest import make_stream
+from conftest import events_of, make_stream
 from oracles import transcribed_filter
 
 
@@ -218,9 +218,7 @@ def test_filter_stream_preserves_metadata_and_config(rng):
     assert out.sample_id == "abc"
     assert out.config == stream.config
     # output is a subsequence of the input
-    pairs = set(zip(stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))
-    for ev in out:
-        assert tuple(ev) in pairs
+    assert set(events_of(out)) <= set(events_of(stream))
 
 
 def test_filter_stream_channel_count_mismatch(rng):
@@ -255,7 +253,7 @@ def test_filter_matches_transcribed_rule(events, div_factor, weight, thetas):
     stream = EventStream.from_events(cfg, events)
     kept = filter_stream(stream, params)
     expected = transcribed_filter(events, div_factor, weight, thetas)
-    got = [tuple(e) for e in kept]
+    got = events_of(kept)
     assert got == [events[i] for i in expected]
 
 
@@ -276,11 +274,11 @@ def test_channels_filter_independently(events):
     cfg = SensorConfig(channels=32)
     params = uniform_params(32, 6, 24, 48)
     stream = EventStream.from_events(cfg, events)
-    whole = {tuple(e) for e in filter_stream(stream, params)}
+    whole = set(events_of(filter_stream(stream, params)))
     per_channel = set()
     for ch in sorted({e[1] for e in events}):
         sub = [e for e in events if e[1] == ch]
         kept = filter_stream(EventStream.from_events(cfg, sub), params)
-        per_channel.update(tuple(e) for e in kept)
+        per_channel.update(events_of(kept))
     assert whole == per_channel
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evkws import (
-    Event,
     EventStream,
     GraphBuilder,
     GraphParams,
@@ -23,9 +22,10 @@ from evkws.graph import CHUNK, dump_neighbors
 from oracles import brute_force_neighbors, linear_scan_neighbors
 
 
-def insert(builder, event):
-    """Insert one event; its (channel, dt) pairs, ascending channel."""
-    return builder.insert_event(event).pairs(0, event.c)
+def insert(builder, t, c):
+    """Insert one event as a one-row batch; its (channel, dt) pairs,
+    ascending channel."""
+    return builder.insert([t], [c]).pairs(0, c)
 
 
 # ------------------------------------------------------------------ params
@@ -59,25 +59,18 @@ def test_worked_example_center_channel_not_a_neighbor():
     # event occupies the center slot, not a neighbor slot
     params = GraphParams(r_c=1, skip_step=1, r_t_low=0, r_t_high=1000)
     builder = GraphBuilder(channels=64, params=params)
-    builder.insert_event(Event(100, 4, 1))
-    builder.insert_event(Event(200, 5, 1))
-    assert insert(builder, Event(300, 5, -1)) == [(4, 200)]
+    builder.insert([100], [4])
+    builder.insert([200], [5])
+    assert insert(builder, 300, 5) == [(4, 200)]
 
 
 def test_window_bounds_are_inclusive():
     params = GraphParams(r_c=1, skip_step=1, r_t_low=50, r_t_high=150)
-    builder = GraphBuilder(channels=8, params=params)
-    builder.insert_event(Event(0, 1, 1))
-    assert insert(builder, Event(50, 2, 1)) == [(1, 50)]
-    builder.reset()
-    builder.insert_event(Event(0, 1, 1))
-    assert insert(builder, Event(150, 2, 1)) == [(1, 150)]
-    builder.reset()
-    builder.insert_event(Event(0, 1, 1))
-    assert insert(builder, Event(151, 2, 1)) == []
-    builder.reset()
-    builder.insert_event(Event(0, 1, 1))
-    assert insert(builder, Event(49, 2, 1)) == []
+    for t, expect in ((50, [(1, 50)]), (150, [(1, 150)]), (151, []),
+                      (49, [])):
+        builder = GraphBuilder(channels=8, params=params)
+        builder.insert([0], [1])
+        assert insert(builder, t, 2) == expect
 
 
 def test_newer_event_shadows_older_on_same_channel():
@@ -86,17 +79,17 @@ def test_newer_event_shadows_older_on_same_channel():
     # stale in-window one must not resurface
     params = GraphParams(r_c=2, skip_step=1, r_t_low=100, r_t_high=300)
     builder = GraphBuilder(channels=8, params=params)
-    builder.insert_event(Event(10, 2, 1))
-    builder.insert_event(Event(190, 2, 1))
-    assert insert(builder, Event(200, 3, 1)) == []
+    builder.insert([10], [2])
+    builder.insert([190], [2])
+    assert insert(builder, 200, 3) == []
 
 
 def test_skip_step_selects_channel_lanes():
     params = GraphParams(r_c=4, skip_step=2, r_t_low=0, r_t_high=1000)
     builder = GraphBuilder(channels=16, params=params)
     for c in range(16):
-        builder.insert_event(Event(c, c, 1))
-    assert [c for c, _ in insert(builder, Event(100, 8, 1))] == \
+        builder.insert([c], [c])
+    assert [c for c, _ in insert(builder, 100, 8)] == \
         [4, 6, 10, 12]
 
 
@@ -104,27 +97,17 @@ def test_channel_edges_clip():
     params = GraphParams(r_c=3, skip_step=1, r_t_low=0, r_t_high=1000)
     builder = GraphBuilder(channels=8, params=params)
     for c in range(8):
-        builder.insert_event(Event(0, c, 1))
-    assert [c for c, _ in insert(builder, Event(5, 0, 1))] == [1, 2, 3]
+        builder.insert([0], [c])
+    assert [c for c, _ in insert(builder, 5, 0)] == [1, 2, 3]
 
 
 def test_ordering_enforced():
     params = GraphParams(r_c=1, skip_step=1, r_t_low=0, r_t_high=10)
     builder = GraphBuilder(channels=8, params=params)
-    builder.insert_event(Event(100, 1, 1))
+    builder.insert([100], [1])
     with pytest.raises(OrderingError):
-        builder.insert_event(Event(99, 2, 1))
-    builder.insert_event(Event(100, 2, 1))  # ties are fine
-
-
-def test_reset_clears_history():
-    params = GraphParams(r_c=1, skip_step=1, r_t_low=0, r_t_high=1000)
-    builder = GraphBuilder(channels=8, params=params)
-    builder.insert_event(Event(100, 1, 1))
-    builder.reset()
-    assert insert(builder, Event(101, 2, 1)) == []
-    builder.reset()
-    builder.insert_event(Event(5, 3, 1))  # clock restarted too
+        builder.insert([99], [2])
+    builder.insert([100], [2])  # ties are fine
 
 
 # ---------------------------------------------------------------- oracles
@@ -151,7 +134,7 @@ def test_incremental_matches_both_oracles(events, params):
     stream = EventStream.from_events(cfg, events)
     builder = GraphBuilder(channels=32, params=params)
     for i, ev in enumerate(events):
-        got = insert(builder, Event(*ev))
+        got = insert(builder, *ev[:2])
         assert got == linear_scan_neighbors(events[:i], ev, params)
         assert got == brute_force_neighbors(stream.t[:i], stream.c[:i], 32, ev,
                                             params)
@@ -166,7 +149,7 @@ def test_batched_query_and_edge_counts(events, params, chunk):
     cfg = SensorConfig(channels=32)
     stream = EventStream.from_events(cfg, events)
     one = GraphBuilder(channels=32, params=params)
-    expect = [insert(one, ev) for ev in stream]
+    expect = [insert(one, t, c) for t, c, _ in events]
     batched = GraphBuilder(channels=32, params=params)
     got = []
     for start in range(0, len(stream), chunk):
@@ -214,6 +197,9 @@ def test_batched_insert_on_wide_and_bursty_streams(drawn, params, sizes):
         k += 1
         bt, bc = t[start:start + size], c[start:start + size]
         table = builder.insert(bt, bc)
+        for column in (table.row, table.dt, table.valid):
+            assert column.shape == (len(table.dc), len(bt))
+            assert column.flags.c_contiguous
         for i in range(len(bt)):
             ev = (int(bt[i]), int(bc[i]), 1)
             pairs = table.pairs(i, ev[1])
@@ -241,6 +227,31 @@ def test_batch_rejects_regressing_or_foreign_events():
     builder.insert([5, 5], [1, 2])
     with pytest.raises(OrderingError):
         builder.insert([4], [3])
+
+
+@pytest.mark.parametrize("t,c", [
+    ([1, 2, 3], [5, 6]),         # one channel short
+    ([1, 2], [5, 6, 7]),         # one timestamp short
+    ([[1, 2]], [[5, 6]]),        # one shape, but not one dimension
+    (1, 5),                      # no dimension
+    ([1, 2], [[5, 6]]),
+])
+def test_insert_refuses_malformed_columns(t, c):
+    builder = GraphBuilder(8, GraphParams(r_c=1))
+    builder.insert([0], [1])
+    with pytest.raises(ValidationError, match="columns of one length"):
+        builder.insert(t, c)
+    assert insert(builder, 9, 2) == [(1, 9)]   # nothing was recorded
+
+
+def test_insert_event_is_a_one_row_insert():
+    params = GraphParams(r_c=2, skip_step=1, r_t_low=0, r_t_high=100)
+    one, batched = GraphBuilder(8, params), GraphBuilder(8, params)
+    for t, c in ((0, 3), (10, 4), (10, 2), (50, 3), (300, 4)):
+        a, b = one.insert_event(t, c), batched.insert([t], [c])
+        for name in ("row", "dc", "dt", "valid", "channel"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(one.latest, batched.latest)
 
 
 def test_dump_neighbors_format(rng):

@@ -27,7 +27,6 @@ from evkws import (
     head_forward,
     pointnet_conv,
     random_weights,
-    stage_products,
     summarize_predictions,
     synth_stream,
 )
@@ -36,7 +35,7 @@ import evkws.inference
 from evkws.graph import CHUNK, NeighborTable
 from evkws.model import ConvLayer, GruBlock, LinearBlock
 
-from conftest import make_stream
+from conftest import events_of, make_stream
 from oracles import (
     ref_conv_stream,
     ref_first_layer_inputs,
@@ -44,6 +43,7 @@ from oracles import (
     ref_head_forward,
     ref_infer_stream,
     ref_pointnet_conv,
+    ref_stage_products,
     ref_window_pool,
 )
 
@@ -54,11 +54,30 @@ def one_row(pairs):
     m = len(pairs)
     dc = np.array([dc for dc, _ in pairs], dtype=np.int64).reshape(m)
     return NeighborTable(
-        row=np.arange(m, dtype=np.int64).reshape(1, m),
+        row=np.arange(m, dtype=np.int64).reshape(m, 1),
         dc=dc,
-        dt=np.array([dt for _, dt in pairs], dtype=np.int64).reshape(1, m),
-        valid=np.ones((1, m), dtype=bool),
+        dt=np.array([dt for _, dt in pairs], dtype=np.int64).reshape(m, 1),
+        valid=np.ones((m, 1), dtype=bool),
         channel=np.append(dc, 0))
+
+
+def lone_events(channel):
+    """A table of one event per channel and no neighbor offsets, over no
+    history rows."""
+    n = len(channel)
+    return NeighborTable(np.zeros((0, n), dtype=np.int64),
+                         np.zeros(0, dtype=np.int64),
+                         np.zeros((0, n), dtype=np.int64),
+                         np.zeros((0, n), dtype=bool),
+                         np.asarray(channel, dtype=np.int64))
+
+
+def products(layer, rows, channel):
+    """The oracle's vertex products of stage-input rows, as int32."""
+    return np.array(ref_stage_products(layer.weight.tolist(),
+                                       np.asarray(rows).tolist(),
+                                       np.asarray(channel).tolist()),
+                    dtype=np.int32).reshape(len(rows), layer.out_width)
 
 
 def first_layer_one(pairs, p):
@@ -69,9 +88,9 @@ def first_layer_one(pairs, p):
 def conv_rows(layer, rows, table):
     """One stage over stage-input rows: the history rows' products taken
     first, the batch rows' inside the stage."""
-    hist = len(rows) - len(table.row)
+    hist = len(rows) - table.row.shape[1]
     node = np.zeros((len(rows), layer.out_width), np.int32)
-    stage_products(layer, rows[:hist], table.channel[:hist], out=node[:hist])
+    node[:hist] = products(layer, rows[:hist], table.channel[:hist])
     return pointnet_conv(layer, node, rows[hist:], table)
 
 
@@ -168,16 +187,6 @@ def test_pointnet_conv_rejects_bad_widths():
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 4, 3)
     table = one_row([(1, 0)])            # rows: one neighbor, then the event
-    with pytest.raises(ValidationError):  # stage input wider than the stage
-        conv_one(layer, np.zeros(5, dtype=np.int8), [])
-    with pytest.raises(ValidationError):  # narrower
-        stage_products(layer, np.zeros((2, 3), dtype=np.int8), table.channel)
-    with pytest.raises(ValidationError):  # one channel short
-        stage_products(layer, np.zeros((2, 4), dtype=np.int8),
-                       table.channel[:1])
-    with pytest.raises(ValidationError):  # a channel beyond int8 offsets
-        stage_products(layer, np.zeros((2, 4), dtype=np.int8),
-                       np.array([0, 128]))
     x, node = np.ones((1, 4), dtype=np.int8), np.zeros((2, 3), np.int32)
     pointnet_conv(layer, node, x, table)
     node[:] = 12345              # a rejected call writes nothing
@@ -188,26 +197,18 @@ def test_pointnet_conv_rejects_bad_widths():
             pointnet_conv(layer, bad, x, table)
         assert (bad == 12345).all()
     for bad in (x[:, :3], np.ones((1, 5), np.int8),       # width
-                np.ones((2, 4), np.int8), x[0]):          # one row an event
-        with pytest.raises(ValidationError):
+                np.ones((2, 4), np.int8), x[0],           # one row an event
+                np.ones((0, 4), np.int8)):
+        with pytest.raises(ValidationError, match="stage inputs"):
             pointnet_conv(layer, node, bad, table)
         assert (node == 12345).all()
-    rows = np.ones((2, 4), dtype=np.int8)
-    out = np.zeros((3, 3), np.int32)
-    view = out[1:]                              # written in place
-    assert stage_products(layer, rows, table.channel, out=view) is view
-    np.testing.assert_array_equal(out[1:], stage_products(layer, rows,
-                                                          table.channel))
-    for bad in (out, out[1:].astype(np.int64), out[1:].astype(np.float32)):
-        with pytest.raises(ValidationError):   # product rows of one shape
-            stage_products(layer, rows, table.channel, out=bad)
-    with pytest.raises(ValidationError):  # fewer rows than batch events
-        pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),
+    with pytest.raises(ValidationError, match="2 events over 1 rows"):
+        pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),  # too few
                       np.zeros((2, 4), dtype=np.int8),
-                      NeighborTable(np.zeros((2, 0), dtype=np.int64),
+                      NeighborTable(np.zeros((0, 2), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64),
-                                    np.zeros((2, 0), dtype=np.int64),
-                                    np.zeros((2, 0), dtype=bool),
+                                    np.zeros((0, 2), dtype=np.int64),
+                                    np.zeros((0, 2), dtype=bool),
                                     np.zeros(1, dtype=np.int64)))
 
 
@@ -250,7 +251,9 @@ def test_conv_layer_at_the_float32_bound_matches_oracle():
     channel = np.resize([-127, 127], len(rows))
     expect = [[-128 * (sum(r) + ch)] * 3
               for r, ch in zip(rows.tolist(), channel.tolist())]
-    assert stage_products(layer, rows, channel).tolist() == expect
+    node = np.zeros((len(rows), 3), np.int32)
+    pointnet_conv(layer, node, rows, lone_events(channel))
+    assert node.tolist() == expect == products(layer, rows, channel).tolist()
     for case in range(8):
         center = extremes[case]
         neighbors = [(extremes[int(rng.integers(len(extremes)))],
@@ -318,16 +321,16 @@ def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
     n, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
     dc = rng.choice(np.arange(-60, 61), size=k, replace=False)
     center_ch = rng.integers(-60, 61, size=n)
-    valid = rng.random((n, k)) < 0.5
+    valid = rng.random((k, n)) < 0.5
     hist = [(rng.integers(-128, 128, size=in_w).astype(np.int8),
-             center_ch[i] + dc[j]) for i, j in zip(*np.nonzero(valid))]
+             center_ch[i] + dc[j]) for j, i in zip(*np.nonzero(valid))]
     rows = np.array([f for f, _ in hist]
                     + list(rng.integers(-128, 128, size=(n, in_w))),
                     dtype=np.int8).reshape(-1, in_w)
     channel = np.array([ch for _, ch in hist] + list(center_ch),
                        dtype=np.int64)
-    row = rng.integers(0, len(rows), size=(n, k))
-    dt = rng.integers(-10**6, 10**6, size=(n, k))
+    row = rng.integers(0, len(rows), size=(k, n))
+    dt = rng.integers(-10**6, 10**6, size=(k, n))
     row[valid] = np.arange(len(hist))
     dt[valid] = rng.integers(0, 10_000, size=len(hist))
     got = conv_rows(layer, rows, NeighborTable(row, dc, dt, valid, channel))
@@ -335,8 +338,8 @@ def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
         expect = ref_pointnet_conv(
             layer.weight.tolist(), layer.bias.tolist(), layer.scale_num,
             layer.scale_shift, rows[len(hist) + i].tolist(),
-            [(rows[row[i, j]].tolist(), int(dc[j]), int(dt[i, j]))
-             for j in np.flatnonzero(valid[i])])
+            [(rows[row[j, i]].tolist(), int(dc[j]), int(dt[j, i]))
+             for j in np.flatnonzero(valid[:, i])])
         assert got[i].tolist() == expect
 
 
@@ -348,14 +351,13 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 2, 3)
     # rows 0-1 history, row 2 event; products of the consistent channels
-    node = stage_products(layer, np.zeros((3, 2), dtype=np.int8),
-                          np.array([8, 13, 10]))
-    row, dc, dt = np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]])
-    valid = np.array([[True, True]])
+    node = products(layer, np.zeros((3, 2), dtype=np.int8), [8, 13, 10])
+    row, dc, dt = np.array([[0], [1]]), np.array([-2, 3]), np.array([[5], [9]])
+    valid = np.array([[True], [True]])
     channel = np.array([8, 13, 10])
     if case == "negative row":
-        row[0, 1] = -1
-        valid[0, 1] = False      # checked even where the slot is unused
+        row[1, 0] = -1
+        valid[1, 0] = False      # checked even where the slot is unused
     elif case == "row past the end":
         row[0, 0] = 3
     elif case == "channel above 127":
@@ -368,11 +370,11 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
         dc[0], channel[0], channel[2] = -200, -100, 100
         channel[1] = 103
     else:
-        dt[0, 1] = -33           # quantizes to -1
+        dt[1, 0] = -33           # quantizes to -1
     x = np.array([[5, -7]], dtype=np.int8)
     pointnet_conv(layer, node, x, NeighborTable(
-        np.array([[0, 1]]), np.array([-2, 3]), np.array([[5, 9]]),
-        np.array([[True, True]]), np.array([8, 13, 10])))  # consistent
+        np.array([[0], [1]]), np.array([-2, 3]), np.array([[5], [9]]),
+        np.array([[True], [True]]), np.array([8, 13, 10])))  # consistent
     node[2] = 12345              # any write of the event's products shows
     before = node.copy()
     with pytest.raises(ValidationError):
@@ -399,14 +401,14 @@ def test_pointnet_conv_writes_its_products_in_place(seed):
     in_w, out_w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     layer = rand_conv(rng, in_w, out_w)
     table = _graph_batch(rng)
-    n = len(table.row)
+    n = table.row.shape[1]
     x = rng.integers(-128, 128, size=(n, in_w)).astype(np.int8)
     node = rng.integers(-2**20, 2**20, size=(len(table.channel), out_w),
                         dtype=np.int32)
     history = node[:-n].copy()
     pointnet_conv(layer, node, x, table)
     np.testing.assert_array_equal(
-        node[-n:], stage_products(layer, x, table.channel[-n:]))
+        node[-n:], products(layer, x, table.channel[-n:]))
     np.testing.assert_array_equal(node[:-n], history)
 
 
@@ -684,16 +686,12 @@ def _oracle_case(seed, filtered):
     return weights, stream, gp, filtration, window_us
 
 
-def _events(stream):
-    return list(zip(stream.t.tolist(), stream.c.tolist(), stream.p.tolist()))
-
-
 def _oracle_predictions(weights, stream, gp, filtration, window_us):
     oracle_filter = None if filtration is None else (
         filtration.div_factor, filtration.weight,
         filtration.thresholds.tolist())
     return ref_infer_stream(
-        _events(stream), stream.config.channels,
+        events_of(stream), stream.config.channels,
         [as_oracle_block(b) for b in weights.conv_layers],
         [as_oracle_block(b) for b in weights.head_blocks],
         gp, window_us, oracle_filter)
@@ -825,7 +823,7 @@ def test_named_splits_equal_single_run(cfg64, cut, case):
         table = builder.insert(stream.t[cut:], stream.c[cut:])
         # column of channel offset -1 for event 4 points into history
         k = int(np.flatnonzero(table.dc == -1)[0])
-        assert table.valid[0, k] and table.row[0, k] < 64
+        assert table.valid[k, 0] and table.row[k, 0] < 64
     elif case == "split exactly on a window edge":
         assert after[0] % 1000 == 0
     else:
@@ -863,6 +861,58 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     state.feed(np.array([500]), np.array([3]), np.array([1]))
     with pytest.raises(OrderingError):
         state.feed(np.array([400]), np.array([4]), np.array([1]))
+
+
+@pytest.mark.parametrize("case,error,message", [
+    ("polarities one short", ValidationError, "polarities"),
+    ("channels one short", ValidationError, "one length"),
+    ("two-dimensional columns", ValidationError, "one length"),
+    ("scalar columns", ValidationError, "one length"),
+    ("polarity 7", ValidationError, "polarity 7 not in"),
+    ("uint8 polarities, -1 as 255", ValidationError, "polarity 255 not in"),
+    ("polarity 0", ValidationError, "polarity 0 not in"),
+    ("channel off the sensor in the last chunk", ValidationError,
+     "channel 32 outside"),
+    ("timestamp regressing in the last chunk", OrderingError, "regress"),
+    ("timestamp before the last fed", OrderingError, "regress"),
+])
+def test_feed_refuses_malformed_input_whole(case, error, message):
+    # the refused call spans three chunks and runs none of them: feeding
+    # the same events again, well formed, predicts as if it never happened
+    rng = np.random.default_rng(4)
+    n, cut = 2 * CHUNK + 52, 40
+    t = 100 + np.sort(rng.integers(0, 9000, size=n))
+    c = rng.integers(0, 32, size=n)
+    p = rng.choice([-1, 1], size=n)
+    bt, bc, bp = t[cut:].copy(), c[cut:].copy(), p[cut:].copy()
+    if case == "polarities one short":
+        bp = bp[:-1]
+    elif case == "channels one short":
+        bc = bc[:-1]
+    elif case == "two-dimensional columns":
+        bt, bc, bp = bt.reshape(2, -1), bc.reshape(2, -1), bp.reshape(2, -1)
+    elif case == "scalar columns":
+        bt, bc, bp = bt[0], bc[0], bp[0]
+    elif case == "polarity 7":
+        bp[-1] = 7
+    elif case == "uint8 polarities, -1 as 255":
+        bp = bp.astype(np.uint8)
+    elif case == "polarity 0":
+        bp[-1] = 0
+    elif case == "channel off the sensor in the last chunk":
+        bc[-1] = 32
+    elif case == "timestamp regressing in the last chunk":
+        bt[-1] = bt[-2] - 1
+    else:
+        bt[0] = t[cut - 1] - 1
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    preds = state.feed(t[:cut], c[:cut], p[:cut])
+    with pytest.raises(error, match=message):
+        state.feed(bt, bc, bp)
+    preds += state.feed(t[cut:], c[cut:], p[cut:]) + state.close()
+    whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH, window_us=1000).run(
+        EventStream(SensorConfig(32), t, c, p))
+    assert len(whole) > 1 and _same(preds, whole)
 
 
 def test_one_feed_longer_than_a_chunk_equals_run():
@@ -979,7 +1029,7 @@ def test_carried_products_equal_recomputed(data):
     stream, bounds = _split_case(data)
     conv_blocks = [as_oracle_block(b) for b in SPLIT_WEIGHTS.conv_layers]
     snapshots = [[dict(m) for m in memories] for _, _, memories in
-                 ref_conv_stream(_events(stream), 32, conv_blocks,
+                 ref_conv_stream(events_of(stream), 32, conv_blocks,
                                  SPLIT_GRAPH)]
     state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
     for lo, hi in zip(bounds, bounds[1:]):
@@ -992,7 +1042,6 @@ def test_carried_products_equal_recomputed(data):
             assert carried.shape == (32, layer.out_width)
             seen = sorted(inputs)
             assert seen == sorted(set(stream.c[:hi].tolist()))
-            recomputed = stage_products(
-                layer, np.array([inputs[ch] for ch in seen], dtype=np.int8),
-                np.array(seen))
+            recomputed = products(
+                layer, [inputs[ch] for ch in seen], seen)
             np.testing.assert_array_equal(carried[seen], recomputed)
