@@ -57,6 +57,31 @@ FORMAT_BINARY = "binary"
 FORMAT_CSV = "csv"
 _CSV_HEADER = "t,c,p"
 _INT64 = np.iinfo(np.int64)
+# an EventStream's columns: field, name in messages, dtype once checked
+_COLUMNS = (("t", "timestamps", np.int64), ("c", "channels", np.int32),
+            ("p", "polarities", np.int8))
+
+
+def int_column(values, name: str) -> np.ndarray:
+    """``values`` as an integer array, or ValidationError naming ``name``.
+
+    Integer arrays pass as they are, with no pass over their values except
+    that uint64 ones are checked against the int64 range; sequences of
+    Python ints pass as numpy makes them, an empty one as int64. Float,
+    bool, complex, object and other columns are refused, never truncated.
+    """
+    try:
+        column = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):  # ragged, for one
+        column = np.asarray(None)                   # refused as object
+    if not column.size and not isinstance(values, np.ndarray):
+        column = column.astype(np.int64)  # an empty sequence has no dtype
+    if column.dtype.kind not in "iu" or (
+            column.dtype == np.uint64 and column.size
+            and column.max() > np.uint64(_INT64.max)):
+        raise ValidationError(f"{name} must be integers within the int64 "
+                              f"range, got {column.dtype} values")
+    return column
 
 
 def check_polarity(p: np.ndarray) -> None:
@@ -108,10 +133,13 @@ class EventStream:
     sample_id: str = ""
 
     def __post_init__(self):
+        for name, label, _ in _COLUMNS:
+            object.__setattr__(self, name,
+                               int_column(getattr(self, name), label))
         self._check()
         # Narrow only after the check, so an out-of-range value cannot wrap.
         # Read-only views keep the checked values from being edited in place.
-        for name, dtype in (("t", np.int64), ("c", np.int32), ("p", np.int8)):
+        for name, _, dtype in _COLUMNS:
             column = getattr(self, name).astype(dtype, copy=False).view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)

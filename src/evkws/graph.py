@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import EventStream
+from .events import EventStream, int_column
 from .quant import I8_MAX, quantize_dt
 
 # Events per batch when a whole stream is processed. Larger batches spread
@@ -157,11 +157,12 @@ class GraphBuilder:
 
     def check(self, t, c) -> tuple[np.ndarray, np.ndarray]:
         """A batch's timestamp and channel columns as int64, once they pass
-        ``insert``'s checks: one dimension and one length (ValidationError),
-        channels on the sensor (ValidationError), timestamps non-decreasing
-        from the last inserted one (OrderingError). Records nothing."""
-        t = np.asarray(t, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
+        ``insert``'s checks: integer columns (``events.int_column``), one
+        dimension and one length, channels on the sensor (all
+        ValidationError), timestamps non-decreasing from the last inserted
+        one (OrderingError). Records nothing."""
+        t = int_column(t, "timestamps").astype(np.int64, copy=False)
+        c = int_column(c, "channels").astype(np.int64, copy=False)
         if t.ndim != 1 or c.shape != t.shape:
             raise ValidationError(
                 f"timestamps {t.shape} and channels {c.shape} are not two "

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .events import DEFAULT_WINDOW_US, EventStream
+from .events import DEFAULT_WINDOW_US, EventStream, int_column
 
 DEFAULT_MAX_EDGES = 20
 
@@ -185,7 +185,7 @@ class SimTrace:
 
 def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     """Replay a stream with known edge counts through the pipeline model."""
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = int_column(edges, "edge counts").astype(np.int64, copy=False)
     if edges.shape != stream.t.shape:
         raise ValidationError(
             f"edge counts {edges.shape} do not pair with events "

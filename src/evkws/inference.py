@@ -30,14 +30,26 @@ depend on position alone come from tables each layer builds once, when it is
 built (``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
 anything from the weights. Weights are checked at load time so that no
 accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
-which keeps int32 accumulation exact. Products run in float32 wherever
-128*sum|w| of every row is at most 2**24, which float32 holds exactly, and in
-float64 otherwise (``Block.weight_t``). Requantize clamps each int32
-accumulator to the window outside which its output saturates, so it scales in
-int32 and folds the ReLU into that clamp. A ``RunState`` carries each
-channel's latest stage products, the open window and the recurrent state
-across chunks, in one int32 node buffer per stage, so chunk boundaries never
-change the result.
+which keeps int32 accumulation exact. Requantize clamps each int32
+accumulator to the window ``[lo, hi]`` outside which its output saturates,
+so it scales in int32 and folds the ReLU into that clamp.
+
+That window makes the node buffers narrow. The maximum, the adds and the
+clamp are monotone, so a stage clamps each vertex product per feature to
+``[lo - max A - max C, hi - min A - min C]`` (A the feature's age terms, C
+its channel terms, both bounds cut to the products' reach) and no output
+changes. Where every feature's candidates then span at most 65,535, the
+layer's ``node_dtype`` is int16: the node buffer, the carried products and
+``age_table`` are int16, each stored product is the clamped product less a
+per-feature ``ConvLayer.offset``, and ``channel_table`` adds the offset
+back, in int32, after the maximum. A layer whose span is wider keeps int32
+with offset 0 and runs the same code. The product, offset included, is one
+matrix product in float32 wherever 128*sum|w| + |offset| of every row is at
+most 2**24, which float32 holds exactly, and in float64 otherwise
+(``ConvLayer.product_t``); it is clamped in that dtype, before the cast into
+the node buffer. A ``RunState`` carries each channel's latest stored
+products, the open window and the recurrent state across chunks, in one
+node buffer per stage, so chunk boundaries never change the result.
 
 Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
@@ -58,7 +70,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import DEFAULT_WINDOW_US, EventStream, check_polarity
+from .events import (DEFAULT_WINDOW_US, EventStream, check_polarity,
+                     int_column)
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
@@ -82,31 +95,39 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
     """One convolution stage over a batch of ``n`` events.
 
     ``x`` holds the batch's int8 stage inputs, ``(n, in_width)``, and
-    ``node`` the int32 vertex products ``[x, ch] @ [Wx, w_dc].T`` of the
-    rows ``table.row`` points into; the call checks all three, then writes
-    the batch's own products into the last ``n`` rows of ``node`` (their
-    self vertices), where every later event that takes them as neighbors
-    reads them. Each neighbor adds its age term from the layer's
-    ``age_table``; after the maximum, each event adds ``bias - ch_i * w_dc``
-    from its ``channel_table``. Both tables are built with the layer, so a
-    call derives nothing from the weights. Returns the rectified int8
-    outputs, one row per batch event. Invariant under neighbor order, and
-    element-wise non-decreasing when vertices are added.
+    ``node`` the stored vertex products of the rows ``table.row`` points
+    into, in the layer's ``node_dtype``: each is ``[x, ch] @ [Wx, w_dc].T``
+    clamped to the layer's bounds, minus its ``offset``. The call checks
+    all three, then writes the batch's own stored products into the last
+    ``n`` rows of ``node`` (their self vertices), where every later event
+    that takes them as neighbors reads them. Each neighbor adds its age term
+    from the layer's ``age_table``; after the maximum, each event adds
+    ``bias - ch_i * w_dc + offset`` from its ``channel_table``, in int32.
+    Both tables are built with the layer, so a call derives nothing from
+    the weights. Returns the rectified int8 outputs, one row per batch
+    event. Invariant under neighbor order, and element-wise non-decreasing
+    when vertices are added.
     """
     n, in_w, out_w = table.row.shape[1], layer.in_width, layer.out_width
-    if node.dtype != np.int32 or node.shape != (len(table.channel), out_w):
+    dtype = layer.node_dtype
+    if node.dtype != dtype or node.shape != (len(table.channel), out_w):
         raise ValidationError(
             f"stage products are {node.dtype} {node.shape}, stage expects "
-            f"int32 ({len(table.channel)}, {out_w})")
+            f"{dtype} ({len(table.channel)}, {out_w})")
     if x.shape != (n, in_w):
         raise ValidationError(
             f"stage inputs have shape {x.shape}, stage expects ({n}, {in_w})")
     nbr, age = table.gather  # indices and channels checked here
     own = len(node) - n
-    # exact in weight_t's dtype: float32 wherever it holds every partial sum
-    weight_t = layer.weight_t[:in_w + 1]
-    node[own:] = np.concatenate([x, table.channel[own:, None]], axis=1,
-                                dtype=weight_t.dtype) @ weight_t
+    # exact in product_t's dtype, offset column included; clamped before
+    # the cast, so every stored value lies inside the node dtype (maximum
+    # and minimum: clip takes twice as long with per-feature bounds)
+    stored = np.concatenate(
+        [x, table.channel[own:, None], np.ones((n, 1), np.int8)], axis=1,
+        dtype=layer.product_t.dtype) @ layer.product_t
+    low, high = layer.node_range
+    np.maximum(stored, low, out=stored)
+    node[own:] = np.minimum(stored, high, out=stored)
     best = node[own:].copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
     for k in range(len(nbr)):
@@ -114,10 +135,10 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
         layer.age_table.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
         np.maximum(best, cand, out=best)
-    layer.channel_table.take(table.channel[own:] + I8_MAX, axis=0,
-                             out=aged, mode="clip")
-    best += aged                                # bias - ch_i * w_dc
-    return requantize(best, layer.scale_num, layer.scale_shift, rectify=True)
+    acc = layer.channel_table.take(table.channel[own:] + I8_MAX, axis=0,
+                                   mode="clip")
+    acc += best                          # bias - ch_i * w_dc + offset
+    return requantize(acc, layer.scale_num, layer.scale_shift, rectify=True)
 
 
 class WindowPool:
@@ -144,7 +165,7 @@ class WindowPool:
 
     def push(self, features: np.ndarray,
              t: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        t = np.asarray(t, dtype=np.int64)
+        t = int_column(t, "timestamps").astype(np.int64, copy=False)
         if t.ndim != 1 or features.shape != (len(t), len(self._zero)):
             raise ValidationError(f"feature rows {features.shape} do not "
                                   f"pair with {t.shape} timestamps")
@@ -276,25 +297,28 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
 class RunState:
     """What one run carries from chunk to chunk.
 
-    The graph builder's per-channel timestamps, each stage's products for
-    the latest event on every channel (``memories``, int32 ``(channels,
-    out_width)`` per stage; a channel with no event yet holds zeros, which
-    no neighbor table reads), the open pooling window and the recurrent head
-    state. ``feed`` takes time-sorted events and ``close`` ends the run;
-    together they return the same predictions however the stream is split.
+    The graph builder's per-channel timestamps, each stage's stored
+    products for the latest event on every channel (``memories``, ``(channels,
+    out_width)`` per stage in the layer's ``node_dtype``, int16 or int32: the
+    product clamped to the layer's bounds, less its ``offset``; a channel
+    with no event yet holds zeros, which no neighbor table reads), the open
+    pooling window and the recurrent head state. ``feed`` takes time-sorted
+    events and ``close`` ends the run; together they return the same
+    predictions however the stream is split.
 
     ``feed`` runs ``CHUNK`` events at a time, one ``pointnet_conv`` call per
-    stage into the stage's int32 node buffer of ``channels + CHUNK`` rows:
-    the carried memories (``memories`` are views of its first rows), then
-    the chunk's own products. The chunk's stage-4 rows go to
-    ``WindowPool.push`` whole.
+    stage into the stage's node buffer of ``channels + CHUNK`` rows, in the
+    layer's ``node_dtype``: the carried memories (``memories`` are views of
+    its first rows), then the chunk's own products. The chunk's stage-4 rows
+    go to ``WindowPool.push`` whole.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
                  channels: int, window_us: int = DEFAULT_WINDOW_US):
         self.weights = weights
         self.graph = GraphBuilder(channels, graph_params)
-        self._nodes = [np.zeros((channels + CHUNK, layer.out_width), np.int32)
+        self._nodes = [np.zeros((channels + CHUNK, layer.out_width),
+                                layer.node_dtype)
                        for layer in weights.conv_layers]
         self.memories = [node[:channels] for node in self._nodes]
         self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
@@ -304,14 +328,15 @@ class RunState:
              p: np.ndarray) -> list[Prediction]:
         """Run events; returns the predictions of the windows they closed.
 
-        The three columns are checked whole before any event runs (as
-        ``GraphBuilder.check`` checks a batch, and polarity +1 or -1), so a
+        The three columns are checked whole before any event runs (integer
+        columns as ``events.int_column`` takes them, a batch as
+        ``GraphBuilder.check`` checks it, and polarity +1 or -1), so a
         refused call leaves the run as it was.
         """
         # the int64 columns that check returns are dropped, so a long input
         # is not held twice; each chunk's insert converts its own slice
         shape = self.graph.check(t, c)[0].shape
-        p = np.asarray(p)
+        p = int_column(p, "polarities")
         if p.shape != shape:
             raise ValidationError(
                 f"polarities {p.shape} do not pair with {shape} events")

@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParseError, ValidationError, open_text
-from .quant import I8_MAX, I8_MIN
+from .quant import I8_MAX, I8_MIN, _window
 
 WEIGHT_FORMAT_VERSION = 1
 
@@ -54,6 +54,8 @@ POSITION_WIDTH = 2
 CONV_LAYER_COUNT = 4
 
 ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
+I32_MAX = ACC_LIMIT - 1
+I16_SPAN = 2**16 - 1  # widest range of candidates an int16 node holds
 MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
 FLOAT32_EXACT = 2**24  # float32 holds every integer up to here
 
@@ -151,30 +153,83 @@ class Block:
 class ConvLayer(Block):
     """One graph-convolution stage: affine map over features plus position.
 
-    Besides ``weight_t`` it holds two int32 tables, ``(rows, out_width)``,
-    of the terms that depend on a vertex's position alone: ``age_table``
-    row q is ``q * w_age`` for each quantized age q in [0, 127], and
-    ``channel_table`` row ``ch + 127`` is ``bias - ch * w_dc`` for each
-    channel ch in [-127, 127].
+    A stage keeps each vertex's product ``P = [x, ch] @ [Wx, w_dc].T`` in a
+    node buffer of the layer's ``node_dtype`` and takes, per feature, the
+    maximum of ``P_j + A[q_j]`` over a neighborhood before it adds
+    ``C[ch_i]``, where ``A[q] = q * w_age`` for each quantized age q in
+    [0, 127] and ``C[ch] = bias - ch * w_dc`` for each channel ch in
+    [-127, 127]. Besides ``weight_t`` the layer holds, read-only:
+
+    * ``age_table``, ``(128, out_width)`` in the node dtype: row q is A[q];
+    * ``channel_table``, ``(255, out_width)`` int32: row ``ch + 127`` is
+      ``C[ch] + offset``;
+    * ``product_t``, ``(in_width + 2, out_width)``: ``[Wx; w_dc; -offset]``,
+      so ``[x, ch, 1] @ product_t`` is ``P - offset``. It is float32 when
+      ``128 * sum|w| + |offset|`` of every row is at most 2**24, so every
+      partial sum is exact, and float64 otherwise;
+    * ``node_range``, ``(2, out_width)`` in ``product_t``'s dtype: the
+      bounds ``[low, high] - offset`` a stored product is clamped to;
+    * ``offset``, int32 per feature: a stored product plus it is P clamped
+      to ``[low, high]``.
+
+    The rectified ``requantize`` saturates outside its window ``[lo, hi]``
+    (``quant._window``, capped at the int32 maximum), and the maximum, the
+    adds and that clamp are monotone. So clamping P per feature to ``[lo -
+    max A - max C, hi - min A - min C]`` changes no output. Both bounds are
+    then clipped to the products' reach ``±(128 * sum|Wx| + 127 * |w_dc|)``,
+    which changes no product and keeps every sum of a stage inside int32.
+    The candidates ``P + A`` then span ``high - low + range(A)``, which is
+    at most ``(hi - lo) + 2 * range(A) + range(C)``. Where every feature's
+    span is at most 65,535 the node dtype is int16 and the offset puts the
+    lowest candidate at -32768, or higher where ``C + offset`` would pass
+    the int32 maximum otherwise; if any feature's span is wider, the node
+    dtype is int32 and the offset is 0. Everything here is derived in int64.
     """
 
     kind = KIND_CONV
     age_table: np.ndarray = field(init=False, repr=False)
     channel_table: np.ndarray = field(init=False, repr=False)
+    product_t: np.ndarray = field(init=False, repr=False)
+    node_range: np.ndarray = field(init=False, repr=False)
+    offset: np.ndarray = field(init=False, repr=False)
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
         return out_width, in_width + POSITION_WIDTH
 
+    @property
+    def node_dtype(self) -> np.dtype:
+        return self.age_table.dtype
+
     def __post_init__(self):
         super().__post_init__()
-        # |bias| + 127*|w_dc| is below the checked row bound, so int32 holds
-        w_dc, w_age = self.weight[:, self.in_width:].T.astype(np.int32)
-        steps = np.arange(I8_MAX + 1, dtype=np.int32)
-        self._freeze("age_table", np.outer(steps, w_age))
-        channels = np.arange(-I8_MAX, I8_MAX + 1, dtype=np.int32)
-        self._freeze("channel_table",
-                        self.bias - np.outer(channels, w_dc))
+        weight = self.weight.astype(np.int64)
+        w_x = weight[:, :self.in_width]
+        w_dc, w_age = weight[:, self.in_width:].T
+        age = np.outer(np.arange(I8_MAX + 1), w_age)
+        channel = self.bias - np.outer(np.arange(-I8_MAX, I8_MAX + 1), w_dc)
+        _, lo, hi, *_ = _window(np.dtype(np.int32), self.scale_num,
+                                self.scale_shift, 0)
+        lo, hi = min(int(lo), I32_MAX), min(int(hi), I32_MAX)
+        a_min, a_max = age.min(axis=0), age.max(axis=0)
+        reach = 128 * np.abs(w_x).sum(axis=1) + I8_MAX * np.abs(w_dc)
+        low = np.clip(lo - a_max - channel.max(axis=0), -reach, reach)
+        high = np.clip(hi - a_min - channel.min(axis=0), -reach, reach)
+        if (high - low + a_max - a_min).max() <= I16_SPAN:
+            node_dtype = np.int16
+            offset = np.minimum(low + a_min + 2**15,
+                                I32_MAX - channel.max(axis=0))
+        else:
+            node_dtype, offset = np.int32, np.zeros_like(low)
+        extent = 128 * np.abs(weight).sum(axis=1) + np.abs(offset)
+        exact = np.float32 if extent.max() <= FLOAT32_EXACT else np.float64
+        self._freeze("age_table", age.astype(node_dtype))
+        self._freeze("channel_table", (channel + offset).astype(np.int32))
+        self._freeze("product_t",
+                     np.vstack([w_x.T, w_dc, -offset]).astype(exact))
+        self._freeze("node_range",
+                     (np.stack([low, high]) - offset).astype(exact))
+        self._freeze("offset", offset.astype(np.int32))
 
 
 class LinearBlock(Block):

@@ -116,6 +116,22 @@ def ref_requant(value: int, num: int, shift: int) -> int:
     return ref_sat8(ref_rshift(value * num, shift))
 
 
+def ref_rectified_window(num: int, shift: int) -> tuple[int, int]:
+    """``[lo, hi]`` outside which the rectified requantize saturates: the
+    largest accumulator whose output is 0 and the smallest whose output is
+    127, found by bisection and each capped at 2**31 - 1."""
+    def first(output):  # smallest accumulator reaching the output
+        a, b = -2**80, 2**80
+        while b - a > 1:
+            mid = (a + b) // 2
+            if max(0, ref_requant(mid, num, shift)) >= output:
+                b = mid
+            else:
+                a = mid
+        return b
+    return min(first(1) - 1, 2**31 - 1), min(first(127), 2**31 - 1)
+
+
 def ref_quantize_dt(dt: int) -> int:
     return ref_sat8(ref_rshift(dt, 6))
 

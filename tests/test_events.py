@@ -10,17 +10,24 @@ from hypothesis import given, settings, strategies as st
 from evkws import (
     ConfigError,
     EventStream,
+    GraphBuilder,
+    GraphParams,
+    HwParams,
     OrderingError,
     ParseError,
+    RunState,
     SensorConfig,
     ValidationError,
+    WindowPool,
     compute_stats,
+    random_weights,
     read_stream,
+    simulate,
     synth_stream,
     write_stream,
 )
 import evkws.events as events
-from evkws.events import T_LIMIT
+from evkws.events import T_LIMIT, int_column
 
 from conftest import events_of, make_stream
 
@@ -89,8 +96,9 @@ def test_validate_rejects_bad_polarity(cfg64):
         _raw(cfg64, [(0, 0, 2)])
 
 
-# polarity columns of other dtypes: values are compared, never wrapped, so a
-# uint8 255 (int8 -1) or a float 1.5 is refused and a bool True is +1
+# polarity columns of other integer dtypes: values are compared, never
+# wrapped, so a uint8 255 (int8 -1) is refused; float and bool columns are
+# refused whole (test_non_integer_columns_are_refused)
 @pytest.mark.parametrize("dtype, values, refused", [
     (np.int8, [1, -1, 1], None),
     (np.int8, [1, 0], "record 1: polarity 0"),
@@ -100,11 +108,6 @@ def test_validate_rejects_bad_polarity(cfg64):
     (np.uint8, [1, 1], None),
     (np.uint8, [1, 255], "record 1: polarity 255"),
     (np.uint8, [0, 1], "record 0: polarity 0"),
-    (np.bool_, [True, True], None),
-    (np.bool_, [True, False], "record 1: polarity 0"),
-    (np.float64, [1.0, -1.0], None),
-    (np.float64, [1.0, 1.5], "record 1: polarity 1"),
-    (np.float64, [-1.0, 2.0], "record 1: polarity 2"),
 ])
 def test_polarity_check_across_dtypes(cfg64, dtype, values, refused):
     p = np.array(values, dtype=dtype)
@@ -166,6 +169,78 @@ def test_equality_ignores_metadata(cfg64):
     assert a == b
     c = EventStream.from_events(cfg64, [(0, 2, 1)])
     assert a != c
+
+
+# ---------------------------------------------------------- column contract
+
+NON_INTEGER_COLUMNS = {
+    "float64": np.array([1.0, 2.0]),              # whole values too
+    "bool": np.array([True, True]),
+    "complex128": np.array([1 + 0j, 2 + 0j]),
+    "object": np.array([1, 2], dtype=object),
+    "uint64": np.array([1, 2**63], dtype=np.uint64),  # beyond int64
+}
+
+
+def _feed(column, at):
+    state = RunState(random_weights(0), GraphParams(r_c=2), 32)
+    columns = [[0, 1], [0, 1], [1, -1]]
+    columns[at] = column
+    return state.feed(*columns)
+
+
+# entry point -> (call taking the column, name of the column in the message)
+COLUMN_ENTRY_POINTS = {
+    "EventStream t": (lambda x: EventStream(SensorConfig(32), x, [0, 1],
+                                            [1, 1]), "timestamps"),
+    "EventStream c": (lambda x: EventStream(SensorConfig(32), [0, 1], x,
+                                            [1, 1]), "channels"),
+    "EventStream p": (lambda x: EventStream(SensorConfig(32), [0, 1],
+                                            [0, 1], x), "polarities"),
+    "insert t": (lambda x: GraphBuilder(32, GraphParams(r_c=2)).insert(
+        x, [0, 1]), "timestamps"),
+    "insert c": (lambda x: GraphBuilder(32, GraphParams(r_c=2)).insert(
+        [0, 1], x), "channels"),
+    "feed t": (lambda x: _feed(x, 0), "timestamps"),
+    "feed c": (lambda x: _feed(x, 1), "channels"),
+    "feed p": (lambda x: _feed(x, 2), "polarities"),
+    "WindowPool.push t": (lambda x: WindowPool(2).push(
+        np.zeros((2, 2), np.int8), x), "timestamps"),
+    "simulate edges": (lambda x: simulate(
+        EventStream(SensorConfig(32), [0, 1], [0, 1], [1, 1]), x,
+        HwParams()), "edge counts"),
+}
+
+
+@pytest.mark.parametrize("entry", COLUMN_ENTRY_POINTS)
+@pytest.mark.parametrize("dtype", NON_INTEGER_COLUMNS)
+def test_non_integer_columns_are_refused(dtype, entry):
+    call, name = COLUMN_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError) as err:
+        call(NON_INTEGER_COLUMNS[dtype])
+    assert str(err.value) == (f"{name} must be integers within the int64 "
+                              f"range, got {dtype} values")
+
+
+def test_integer_columns_pass_as_they_are():
+    for column in (np.arange(3, dtype=np.int8), np.arange(3),
+                   np.arange(3, dtype=np.uint64),
+                   np.array([2**63 - 1], dtype=np.uint64)):
+        assert int_column(column, "x") is column  # no copy, no conversion
+    assert int_column([0, 5], "x").tolist() == [0, 5]
+    assert int_column([], "x").dtype == np.int64
+    with pytest.raises(ValidationError, match="got object values"):
+        int_column([[0, 1], [2]], "x")                # ragged
+    # lists of Python ints build a stream, and feed the graph and the pool
+    stream = EventStream(SensorConfig(32), [0, 5], [1, 2], [1, -1])
+    assert stream == EventStream.from_events(SensorConfig(32),
+                                             [(0, 1, 1), (5, 2, -1)])
+    assert EventStream(SensorConfig(32), [], [], []) == EventStream.empty(
+        SensorConfig(32))
+    table = GraphBuilder(32, GraphParams(r_c=2)).insert([0, 5], [1, 2])
+    assert table.valid[:, 1].sum() == 1
+    emitted = WindowPool(2).push(np.ones((2, 2), np.int8), [0, 10_000])
+    assert [(i, v.tolist()) for i, v in emitted] == [(0, [1, 1])]
 
 
 # ------------------------------------------------------------------- codecs

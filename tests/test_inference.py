@@ -43,6 +43,7 @@ from oracles import (
     ref_head_forward,
     ref_infer_stream,
     ref_pointnet_conv,
+    ref_rectified_window,
     ref_stage_products,
     ref_window_pool,
 )
@@ -80,6 +81,19 @@ def products(layer, rows, channel):
                     dtype=np.int32).reshape(len(rows), layer.out_width)
 
 
+def clamp_bounds(layer):
+    """The layer's clamp of a vertex product, ``(2, out_width)`` int64: row
+    0 the lower bound, row 1 the upper."""
+    return layer.node_range.astype(np.int64) + layer.offset
+
+
+def stored(layer, prods):
+    """Vertex products as a node buffer holds them: clamped to the layer's
+    bounds, less its offset, in its node dtype."""
+    low, high = clamp_bounds(layer)
+    return (np.clip(prods, low, high) - layer.offset).astype(layer.node_dtype)
+
+
 def first_layer_one(pairs, p):
     """Stage-1 features of one event through the batched form."""
     return first_layer_inputs(one_row(pairs), np.array([p]))[0]
@@ -89,8 +103,9 @@ def conv_rows(layer, rows, table):
     """One stage over stage-input rows: the history rows' products taken
     first, the batch rows' inside the stage."""
     hist = len(rows) - table.row.shape[1]
-    node = np.zeros((len(rows), layer.out_width), np.int32)
-    node[:hist] = products(layer, rows[:hist], table.channel[:hist])
+    node = np.zeros((len(rows), layer.out_width), layer.node_dtype)
+    node[:hist] = stored(layer,
+                         products(layer, rows[:hist], table.channel[:hist]))
     return pointnet_conv(layer, node, rows[hist:], table)
 
 
@@ -186,14 +201,18 @@ def test_pointnet_conv_tiny_hand_case():
 def test_pointnet_conv_rejects_bad_widths():
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 4, 3)
+    dtype = layer.node_dtype
+    assert dtype == np.int16
     table = one_row([(1, 0)])            # rows: one neighbor, then the event
-    x, node = np.ones((1, 4), dtype=np.int8), np.zeros((2, 3), np.int32)
+    x, node = np.ones((1, 4), dtype=np.int8), np.zeros((2, 3), dtype)
     pointnet_conv(layer, node, x, table)
     node[:] = 12345              # a rejected call writes nothing
     for bad in (node[:1], np.concatenate([node, node]),   # row count
-                node[:, :2], np.full((2, 4), 12345, np.int32),  # width
-                node.astype(np.int64), node[0]):
-        with pytest.raises(ValidationError):
+                node[:, :2], np.full((2, 4), 12345, dtype),  # width
+                node.astype(np.int32), node.astype(np.int64),  # dtype
+                node[0]):
+        with pytest.raises(ValidationError,
+                           match=f"stage expects {dtype} \\(2, 3\\)"):
             pointnet_conv(layer, bad, x, table)
         assert (bad == 12345).all()
     for bad in (x[:, :3], np.ones((1, 5), np.int8),       # width
@@ -203,7 +222,7 @@ def test_pointnet_conv_rejects_bad_widths():
             pointnet_conv(layer, node, bad, table)
         assert (node == 12345).all()
     with pytest.raises(ValidationError, match="2 events over 1 rows"):
-        pointnet_conv(layer, np.zeros((1, 3), dtype=np.int32),  # too few
+        pointnet_conv(layer, np.zeros((1, 3), dtype=dtype),  # too few
                       np.zeros((2, 4), dtype=np.int8),
                       NeighborTable(np.zeros((0, 2), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64),
@@ -243,17 +262,27 @@ def test_conv_layer_at_the_float32_bound_matches_oracle():
     layer = ConvLayer(weight=np.full((3, in_w + 2), -128, np.int8),
                       bias=np.array([0, 2**16 + 1, -2**16]), in_width=in_w,
                       out_width=3, scale_num=1, scale_shift=17)
-    assert layer.weight_t.dtype == np.float32
+    assert layer.weight_t.dtype == layer.product_t.dtype == np.float32
     extremes = [np.full(in_w, -128, np.int8), np.full(in_w, 127, np.int8),
                 *rng.choice(np.array([-128, 127], np.int8), size=(6, in_w))]
-    # the products themselves, every bit, at both channel extremes
+    # the products at both channel extremes, as the layer stores them
     rows = np.array(extremes)
     channel = np.resize([-127, 127], len(rows))
     expect = [[-128 * (sum(r) + ch)] * 3
               for r, ch in zip(rows.tolist(), channel.tolist())]
-    node = np.zeros((len(rows), 3), np.int32)
+    assert expect == products(layer, rows, channel).tolist()
+    node = np.zeros((len(rows), 3), layer.node_dtype)
     pointnet_conv(layer, node, rows, lone_events(channel))
-    assert node.tolist() == expect == products(layer, rows, channel).tolist()
+    assert node.tolist() == stored(layer, expect).tolist()
+    # and every bit of them where the clamp is the products' whole reach:
+    # at bias 2**25 and shift 19 the window lies beyond it on both sides
+    wide = dataclasses.replace(layer, bias=np.full(3, 2**25), scale_shift=19)
+    reach = 128 * 128 * in_w + 127 * 128
+    assert clamp_bounds(wide).tolist() == [[-reach] * 3, [reach] * 3]
+    assert wide.node_dtype == np.int32 and not wide.offset.any()
+    node = np.zeros((len(rows), 3), wide.node_dtype)
+    pointnet_conv(wide, node, rows, lone_events(channel))
+    assert node.tolist() == expect
     for case in range(8):
         center = extremes[case]
         neighbors = [(extremes[int(rng.integers(len(extremes)))],
@@ -351,7 +380,8 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 2, 3)
     # rows 0-1 history, row 2 event; products of the consistent channels
-    node = products(layer, np.zeros((3, 2), dtype=np.int8), [8, 13, 10])
+    node = stored(layer, products(layer, np.zeros((3, 2), dtype=np.int8),
+                                  [8, 13, 10]))
     row, dc, dt = np.array([[0], [1]]), np.array([-2, 3]), np.array([[5], [9]])
     valid = np.array([[True], [True]])
     channel = np.array([8, 13, 10])
@@ -403,12 +433,13 @@ def test_pointnet_conv_writes_its_products_in_place(seed):
     table = _graph_batch(rng)
     n = table.row.shape[1]
     x = rng.integers(-128, 128, size=(n, in_w)).astype(np.int8)
-    node = rng.integers(-2**20, 2**20, size=(len(table.channel), out_w),
-                        dtype=np.int32)
+    info = np.iinfo(layer.node_dtype)
+    node = rng.integers(info.min, info.max, size=(len(table.channel), out_w),
+                        dtype=layer.node_dtype, endpoint=True)
     history = node[:-n].copy()
     pointnet_conv(layer, node, x, table)
     np.testing.assert_array_equal(
-        node[-n:], products(layer, x, table.channel[-n:]))
+        node[-n:], stored(layer, products(layer, x, table.channel[-n:])))
     np.testing.assert_array_equal(node[:-n], history)
 
 
@@ -760,6 +791,138 @@ def test_engine_at_the_accumulator_bound_matches_oracle():
             for p in preds] == expect
 
 
+# ------------------------------------------------------- node dtype bounds
+
+EDGE_GRAPH = GraphParams(r_c=127, skip_step=1, r_t_low=0, r_t_high=9000)
+
+
+def _edge_stream(groups=40):
+    """128 channels: groups of events on the edge channels and next to
+    them, 8,200 us apart. Every event finds the previous group at ages of
+    8,140-8,260 us, which quantize to 127, its own group at ages near 0,
+    and the far edge at channel offsets of -127 and +127."""
+    rng = np.random.default_rng(31)
+    t, c = [], []
+    for g in range(groups):
+        size = int(rng.integers(2, 6))
+        t += (g * 8200 + np.sort(rng.integers(0, 60, size=size))).tolist()
+        c += rng.choice([0, 127, 0, 127, 1, 126], size=size).tolist()
+    stream = EventStream(SensorConfig(128), np.array(t), np.array(c),
+                         rng.choice([-1, 1], size=len(t)))
+    builder = GraphBuilder(128, EDGE_GRAPH)
+    table = builder.insert(stream.t, stream.c)
+    ages = table.gather[1][table.valid]
+    dc = np.broadcast_to(table.dc[:, None], table.valid.shape)[table.valid]
+    assert ages.max() == 127 and ages.min() == 0
+    assert dc.min() == -127 and dc.max() == 127
+    return stream
+
+
+def _run_against_oracle(convs, width, seed):
+    """The engine and the oracle on the edge stream, conv layers as given."""
+    rng = np.random.default_rng(seed)
+    head = [rand_linear(rng, width, 8), rand_gru(rng, 8, 5),
+            rand_linear(rng, 5, 4)]
+    weights = ModelWeights(conv_layers=convs, head_blocks=head,
+                           class_count=3)
+    stream = _edge_stream()
+    expect = _oracle_predictions(weights, stream, EDGE_GRAPH, None, 10_000)
+    preds = InferenceEngine(weights, EDGE_GRAPH).run(stream)
+    assert len(expect) == 32 and _triples(preds) == expect
+
+
+def _span_conv(rng, in_w, out_w, scale_num, reach):
+    """A layer at shift 14 with |w_age| + |w_dc| = ``reach`` in every row,
+    w_age >= 0 and every other weight -128 or 127."""
+    w_age = rng.integers(max(reach - 127, 0), min(reach, 127) + 1,
+                         size=out_w)
+    w_dc = (reach - w_age) * rng.choice([-1, 1], size=out_w)
+    weight = np.column_stack([rng.choice([-128, 127], size=(out_w, in_w)),
+                              w_dc, w_age])
+    return ConvLayer(weight=weight, bias=rng.integers(0, 500, size=out_w),
+                     in_width=in_w, out_width=out_w, scale_num=scale_num,
+                     scale_shift=14)
+
+
+@pytest.mark.parametrize("scale_num,reach,span,dtype", [
+    (63, 129, 65_535, np.int16),   # hi - lo = 32,769
+    (43, 69, 65_536, np.int32),    # hi - lo = 48,010
+])
+def test_widest_span_at_the_int16_bound_matches_oracle(scale_num, reach,
+                                                        span, dtype):
+    # every row of every conv layer spans exactly `span`: (hi - lo) +
+    # 2*range(A) + range(C) = (hi - lo) + 254*(|w_age| + |w_dc|)
+    rng = np.random.default_rng(span)
+    width = 5
+    convs = [_span_conv(rng, 3, width, scale_num, reach)] + [
+        _span_conv(rng, width, width, scale_num, reach) for _ in range(3)]
+    lo, hi = ref_rectified_window(scale_num, 14)
+    for layer in convs:
+        w_dc, w_age = np.abs(layer.weight[:, -2:].astype(np.int64)).T
+        assert ((hi - lo) + 254 * (w_age + w_dc) == span).all()
+        low, high = clamp_bounds(layer)            # no bound at the reach
+        ages = layer.age_table.astype(np.int64)
+        assert (high - low + ages.max(axis=0) - ages.min(axis=0)
+                == span).all()
+        assert layer.node_dtype == dtype
+        assert (layer.offset != 0).any() == (dtype == np.int16)
+    _run_against_oracle(convs, width, span)
+
+
+def test_float64_products_on_the_int16_path_match_oracle():
+    # conv 2 takes 1,200 inputs with |w| >= 112: 128*sum|w| > 2**24, so its
+    # products run in float64, while its span still fits int16
+    rng = np.random.default_rng(12)
+    wide, width = 1200, 3
+    weight = rng.integers(112, 129, size=(width, wide)) * rng.choice(
+        [-1, 1], size=(width, wide))
+    weight = np.column_stack([weight.clip(-128, 127),
+                              rng.integers(-20, 21, size=(width, 2))])
+    conv2 = ConvLayer(weight=weight, bias=rng.integers(-500, 500, size=width),
+                      in_width=wide, out_width=width, scale_num=1,
+                      scale_shift=8)
+    assert conv2.weight_t.dtype == conv2.product_t.dtype == np.float64
+    assert conv2.node_dtype == np.int16 and conv2.offset.any()
+    convs = [rand_conv(rng, 3, wide), conv2, rand_conv(rng, width, width),
+             rand_conv(rng, width, width)]
+    _run_against_oracle(convs, width, 12)
+
+
+def _rows_near_the_limit(rng, in_w, scale_shift, dc_age):
+    """Five rows: two at |bias| + 128*sum|w| = 2**31 - 1 with each sign of
+    bias, two with zero weights and bias +-(2**31 - 1), one ordinary;
+    |w_dc| and |w_age| up to ``dc_age``."""
+    weight = np.column_stack([rng.integers(-128, 128, size=(5, in_w)),
+                              rng.integers(-dc_age, dc_age + 1, size=(5, 2))])
+    weight[2:4] = 0
+    bias = (2**31 - 1 - 128 * np.abs(weight).sum(axis=1)) * np.array(
+        [1, -1, 1, -1, 0])
+    bias[4] = rng.integers(-500, 500)
+    return ConvLayer(weight=weight, bias=bias, in_width=in_w, out_width=5,
+                     scale_num=1, scale_shift=scale_shift)
+
+
+def test_bias_near_the_accumulator_limit_matches_oracle():
+    # the window's clamp bounds lie near +-2**31 before they are cut to
+    # the products' reach; at shift 25 the window's top is capped at
+    # 2**31 - 1 and the positive-bias row's bounds take the whole reach
+    rng = np.random.default_rng(13)
+    width = 5
+    convs = [rand_conv(rng, 3, width), _rows_near_the_limit(rng, width, 8, 20),
+             _rows_near_the_limit(rng, width, 25, 127),
+             rand_conv(rng, width, width)]
+    assert [layer.node_dtype for layer in convs[1:3]] == [np.int16, np.int32]
+    for layer in convs[1:3]:
+        w = np.abs(layer.weight.astype(np.int64))
+        reach = 128 * w[:, :-2].sum(axis=1) + 127 * w[:, -2]
+        low, high = clamp_bounds(layer)
+        assert (-reach <= low).all() and (low <= high).all()
+        assert (high <= reach).all()
+        if layer is convs[2]:      # row 0, bias > 0: the whole reach
+            assert [low[0], high[0]] == [-reach[0], reach[0]]
+    _run_against_oracle(convs, width, 13)
+
+
 # ----------------------------------------------------------- chunk splits
 
 SPLIT_WEIGHTS = random_weights(3, small_arch())
@@ -875,6 +1038,8 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
      "channel 32 outside"),
     ("timestamp regressing in the last chunk", OrderingError, "regress"),
     ("timestamp before the last fed", OrderingError, "regress"),
+    ("float timestamps", ValidationError, "timestamps must be integers"),
+    ("bool polarities", ValidationError, "polarities must be integers"),
 ])
 def test_feed_refuses_malformed_input_whole(case, error, message):
     # the refused call spans three chunks and runs none of them: feeding
@@ -903,6 +1068,10 @@ def test_feed_refuses_malformed_input_whole(case, error, message):
         bc[-1] = 32
     elif case == "timestamp regressing in the last chunk":
         bt[-1] = bt[-2] - 1
+    elif case == "float timestamps":
+        bt = bt.astype(np.float64)
+    elif case == "bool polarities":
+        bp = bp > 0
     else:
         bt[0] = t[cut - 1] - 1
     state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
@@ -929,10 +1098,15 @@ def test_one_feed_longer_than_a_chunk_equals_run():
     state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
     preds = state.feed(stream.t, stream.c, stream.p)
     assert _same(preds + state.close(), whole)
-    for layer, memory in zip(SPLIT_WEIGHTS.conv_layers, state.memories):
-        assert memory.dtype == np.int32
+    *_, (_, _, inputs) = ref_conv_stream(
+        events_of(stream), 32,
+        [as_oracle_block(b) for b in SPLIT_WEIGHTS.conv_layers], SPLIT_GRAPH)
+    for layer, memory, latest in zip(SPLIT_WEIGHTS.conv_layers,
+                                     state.memories, inputs):
+        assert memory.dtype == layer.node_dtype == np.int16
         assert memory.shape == (32, layer.out_width)
         assert memory.flags.writeable and memory.base is not None
+        assert_carried(layer, memory, latest)
 
 
 @pytest.mark.parametrize("filtered", [False, True])
@@ -982,8 +1156,22 @@ def test_default_model_matches_end_to_end_oracle(monkeypatch):
 
 # ------------------------------------------------------- carried products
 
-POISON = np.array([np.iinfo(np.int32).max, np.iinfo(np.int32).min],
-                  dtype=np.int32)
+def assert_carried(layer, memory, inputs):
+    """Each channel's carried row plus the layer's offset is the oracle's
+    product of the channel's latest stage input ``inputs[ch]``, clamped to
+    the layer's bounds."""
+    seen = sorted(inputs)
+    low, high = clamp_bounds(layer)
+    expect = np.clip(products(layer, [inputs[ch] for ch in seen], seen),
+                     low, high)
+    np.testing.assert_array_equal(
+        memory[seen].astype(np.int64) + layer.offset, expect)
+
+
+def poison(dtype):
+    """Both extremes of a node buffer's dtype."""
+    info = np.iinfo(dtype)
+    return np.array([info.max, info.min], dtype=dtype)
 
 
 def _split_case(data):
@@ -1014,7 +1202,7 @@ def test_products_of_channels_without_events_are_never_read(data):
     for lo, hi in zip(bounds, bounds[1:]):
         unseen = np.setdiff1d(np.arange(32), stream.c[:lo])
         for memory in state.memories:   # a checkerboard of both extremes
-            memory[unseen] = POISON[
+            memory[unseen] = poison(memory.dtype)[
                 (unseen[:, None] + np.arange(memory.shape[1])) % 2]
         preds += state.feed(stream.t[lo:hi], stream.c[lo:hi],
                             stream.p[lo:hi])
@@ -1038,10 +1226,7 @@ def test_carried_products_equal_recomputed(data):
             continue
         for layer, carried, inputs in zip(SPLIT_WEIGHTS.conv_layers,
                                           state.memories, snapshots[hi - 1]):
-            assert carried.dtype == np.int32
+            assert carried.dtype == layer.node_dtype
             assert carried.shape == (32, layer.out_width)
-            seen = sorted(inputs)
-            assert seen == sorted(set(stream.c[:hi].tolist()))
-            recomputed = products(
-                layer, [inputs[ch] for ch in seen], seen)
-            np.testing.assert_array_equal(carried[seen], recomputed)
+            assert sorted(inputs) == sorted(set(stream.c[:hi].tolist()))
+            assert_carried(layer, carried, inputs)

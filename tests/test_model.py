@@ -18,6 +18,8 @@ from evkws import (
 )
 from evkws.model import ConvLayer, GruBlock, LinearBlock
 
+from oracles import ref_rectified_window
+
 
 def test_default_arch_parameter_budget():
     w = random_weights(0)
@@ -200,16 +202,45 @@ def test_weights_and_blocks_are_frozen():
 
 
 def _derived(block):
-    """Every derived table of a block, recomputed from its weight and bias
-    in Python ints."""
+    """Every derived table of a block, with its dtype, recomputed from its
+    weight and bias in Python ints."""
     w, b = block.weight.tolist(), block.bias.tolist()
-    tables = {"weight_t": [list(map(float, col)) for col in zip(*w)]}
-    if isinstance(block, ConvLayer):
-        w_dc = [row[block.in_width] for row in w]
-        w_age = [row[block.in_width + 1] for row in w]
-        tables["age_table"] = [[q * a for a in w_age] for q in range(128)]
-        tables["channel_table"] = [[bias - ch * d for bias, d in zip(b, w_dc)]
-                                   for ch in range(-127, 128)]
+    exact = _exact_float(block)
+    tables = {"weight_t": (exact, [list(map(float, col)) for col in zip(*w)])}
+    if not isinstance(block, ConvLayer):
+        return tables
+    lo, hi = ref_rectified_window(block.scale_num, block.scale_shift)
+    features = []
+    for row, bias in zip(w, b):
+        w_x, w_dc, w_age = row[:block.in_width], *row[block.in_width:]
+        ages = [q * w_age for q in range(128)]
+        chans = [bias - ch * w_dc for ch in range(-127, 128)]
+        reach = 128 * sum(map(abs, w_x)) + 127 * abs(w_dc)
+        low = max(-reach, min(reach, lo - max(ages) - max(chans)))
+        high = max(-reach, min(reach, hi - min(ages) - min(chans)))
+        features.append((w_x, w_dc, ages, chans, low, high,
+                         high - low + max(ages) - min(ages)))
+    narrow = max(f[-1] for f in features) <= 2**16 - 1
+    offset = [min(low + min(ages) + 2**15, 2**31 - 1 - max(chans))
+              if narrow else 0
+              for _, _, ages, chans, low, _, _ in features]
+    exact = (np.float32 if max(128 * sum(map(abs, row)) + abs(off)
+                               for row, off in zip(w, offset)) <= 2**24
+             else np.float64)
+    def columns(rows):  # per-feature lists -> (rows, features) table
+        return [list(col) for col in zip(*rows)]
+
+    tables.update({
+        "age_table": (np.int16 if narrow else np.int32,
+                      columns(f[2] for f in features)),
+        "channel_table": (np.int32, columns(
+            [c + off for c in f[3]] for f, off in zip(features, offset))),
+        "product_t": (exact, columns(
+            [*f[0], f[1], -off] for f, off in zip(features, offset))),
+        "node_range": (exact, columns(
+            [f[4] - off, f[5] - off] for f, off in zip(features, offset))),
+        "offset": (np.int32, offset),
+    })
     return tables
 
 
@@ -224,15 +255,36 @@ def _exact_float(block):
 def test_derived_tables_are_read_only_and_match_the_weights():
     w = random_weights(2)
     for block in [*w.conv_layers, *w.head_blocks]:
-        for name, expect in _derived(block).items():
+        for name, (dtype, expect) in _derived(block).items():
             table = getattr(block, name)
-            assert table.dtype == (_exact_float(block) if name == "weight_t"
-                                   else np.int32)
+            assert table.dtype == dtype
             assert table.tolist() == expect
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1
+                table[(0,) * table.ndim] = 1
         assert block.weight_t.dtype == np.float32  # fan-in <= 1024
+    for layer in w.conv_layers:  # every span of the stand-in fits int16
+        assert layer.node_dtype == np.int16
+        assert layer.product_t.dtype == np.float32
     assert not hasattr(w.head_blocks[0], "channel_table")
+
+
+@pytest.mark.parametrize("scale_num,scale_shift", [
+    (1, 0), (1, 8), (3, 24), (1, 25), (1, 40), (2**31 - 1, 62)])
+def test_conv_tables_near_the_accumulator_limit(scale_num, scale_shift):
+    # rows at |bias| + 128*sum|w| = 2**31 - 1 with either sign of bias, and
+    # all-zero rows at bias +-(2**31 - 1): the window's bounds lie near or
+    # beyond +-2**31 and must come out as Python ints compute them
+    rng = np.random.default_rng(scale_shift)
+    weight = rng.integers(-128, 128, size=(6, 5))
+    weight[:2, 3:] = rng.integers(-3, 4, size=(2, 2))  # narrow A and C
+    weight[4:] = 0
+    bias = (2**31 - 1 - 128 * np.abs(weight).sum(axis=1)) * np.resize(
+        [1, -1], 6)
+    layer = ConvLayer(weight=weight, bias=bias, in_width=3, out_width=6,
+                      scale_num=scale_num, scale_shift=scale_shift)
+    for name, (dtype, expect) in _derived(layer).items():
+        assert getattr(layer, name).dtype == dtype
+        assert getattr(layer, name).tolist() == expect, name
 
 
 @pytest.mark.parametrize("fan_in,dtype", [(1024, np.float32),
@@ -254,9 +306,9 @@ def test_replaced_block_derives_its_own_tables():
     for block in (w.conv_layers[1], w.head_blocks[0], w.head_blocks[2]):
         weight = -np.array(block.weight)
         copy = dataclasses.replace(block, weight=weight, bias=block.bias + 1)
-        for name, expect in _derived(copy).items():
+        for name, (_, expect) in _derived(copy).items():
             assert getattr(copy, name).tolist() == expect
-            assert getattr(copy, name).tolist() != _derived(block)[name]
+            assert getattr(copy, name).tolist() != _derived(block)[name][1]
         with pytest.raises(ValueError):  # a table is never passed in
             dataclasses.replace(block, weight_t=block.weight_t)
 
