@@ -96,9 +96,11 @@ def test_validate_rejects_bad_polarity(cfg64):
         _raw(cfg64, [(0, 0, 2)])
 
 
-# polarity columns of other integer dtypes: values are compared, never
-# wrapped, so a uint8 255 (int8 -1) is refused; float and bool columns are
-# refused whole (test_non_integer_columns_are_refused)
+# polarity columns of other dtypes: integer values are compared, never
+# wrapped, so a uint8 255 (int8 -1) is refused. Bool and float columns are
+# refused whole by the column rule before the polarity rule reads a value, so
+# a bool True or a whole 1.0 is refused too; for those rows `refused` is what
+# the polarity rule would say, and the column rule's message comes instead
 @pytest.mark.parametrize("dtype, values, refused", [
     (np.int8, [1, -1, 1], None),
     (np.int8, [1, 0], "record 1: polarity 0"),
@@ -108,11 +110,21 @@ def test_validate_rejects_bad_polarity(cfg64):
     (np.uint8, [1, 1], None),
     (np.uint8, [1, 255], "record 1: polarity 255"),
     (np.uint8, [0, 1], "record 0: polarity 0"),
+    (np.bool_, [True, True], None),
+    (np.bool_, [True, False], "record 1: polarity 0"),
+    (np.float64, [1.0, -1.0], None),
+    (np.float64, [1.0, 1.5], "record 1: polarity 1"),
+    (np.float64, [-1.0, 2.0], "record 1: polarity 2"),
 ])
 def test_polarity_check_across_dtypes(cfg64, dtype, values, refused):
     p = np.array(values, dtype=dtype)
     t, c = np.arange(len(p)), np.zeros(len(p), dtype=np.int32)
-    if refused is None:
+    if p.dtype.kind not in "iu":
+        with pytest.raises(ValidationError) as err:
+            EventStream(cfg64, t, c, p)
+        assert str(err.value) == ("polarities must be integers within the "
+                                  f"int64 range, got {p.dtype} values")
+    elif refused is None:
         stream = EventStream(cfg64, t, c, p)
         assert stream.p.dtype == np.int8
         assert stream.p.tolist() == [int(v) for v in values]
