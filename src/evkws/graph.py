@@ -3,29 +3,29 @@
 Events become graph nodes as they arrive. A new event's neighbors are drawn
 from the most recent prior event on each other channel ``c + k*skip_step``
 with ``0 < |k*skip_step| <= r_c``, kept only when its age ``dt = t_new -
-t_prior`` lies in ``[r_t_low, r_t_high]``. Only one record survives per
-channel: inserting an event overwrites its channel's record, so an earlier
-event on the same channel is never returned as a neighbor again. The new
-event itself participates in downstream aggregation as the self vertex, so
-the degree of any neighbor set is at most ``2 * floor(r_c / skip_step)``.
-
-``dt`` is always non-negative; zero-age edges across channels exist only when
-``r_t_low`` is 0.
+t_prior`` lies in ``[r_t_low, r_t_high]``; that window is the whole rule.
+Only one record survives per channel, so an earlier event on the same
+channel is never a neighbor again. The new event itself joins downstream
+aggregation as the self vertex, so a neighbor set has at most ``2 *
+floor(r_c / skip_step)`` members. Zero-age edges across channels exist only
+when ``r_t_low`` is 0.
 
 Events go in as time-sorted batches of timestamp and channel columns, each
 answered with one ``(K, n)`` table, one row per channel offset and one
 column per event, whose entries point into one history row per channel (the
-state before the batch) followed by the batch's own rows. The builder makes
-the table in that layout and every reader uses it so. Batch size never
+state before the batch) followed by the batch's own rows. Batch size never
 changes the answer; whole streams go through in batches of ``CHUNK`` events,
 which bounds memory.
 
-A batch of ``n`` events is answered from a ``(channels, n + 1)`` grid of the
-row each channel last held before each event. Every cell run of that grid
-holds one row, so the grid is filled by one ``np.repeat`` over the runs in
-start order, a segmented broadcast with no scan (Blelloch, "Prefix Sums and
-Their Applications", CMU-CS-90-190); each offset's row of the table then
-costs two gathers. Only each channel's last cell outlives the batch.
+A batch of ``n`` events is answered from a ``(channels + 1, n + 1)`` grid of
+the row each channel last held before each event. Every cell run of that
+grid holds one row, so one ``np.repeat`` over the runs in start order fills
+it, a segmented broadcast with no scan (Blelloch, "Prefix Sums and Their
+Applications", CMU-CS-90-190); each offset's row of the table then costs two
+gathers. Offsets off the sensor read the extra channel, a sentinel row after
+the batch rows. That row and every channel with no event yet carry the time
+``NEVER``, after every timestamp ``check`` accepts (below 2**32), so their
+age is negative; the sentinel row is then clamped to the table's last row.
 """
 
 from __future__ import annotations
@@ -38,17 +38,15 @@ from typing import IO
 import numpy as np
 
 from .errors import OrderingError, ValidationError
-from .events import EventStream, int_column
+from .events import T_LIMIT, EventStream, int_column
 from .quant import I8_MAX, quantize_dt
 
-# Events per batch when a whole stream is processed. Larger batches spread
-# each stage call's fixed cost over more events, and with the engine carrying
-# stage products a batch multiplies only its own rows. On the 128-channel
-# benchmark workload (bench/run.py wide_raw, 2-vCPU x86_64) 256 ran about 11%
-# faster per event than 128 when it was chosen; since the engine's stages
-# write into preallocated node buffers, 512 and 1024 gave no consistent gain
-# and raised peak resident memory by 1.3-3.8 MB.
+# Events per batch for whole streams: a larger batch spreads each stage
+# call's fixed cost over more events. On bench/run.py wide_raw (128
+# channels, 2-vCPU x86_64) 256 ran about 11% faster per event than 128;
+# 512 and 1024 gave no consistent gain and raised peak RSS by 1.3-3.8 MB.
 CHUNK = 256
+NEVER = 2**63 - 1  # time of the sentinel row and of unseen channels
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,12 @@ class NeighborTable:
     by the batch events, ``channel[r]`` being row ``r``'s channel. ``dc[k]``
     is row ``k``'s channel offset (the row's channel minus the event's),
     ``dt[k, i]`` the age of that vertex and ``valid[k, i]`` whether it is a
-    neighbor at all. Channels and the offsets of valid entries lie within
-    [-127, 127], and their ages quantize to at least 0. The length is the
-    number of edges. ``GraphBuilder.insert`` builds ``row``, ``dt`` and
-    ``valid`` as C-contiguous ``(K, n)`` arrays, so the ``n`` entries of
-    each offset are one contiguous row, which ``gather`` and the stage-1
-    features read as they are.
+    neighbor at all; ``dt`` means nothing where ``valid`` is False. Channels
+    and the offsets of valid entries lie within [-127, 127], and their ages
+    quantize to at least 0. The length is the number of edges.
+    ``GraphBuilder.insert`` builds ``row``, ``dt`` and ``valid``
+    C-contiguous, one row of ``n`` entries per offset, as ``gather`` and
+    the stage-1 features read them.
     """
 
     row: np.ndarray      # int64, (K, n)
@@ -131,7 +129,8 @@ class GraphBuilder:
 
     After ``insert``, ``latest[ch]`` is the row of channel ``ch``'s latest
     event among that batch's history and batch rows, in an array of its own
-    (the batch's grid is not kept).
+    (the batch's grid is not kept). A channel's time is ``NEVER`` until
+    its first event.
     """
 
     def __init__(self, channels: int, params: GraphParams):
@@ -144,23 +143,21 @@ class GraphBuilder:
                             for k in range(-reach, reach + 1) if k],
                            dtype=np.int64)
         # (K, channels): offset k's target channel for an event on each
-        # channel, 0 where the target lies off the sensor, and that mask
+        # channel, or the sentinel channel where it lies off the sensor
         target = np.arange(channels) + self.dc[:, None]
-        self._inside = (target >= 0) & (target < channels)
-        self._target = np.where(self._inside, target, 0)
-        for table in (self._inside, self._target):
-            table.flags.writeable = False
-        self._t = np.zeros(channels, dtype=np.int64)
-        self._seen = np.zeros(channels, dtype=bool)
+        self._target = np.where((target >= 0) & (target < channels), target,
+                                channels)
+        self._target.flags.writeable = False
+        self._t = np.full(channels, NEVER, dtype=np.int64)
         self._last_t = 0
         self.latest = np.arange(channels)
 
     def check(self, t, c) -> tuple[np.ndarray, np.ndarray]:
         """A batch's timestamp and channel columns as int64, once they pass
         ``insert``'s checks: integer columns (``events.int_column``), one
-        dimension and one length, channels on the sensor (all
-        ValidationError), timestamps non-decreasing from the last inserted
-        one (OrderingError). Records nothing."""
+        dimension and one length, channels on the sensor, timestamps below
+        2**32 (all ValidationError), timestamps non-decreasing from the last
+        inserted one (OrderingError). Records nothing."""
         t = int_column(t, "timestamps").astype(np.int64, copy=False)
         c = int_column(c, "channels").astype(np.int64, copy=False)
         if t.ndim != 1 or c.shape != t.shape:
@@ -175,6 +172,8 @@ class GraphBuilder:
             raise OrderingError(
                 f"timestamps regress within the batch or before the last "
                 f"inserted {self._last_t}")
+        if len(t) and t[-1] >= T_LIMIT:
+            raise ValidationError("timestamps must fit in unsigned 32 bits")
         return t, c
 
     def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
@@ -183,44 +182,36 @@ class GraphBuilder:
         n, channels = len(t), self.channels
         # grid[ch * span + j]: row of the latest event on ch before batch
         # event j (j = n: after the batch). Channel ch's cells hold its
-        # history row ch from ch * span, and batch event i's row
-        # channels + i from c[i] * span + i + 1, each until the next run
-        # starts. The starts are distinct; sorted, their indices are the
-        # runs' rows and their gaps the run lengths (np.diff with append
-        # would concatenate first).
+        # history row ch from ch * span, batch event i's row channels + i
+        # from c[i] * span + i + 1, each until the next run starts, and the
+        # sentinel channel's the sentinel row channels + n. The starts are
+        # distinct; sorted, their indices are the runs' rows and their gaps
+        # the run lengths, the last closed by a start at the grid's end.
         span = n + 1
         starts = np.concatenate([np.arange(0, channels * span, span),
-                                 c * span + np.arange(1, span)])
+                                 c * span + np.arange(1, span),
+                                 [channels * span, (channels + 1) * span]])
         rows = np.argsort(starts, kind="stable")
         first = starts.take(rows)
-        lengths = np.empty_like(first)
-        lengths[:-1] = first[1:]
-        lengths[-1] = channels * span
-        lengths -= first
-        grid = np.repeat(rows, lengths)
-        # (K, n): one row per neighbor column, indexing the grid flat; an
-        # off-sensor target reads channel 0 and is masked out
+        grid = np.repeat(rows[:-1], first[1:] - first[:-1])
+        # (K, n): one row per neighbor column, indexing the grid flat
         target = self._target.take(c, axis=1)
         target *= span
         target += np.arange(n)
         row = grid.take(target)
-        times = np.concatenate([self._t, t])
+        times = np.concatenate([self._t, t, [NEVER]])
         dt = t - times.take(row)
-        seen = np.concatenate([self._seen, np.ones(n, dtype=bool)])
-        params = self.params
-        valid = (self._inside.take(c, axis=1) & seen.take(row)
-                 & (dt >= params.r_t_low) & (dt <= params.r_t_high))
-        self.latest = grid[n::span].copy()
+        valid = (dt >= self.params.r_t_low) & (dt <= self.params.r_t_high)
+        np.minimum(row, channels + n - 1, out=row)  # every slot indexes a row
+        self.latest = grid[n:channels * span:span].copy()
         self._t = times[self.latest]
-        self._seen = seen[self.latest]
         if n:
             self._last_t = int(t[-1])
         return NeighborTable(row, self.dc, dt, valid,
                              np.concatenate([np.arange(channels), c]))
 
     def insert_event(self, t: int, c: int) -> NeighborTable:
-        """``insert`` of the one-event batch ``([t], [c])``. Nothing in the
-        package calls it; bench/worker.py still wraps it by name."""
+        """``insert([t], [c])``, kept only as bench/worker.py wraps it."""
         return self.insert([t], [c])
 
 

@@ -57,7 +57,14 @@ ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
 I32_MAX = ACC_LIMIT - 1
 I16_SPAN = 2**16 - 1  # widest range of candidates an int16 node holds
 MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
-FLOAT32_EXACT = 2**24  # float32 holds every integer up to here
+
+
+def exact_float(weight: np.ndarray, extra=0) -> type:
+    """float32 when ``128 * sum|w| + extra`` of every row of ``weight`` is
+    at most 2**24, so products of int8 inputs and the rows are exact in any
+    order, with or without fused multiply-adds; float64 otherwise."""
+    extent = 128 * np.abs(weight.astype(np.int64)).sum(axis=1) + extra
+    return np.float32 if extent.max() <= 2**24 else np.float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +74,7 @@ class Block:
     Checked once, when built; both arrays are then read-only.
 
     Tables derived from the weights are built once, with the block, and are
-    read-only too; ``==`` compares the six fields alone. ``weight_t`` is the
-    transposed weight, ``(columns, rows)``, for BLAS products of int8
-    inputs. It is float32 when ``128 * sum|w|`` of every row is at most
-    2**24 (every block of fan-in up to 1024): every partial sum, in any
-    order and with or without fused multiply-adds, is then an integer that
-    float32 holds exactly. Otherwise it is float64, exact below the
-    load-time row bound of 2**31.
+    read-only too; ``==`` compares the six fields alone.
 
     Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
     the only rule in which kinds differ.
@@ -87,7 +88,6 @@ class Block:
     out_width: int
     scale_num: int = 1
     scale_shift: int = 0
-    weight_t: np.ndarray = field(init=False, repr=False)
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
@@ -127,16 +127,13 @@ class Block:
             raise ValidationError(
                 f"scale_shift must lie in [0, {MAX_SHIFT}], got "
                 f"{self.scale_shift}")
-        extent = 128 * np.abs(weight.astype(np.int64)).sum(axis=1)
-        bound = np.abs(bias) + extent
+        bound = np.abs(bias) + 128 * np.abs(weight.astype(np.int64)).sum(1)
         if (bound >= ACC_LIMIT).any():
             row = int(np.argmax(bound >= ACC_LIMIT))
             raise ValidationError(
                 f"row {row}: |bias| + 128*sum|w| = {int(bound[row])} reaches "
                 "2**31, so the 32-bit accumulator could wrap")
         self._freeze("bias", bias.astype(np.int32))
-        exact = np.float32 if extent.max() <= FLOAT32_EXACT else np.float64
-        self._freeze("weight_t", np.ascontiguousarray(weight.T, exact))
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -158,15 +155,15 @@ class ConvLayer(Block):
     maximum of ``P_j + A[q_j]`` over a neighborhood before it adds
     ``C[ch_i]``, where ``A[q] = q * w_age`` for each quantized age q in
     [0, 127] and ``C[ch] = bias - ch * w_dc`` for each channel ch in
-    [-127, 127]. Besides ``weight_t`` the layer holds, read-only:
+    [-127, 127]. The layer holds, read-only:
 
     * ``age_table``, ``(128, out_width)`` in the node dtype: row q is A[q];
     * ``channel_table``, ``(255, out_width)`` int32: row ``ch + 127`` is
       ``C[ch] + offset``;
     * ``product_t``, ``(in_width + 2, out_width)``: ``[Wx; w_dc; -offset]``,
       so ``[x, ch, 1] @ product_t`` is ``P - offset``. It is float32 when
-      ``128 * sum|w| + |offset|`` of every row is at most 2**24, so every
-      partial sum is exact, and float64 otherwise;
+      ``128 * sum|w| + |offset|`` of every row is at most 2**24, and float64
+      otherwise (``exact_float``);
     * ``node_range``, ``(2, out_width)`` in ``product_t``'s dtype: the
       bounds ``[low, high] - offset`` a stored product is clamped to;
     * ``offset``, int32 per feature: a stored product plus it is P clamped
@@ -221,8 +218,7 @@ class ConvLayer(Block):
                                 I32_MAX - channel.max(axis=0))
         else:
             node_dtype, offset = np.int32, np.zeros_like(low)
-        extent = 128 * np.abs(weight).sum(axis=1) + np.abs(offset)
-        exact = np.float32 if extent.max() <= FLOAT32_EXACT else np.float64
+        exact = exact_float(weight, np.abs(offset))
         self._freeze("age_table", age.astype(node_dtype))
         self._freeze("channel_table", (channel + offset).astype(np.int32))
         self._freeze("product_t",
@@ -232,7 +228,20 @@ class ConvLayer(Block):
         self._freeze("offset", offset.astype(np.int32))
 
 
-class LinearBlock(Block):
+@dataclass(frozen=True, eq=False)
+class HeadBlock(Block):
+    """A head block; ``weight_t``, read-only, is its transposed weight
+    ``(columns, rows)`` for BLAS products, in ``exact_float(weight)``."""
+
+    weight_t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._freeze("weight_t", np.ascontiguousarray(
+            self.weight.T, exact_float(self.weight)))
+
+
+class LinearBlock(HeadBlock):
     kind = KIND_LINEAR
 
     @staticmethod
@@ -240,7 +249,7 @@ class LinearBlock(Block):
         return out_width, in_width
 
 
-class GruBlock(Block):
+class GruBlock(HeadBlock):
     """Recurrent head block; ``out_width`` is the hidden size.
 
     Rows of ``weight`` stack the update, reset and candidate gates; columns
@@ -255,7 +264,6 @@ class GruBlock(Block):
 
 
 BLOCK_KINDS = {cls.kind: cls for cls in (ConvLayer, LinearBlock, GruBlock)}
-HeadBlock = LinearBlock | GruBlock
 
 
 def _block_class(kind) -> type[Block] | None:

@@ -101,6 +101,40 @@ def test_channel_edges_clip():
     assert [c for c, _ in insert(builder, 5, 0)] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("channels", [32, 64, 128])
+@pytest.mark.parametrize("t", [0, 2**32 - 1])
+def test_first_events_at_the_sensor_edges_have_no_neighbour(channels, t):
+    # r_c reaches past both ends of the sensor and the window starts at age
+    # 0: every offset of a first event reads an unseen channel or lies off
+    # the sensor, and none of them is a neighbour, at either end of time
+    params = GraphParams(r_c=127, skip_step=1, r_t_low=0, r_t_high=2**32)
+    last = channels - 1
+    for c in (0, last):
+        table = GraphBuilder(channels, params).insert([t], [c])
+        assert not table.valid.any() and table.pairs(0, c) == []
+        assert ((table.row >= 0) & (table.row < len(table.channel))).all()
+        rows, age = table.gather
+        assert (rows == channels).all() and not age.any()
+    # in one batch, the second event's one neighbour is the first
+    table = GraphBuilder(channels, params).insert([t, t], [0, last])
+    assert table.pairs(0, 0) == [] and table.pairs(1, last) == [(0, 0)]
+    assert ((table.row >= 0) & (table.row < len(table.channel))).all()
+
+
+@pytest.mark.parametrize("t", [2**32, 2**32 + 1, 2**63 - 1])
+def test_insert_refuses_timestamps_past_32_bits(t):
+    # the EventStream rule: a timestamp at 2**32 or above is refused whole,
+    # on any channel, and the builder records nothing
+    builder = GraphBuilder(32, GraphParams(r_c=1))
+    builder.insert([0], [1])
+    for c in (5, 31):
+        with pytest.raises(ValidationError,
+                           match="timestamps must fit in unsigned 32 bits"):
+            builder.insert([10, t], [2, c])
+    assert insert(builder, 9, 2) == [(1, 9)]
+    assert insert(builder, 2**32 - 1, 31) == []  # 30 unseen, 32 off-sensor
+
+
 def test_ordering_enforced():
     params = GraphParams(r_c=1, skip_step=1, r_t_low=0, r_t_high=10)
     builder = GraphBuilder(channels=8, params=params)
@@ -164,10 +198,10 @@ def test_batched_query_and_edge_counts(events, params, chunk):
 
 @st.composite
 def wide_streams(draw):
-    """Channel count (1, 2, 64 or 128) and up to ~700 sorted events, spread
+    """Channel count (1, 2, 32, 64 or 128) and up to ~700 sorted events, spread
     over the channels or a one-channel burst, with equal timestamps (zero
     gaps) in both."""
-    channels = draw(st.sampled_from([1, 2, 64, 128]))
+    channels = draw(st.sampled_from([1, 2, 32, 64, 128]))
     n = draw(st.integers(0, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = np.cumsum(rng.integers(0, draw(st.sampled_from([1, 3, 40, 400])), n))
@@ -200,6 +234,8 @@ def test_batched_insert_on_wide_and_bursty_streams(drawn, params, sizes):
         for column in (table.row, table.dt, table.valid):
             assert column.shape == (len(table.dc), len(bt))
             assert column.flags.c_contiguous
+        # every slot, valid or not, indexes a row of the table
+        assert ((table.row >= 0) & (table.row < len(table.channel))).all()
         for i in range(len(bt)):
             ev = (int(bt[i]), int(bc[i]), 1)
             pairs = table.pairs(i, ev[1])

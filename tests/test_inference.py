@@ -262,7 +262,8 @@ def test_conv_layer_at_the_float32_bound_matches_oracle():
     layer = ConvLayer(weight=np.full((3, in_w + 2), -128, np.int8),
                       bias=np.array([0, 2**16 + 1, -2**16]), in_width=in_w,
                       out_width=3, scale_num=1, scale_shift=17)
-    assert layer.weight_t.dtype == layer.product_t.dtype == np.float32
+    assert layer.product_t.dtype == np.float32
+    assert not hasattr(layer, "weight_t")
     extremes = [np.full(in_w, -128, np.int8), np.full(in_w, 127, np.int8),
                 *rng.choice(np.array([-128, 127], np.int8), size=(6, in_w))]
     # the products at both channel extremes, as the layer stores them
@@ -881,7 +882,8 @@ def test_float64_products_on_the_int16_path_match_oracle():
     conv2 = ConvLayer(weight=weight, bias=rng.integers(-500, 500, size=width),
                       in_width=wide, out_width=width, scale_num=1,
                       scale_shift=8)
-    assert conv2.weight_t.dtype == conv2.product_t.dtype == np.float64
+    assert conv2.product_t.dtype == np.float64
+    assert not hasattr(conv2, "weight_t")
     assert conv2.node_dtype == np.int16 and conv2.offset.any()
     convs = [rand_conv(rng, 3, wide), conv2, rand_conv(rng, width, width),
              rand_conv(rng, width, width)]
@@ -1040,6 +1042,10 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     ("timestamp before the last fed", OrderingError, "regress"),
     ("float timestamps", ValidationError, "timestamps must be integers"),
     ("bool polarities", ValidationError, "polarities must be integers"),
+    ("timestamp at 2**32 in the last chunk", ValidationError,
+     "timestamps must fit in unsigned 32 bits"),
+    ("timestamp at the int64 maximum", ValidationError,
+     "timestamps must fit in unsigned 32 bits"),
 ])
 def test_feed_refuses_malformed_input_whole(case, error, message):
     # the refused call spans three chunks and runs none of them: feeding
@@ -1072,6 +1078,10 @@ def test_feed_refuses_malformed_input_whole(case, error, message):
         bt = bt.astype(np.float64)
     elif case == "bool polarities":
         bp = bp > 0
+    elif case == "timestamp at 2**32 in the last chunk":
+        bt[-1] = 2**32
+    elif case == "timestamp at the int64 maximum":
+        bt[-1] = 2**63 - 1
     else:
         bt[0] = t[cut - 1] - 1
     state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)

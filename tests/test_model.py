@@ -205,10 +205,9 @@ def _derived(block):
     """Every derived table of a block, with its dtype, recomputed from its
     weight and bias in Python ints."""
     w, b = block.weight.tolist(), block.bias.tolist()
-    exact = _exact_float(block)
-    tables = {"weight_t": (exact, [list(map(float, col)) for col in zip(*w)])}
     if not isinstance(block, ConvLayer):
-        return tables
+        return {"weight_t": (_exact_float(block),
+                             [list(map(float, col)) for col in zip(*w)])}
     lo, hi = ref_rectified_window(block.scale_num, block.scale_shift)
     features = []
     for row, bias in zip(w, b):
@@ -230,7 +229,7 @@ def _derived(block):
     def columns(rows):  # per-feature lists -> (rows, features) table
         return [list(col) for col in zip(*rows)]
 
-    tables.update({
+    return {
         "age_table": (np.int16 if narrow else np.int32,
                       columns(f[2] for f in features)),
         "channel_table": (np.int32, columns(
@@ -240,13 +239,13 @@ def _derived(block):
         "node_range": (exact, columns(
             [f[4] - off, f[5] - off] for f, off in zip(features, offset))),
         "offset": (np.int32, offset),
-    })
-    return tables
+    }
 
 
 def _exact_float(block):
-    """The product dtype rule: float32 when 128 * sum|w| of every row is at
-    most 2**24, the largest range of integers float32 holds exactly."""
+    """A head block's product dtype rule: float32 when 128 * sum|w| of every
+    row is at most 2**24, the largest range of integers float32 holds
+    exactly."""
     extent = max(128 * sum(abs(v) for v in row)
                  for row in block.weight.tolist())
     return np.float32 if extent <= 2**24 else np.float64
@@ -261,10 +260,12 @@ def test_derived_tables_are_read_only_and_match_the_weights():
             assert table.tolist() == expect
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1
+    for block in w.head_blocks:
         assert block.weight_t.dtype == np.float32  # fan-in <= 1024
     for layer in w.conv_layers:  # every span of the stand-in fits int16
         assert layer.node_dtype == np.int16
         assert layer.product_t.dtype == np.float32
+        assert not hasattr(layer, "weight_t")  # the head's table alone
     assert not hasattr(w.head_blocks[0], "channel_table")
 
 
@@ -309,8 +310,9 @@ def test_replaced_block_derives_its_own_tables():
         for name, (_, expect) in _derived(copy).items():
             assert getattr(copy, name).tolist() == expect
             assert getattr(copy, name).tolist() != _derived(block)[name][1]
+        name = next(iter(_derived(block)))
         with pytest.raises(ValueError):  # a table is never passed in
-            dataclasses.replace(block, weight_t=block.weight_t)
+            dataclasses.replace(block, **{name: getattr(block, name)})
 
 
 def test_block_equality_ignores_derived_tables():
