@@ -24,8 +24,8 @@ import os
 import sys
 
 from .config import RunConfig, expand_sweep, load_config, write_config
-from .errors import (ConfigError, EvkwsError, OrderingError, ParseError,
-                     ValidationError, open_text)
+from .errors import (ConfigError, EvkwsError, ParseError, ValidationError,
+                     open_text)
 from .events import (FORMAT_CSV, EventStream, compute_stats, read_stream,
                      write_stream)
 from .filtering import filter_stream
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_CONFIG)
     except ParseError as exc:
         return _fail(exc, EXIT_PARSE)
-    except (OrderingError, ValidationError) as exc:
+    except ValidationError as exc:  # an OrderingError too
         return _fail(exc, EXIT_VALIDATION)
     except OSError as exc:
         return _fail(exc, EXIT_IO)

@@ -4,7 +4,10 @@ The sensor decomposes audio into frequency channels and emits an asynchronous
 address-event stream: each event is a (timestamp, channel, polarity) triple
 with microsecond timestamps, channel indices below the configured channel
 count, and polarity +1 or -1. Streams are kept time-sorted; equal timestamps
-are allowed, including on the same channel.
+are allowed, including on the same channel. ``check_events`` is that rule,
+written once: ``EventStream`` checks a whole stream with it, and
+``GraphBuilder.insert`` and ``RunState.feed`` check each batch from the last
+timestamp they took, ``WindowPool.push`` from the open window's start.
 
 Two file formats are supported:
 
@@ -57,9 +60,6 @@ FORMAT_BINARY = "binary"
 FORMAT_CSV = "csv"
 _CSV_HEADER = "t,c,p"
 _INT64 = np.iinfo(np.int64)
-# an EventStream's columns: field, name in messages, dtype once checked
-_COLUMNS = (("t", "timestamps", np.int64), ("c", "channels", np.int32),
-            ("p", "polarities", np.int8))
 
 
 def int_column(values, name: str) -> np.ndarray:
@@ -84,15 +84,51 @@ def int_column(values, name: str) -> np.ndarray:
     return column
 
 
-def check_polarity(p: np.ndarray) -> None:
-    """Raise ValidationError naming the first record whose polarity is not
-    +1 or -1."""
-    # two comparisons, not np.isin, which sorts its input
-    polar = (p == 1) | (p == -1)
-    if not polar.all():
-        bad = int(np.flatnonzero(~polar)[0])
+def check_events(t, c=None, p=None, channels: int = 0, after: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The event rule: the timestamp, channel and polarity columns as
+    ``int_column`` makes them (None where not given), once they pass, in
+    this order: integer columns; one dimension and one length; timestamps
+    in [0, 2**32); none before ``after`` or before the record ahead of it
+    (OrderingError); channels in [0, ``channels``); polarity +1 or -1.
+    Every other failure is a ValidationError. From the order on, each error
+    names the first bad record."""
+    t = int_column(t, "timestamps")
+    c = c if c is None else int_column(c, "channels")
+    p = p if p is None else int_column(p, "polarities")
+    if t.ndim != 1 or (c is not None and c.shape != t.shape) or (
+            p is not None and p.shape != t.shape):
+        shapes = ", ".join(f"{name} {v.shape}" for name, v in
+                           zip(("timestamps", "channels", "polarities"),
+                               (t, c, p)) if v is not None)
+        raise ValidationError(f"{shapes} are not 1-D columns of one length")
+    if not len(t):
+        return t, c, p
+    # neighbours compared, not differenced: a difference of unsigned
+    # timestamps wraps instead of going negative; sorted, the ends of a
+    # column are its extremes
+    drops = t[1:] < t[:-1]
+    unsorted = drops.any()
+    low, high = (t.min(), t.max()) if unsorted else (t[0], t[-1])
+    if int(low) < 0 or int(high) >= T_LIMIT:
+        raise ValidationError("timestamps must fit in unsigned 32 bits")
+    if t[0] < after or unsorted:
+        i = 0 if t[0] < after else int(np.argmax(drops)) + 1
+        before = int(t[i - 1]) if i else after
+        raise OrderingError(
+            f"timestamps regress at record {i}: {int(t[i])} < {before}")
+    if c is not None and (int(c.min()) < 0 or int(c.max()) >= channels):
+        bad = int(np.flatnonzero((c < 0) | (c >= channels))[0])
         raise ValidationError(
-            f"record {bad}: polarity {int(p[bad])} not in {{-1, +1}}")
+            f"record {bad}: channel {int(c[bad])} outside [0, {channels})")
+    if p is not None:
+        # two comparisons, not np.isin, which sorts its input
+        polar = (p == 1) | (p == -1)
+        if not polar.all():
+            bad = int(np.flatnonzero(~polar)[0])
+            raise ValidationError(
+                f"record {bad}: polarity {int(p[bad])} not in {{-1, +1}}")
+    return t, c, p
 
 
 @dataclass(frozen=True)
@@ -117,11 +153,10 @@ class EventStream:
     """A time-sorted event sequence plus the sensor config that produced it.
 
     ``t``, ``c`` and ``p`` are parallel numpy arrays. A stream is checked
-    once, when it is built: equal lengths, timestamps in unsigned 32 bits
-    and non-decreasing, channels below the channel count, polarity +1 or -1
-    (ValidationError, or OrderingError for a regressing timestamp). The
-    columns are then held as read-only int64 ``t``, int32 ``c`` and int8
-    ``p``, so no function that takes a stream checks it again.
+    once, when it is built, by ``check_events`` against the sensor's
+    channel count. The columns are then held as read-only int64 ``t``,
+    int32 ``c`` and int8 ``p``, so no function that takes a stream checks
+    it again.
     ``sample_id`` is side-channel metadata, never serialized into the event
     file and excluded from equality.
     """
@@ -133,39 +168,14 @@ class EventStream:
     sample_id: str = ""
 
     def __post_init__(self):
-        for name, label, _ in _COLUMNS:
-            object.__setattr__(self, name,
-                               int_column(getattr(self, name), label))
-        self._check()
+        columns = check_events(self.t, self.c, self.p, self.config.channels)
         # Narrow only after the check, so an out-of-range value cannot wrap.
         # Read-only views keep the checked values from being edited in place.
-        for name, _, dtype in _COLUMNS:
-            column = getattr(self, name).astype(dtype, copy=False).view()
+        for name, column, dtype in zip("tcp", columns,
+                                       (np.int64, np.int32, np.int8)):
+            column = column.astype(dtype, copy=False).view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-    def _check(self) -> None:
-        if not (len(self.t) == len(self.c) == len(self.p)):
-            raise ValidationError("t, c, p arrays must have equal length")
-        if len(self.t) == 0:
-            return
-        if int(self.t.min()) < 0 or int(self.t.max()) >= T_LIMIT:
-            raise ValidationError("timestamps must fit in unsigned 32 bits")
-        # neighbours compared, not differenced: a difference of unsigned
-        # timestamps wraps instead of going negative
-        drops = np.flatnonzero(self.t[1:] < self.t[:-1])
-        if drops.size:
-            i = int(drops[0]) + 1
-            raise OrderingError(
-                f"timestamps regress at record {i}: "
-                f"{int(self.t[i])} < {int(self.t[i - 1])}")
-        if int(self.c.min()) < 0 or int(self.c.max()) >= self.config.channels:
-            bad = int(np.flatnonzero(
-                (self.c < 0) | (self.c >= self.config.channels))[0])
-            raise ValidationError(
-                f"record {bad}: channel {int(self.c[bad])} outside "
-                f"[0, {self.config.channels})")
-        check_polarity(self.p)
 
     @classmethod
     def from_events(cls, config: SensorConfig,

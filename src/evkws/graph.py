@@ -37,8 +37,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import OrderingError, ValidationError
-from .events import T_LIMIT, EventStream, int_column
+from .errors import ValidationError
+from .events import EventStream, check_events
 from .quant import I8_MAX, quantize_dt
 
 # Events per batch for whole streams: a larger batch spreads each stage
@@ -129,8 +129,9 @@ class GraphBuilder:
 
     After ``insert``, ``latest[ch]`` is the row of channel ``ch``'s latest
     event among that batch's history and batch rows, in an array of its own
-    (the batch's grid is not kept). A channel's time is ``NEVER`` until
-    its first event.
+    (the batch's grid is not kept), and ``last_t`` is the last inserted
+    timestamp (0 before the first). A channel's time is ``NEVER`` until its
+    first event.
     """
 
     def __init__(self, channels: int, params: GraphParams):
@@ -149,32 +150,16 @@ class GraphBuilder:
                                 channels)
         self._target.flags.writeable = False
         self._t = np.full(channels, NEVER, dtype=np.int64)
-        self._last_t = 0
+        self.last_t = 0
         self.latest = np.arange(channels)
 
     def check(self, t, c) -> tuple[np.ndarray, np.ndarray]:
         """A batch's timestamp and channel columns as int64, once they pass
-        ``insert``'s checks: integer columns (``events.int_column``), one
-        dimension and one length, channels on the sensor, timestamps below
-        2**32 (all ValidationError), timestamps non-decreasing from the last
-        inserted one (OrderingError). Records nothing."""
-        t = int_column(t, "timestamps").astype(np.int64, copy=False)
-        c = int_column(c, "channels").astype(np.int64, copy=False)
-        if t.ndim != 1 or c.shape != t.shape:
-            raise ValidationError(
-                f"timestamps {t.shape} and channels {c.shape} are not two "
-                "columns of one length")
-        channels = self.channels
-        if len(t) and (c.min() < 0 or c.max() >= channels):
-            bad = int(c[(c < 0) | (c >= channels)][0])
-            raise ValidationError(f"channel {bad} outside [0, {channels})")
-        if len(t) and (t[0] < self._last_t or (t[1:] < t[:-1]).any()):
-            raise OrderingError(
-                f"timestamps regress within the batch or before the last "
-                f"inserted {self._last_t}")
-        if len(t) and t[-1] >= T_LIMIT:
-            raise ValidationError("timestamps must fit in unsigned 32 bits")
-        return t, c
+        the event rule (``events.check_events``) on this sensor's channels,
+        from ``last_t`` on. Records nothing."""
+        t, c, _ = check_events(t, c, channels=self.channels,
+                               after=self.last_t)
+        return t.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
 
     def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
         """Query neighbors for a time-sorted batch, then record it."""
@@ -206,7 +191,7 @@ class GraphBuilder:
         self.latest = grid[n:channels * span:span].copy()
         self._t = times[self.latest]
         if n:
-            self._last_t = int(t[-1])
+            self.last_t = int(t[-1])
         return NeighborTable(row, self.dc, dt, valid,
                              np.concatenate([np.arange(channels), c]))
 

@@ -69,9 +69,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderingError, ValidationError
-from .events import (DEFAULT_WINDOW_US, EventStream, check_polarity,
-                     int_column)
+from .errors import ValidationError
+from .events import DEFAULT_WINDOW_US, EventStream, check_events
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
@@ -145,7 +144,8 @@ class WindowPool:
     """Running per-feature max over fixed windows aligned at t=0.
 
     ``push`` takes a chunk of ``width``-wide feature rows with their
-    time-sorted timestamps and returns the (index, vector) pairs of every
+    timestamps, which pass the event rule (``events.check_events``) from the
+    open window's start on, and returns the (index, vector) pairs of every
     window the chunk completed; ``flush`` closes the window holding the last
     row. Each window's max starts from zeros, and every window nothing
     landed in emits the pool's one read-only zero vector. A stream with no
@@ -165,17 +165,13 @@ class WindowPool:
 
     def push(self, features: np.ndarray,
              t: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        t = int_column(t, "timestamps").astype(np.int64, copy=False)
-        if t.ndim != 1 or features.shape != (len(t), len(self._zero)):
+        t = check_events(t, after=self._current * self.window_us)[0]
+        if features.shape != (len(t), len(self._zero)):
             raise ValidationError(f"feature rows {features.shape} do not "
                                   f"pair with {t.shape} timestamps")
         if not len(t):
             return []
         window = t // self.window_us
-        if window[0] < self._current or (t[1:] < t[:-1]).any():
-            raise OrderingError(
-                f"rows at {t[0]}..{t[-1]} us regress or start before "
-                f"window {self._current}")
         starts = np.flatnonzero(np.concatenate(([True],
                                                 window[1:] != window[:-1])))
         maxes = np.maximum.reduceat(features, starts, axis=0)
@@ -328,19 +324,12 @@ class RunState:
              p: np.ndarray) -> list[Prediction]:
         """Run events; returns the predictions of the windows they closed.
 
-        The three columns are checked whole before any event runs (integer
-        columns as ``events.int_column`` takes them, a batch as
-        ``GraphBuilder.check`` checks it, and polarity +1 or -1), so a
+        The three columns pass the event rule (``events.check_events``)
+        whole, from the last timestamp fed on, before any event runs, so a
         refused call leaves the run as it was.
         """
-        # the int64 columns that check returns are dropped, so a long input
-        # is not held twice; each chunk's insert converts its own slice
-        shape = self.graph.check(t, c)[0].shape
-        p = int_column(p, "polarities")
-        if p.shape != shape:
-            raise ValidationError(
-                f"polarities {p.shape} do not pair with {shape} events")
-        check_polarity(p)
+        t, c, p = check_events(t, c, p, self.graph.channels,
+                               self.graph.last_t)
         predictions = []
         for i in range(0, len(t), CHUNK):
             end = i + CHUNK

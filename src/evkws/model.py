@@ -275,8 +275,9 @@ def _block_class(kind) -> type[Block] | None:
 class ModelWeights:
     """Full network: conv stack, head blocks in execution order, class count.
 
-    Checked once, when built: four chained conv layers, then a non-empty
-    head chained from them whose last block emits ``class_count + 1``.
+    Checked once, when built: four chained ``ConvLayer``s, then a non-empty
+    head of ``HeadBlock``s chained from them whose last block emits
+    ``class_count + 1``.
     """
 
     conv_layers: tuple[ConvLayer, ...]
@@ -292,6 +293,15 @@ class ModelWeights:
             raise ValidationError(
                 f"expected {CONV_LAYER_COUNT} conv layers, got "
                 f"{len(self.conv_layers)}")
+        # conv layers count from 1 and head blocks from 0, as below
+        for name, blocks, kind, first in (
+                ("conv layer", self.conv_layers, ConvLayer, 1),
+                ("head block", self.head_blocks, HeadBlock, 0)):
+            for i, block in enumerate(blocks, first):
+                if not isinstance(block, kind):
+                    raise ValidationError(
+                        f"{name} {i} is a {type(block).__name__}, not a "
+                        f"{kind.__name__}")
         if self.conv_layers[0].in_width != CONV1_IN_WIDTH:
             raise ValidationError(
                 f"conv layer 1 must take {CONV1_IN_WIDTH} features (plus "

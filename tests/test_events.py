@@ -138,6 +138,9 @@ def test_validate_rejects_timestamp_overflow(cfg64):
     for t in (T_LIMIT, -1):
         with pytest.raises(ValidationError, match="unsigned 32 bits"):
             _raw(cfg64, [(t, 0, 1)])
+        # the range is checked before the order, also between the ends
+        with pytest.raises(ValidationError, match="unsigned 32 bits"):
+            _raw(cfg64, [(5, 0, 1), (t, 0, 1), (6, 0, 1)])
     stream = EventStream.from_events(cfg64, [(T_LIMIT - 1, 0, 1)])
     assert stream.t.tolist() == [T_LIMIT - 1]
 
@@ -425,12 +428,21 @@ def test_binary_config_mismatch(tmp_path, rng):
 
 def test_write_validates_first(tmp_path, cfg64):
     # An invalid stream cannot be built, so none reaches the writer, not
-    # even as a changed copy of a valid one.
+    # even as a changed copy of a valid one: a regressing one, or one of
+    # integer columns that are not 1-D
     good = _raw(cfg64, [(5, 0, 1), (6, 0, 1)])
-    with pytest.raises(OrderingError):
-        write_stream(dataclasses.replace(good, t=np.array([5, 1])),
-                     str(tmp_path / "x.nas"))
-    assert not (tmp_path / "x.nas").exists()
+    for columns, error, message in [
+            ({"t": np.array([5, 1])}, OrderingError, "record 1: 1 < 5"),
+            ({"t": [[5, 6], [7, 8]], "c": [[0, 0], [0, 0]],
+              "p": [[1, 1], [1, 1]]}, ValidationError,
+             r"timestamps \(2, 2\), channels \(2, 2\), polarities \(2, 2\)"
+             " are not 1-D columns"),
+            ({"t": 5, "c": 0, "p": 1}, ValidationError,
+             r"timestamps \(\), channels \(\), polarities \(\) are not 1-D")]:
+        with pytest.raises(error, match=message):
+            write_stream(dataclasses.replace(good, **columns),
+                         str(tmp_path / "x.nas"))
+        assert not (tmp_path / "x.nas").exists()
 
 
 # -------------------------------------------------------------------- stats

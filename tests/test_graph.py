@@ -265,19 +265,25 @@ def test_batch_rejects_regressing_or_foreign_events():
         builder.insert([4], [3])
 
 
-@pytest.mark.parametrize("t,c", [
-    ([1, 2, 3], [5, 6]),         # one channel short
-    ([1, 2], [5, 6, 7]),         # one timestamp short
-    ([[1, 2]], [[5, 6]]),        # one shape, but not one dimension
-    (1, 5),                      # no dimension
-    ([1, 2], [[5, 6]]),
-])
-def test_insert_refuses_malformed_columns(t, c):
+@pytest.mark.parametrize("t,c,message", [
+    ([1, 2, 3], [5, 6], r"timestamps \(3,\), channels \(2,\) are not 1-D "
+                        "columns of one length"),
+    ([1, 2], [5, 6, 7], r"timestamps \(2,\), channels \(3,\)"),
+    ([[1, 2]], [[5, 6]], r"timestamps \(1, 2\), channels \(1, 2\)"),
+    (1, 5, r"timestamps \(\), channels \(\)"),
+    ([1, 2], [[5, 6]], r"timestamps \(2,\), channels \(1, 2\)"),
+    ([5, 6, 6], [5, 6, 8], r"record 2: channel 8 outside \[0, 8\)"),
+    ([6, 7, 6], [5, 6, 7], "timestamps regress at record 2: 6 < 7"),
+    ([4], [1], "timestamps regress at record 0: 4 < 5"),
+    ([-1], [1], "timestamps must fit in unsigned 32 bits"),
+], ids=["t0-c0", "t1-c1", "t2-c2", "1-5", "t4-c4", "channel-off-the-sensor",
+        "regress-within", "regress-before-the-last", "negative"])
+def test_insert_refuses_malformed_columns(t, c, message):
     builder = GraphBuilder(8, GraphParams(r_c=1))
-    builder.insert([0], [1])
-    with pytest.raises(ValidationError, match="columns of one length"):
+    builder.insert([5], [1])
+    with pytest.raises(ValidationError, match=message):
         builder.insert(t, c)
-    assert insert(builder, 9, 2) == [(1, 9)]   # nothing was recorded
+    assert insert(builder, 9, 2) == [(1, 4)]   # nothing was recorded
 
 
 def test_insert_event_is_a_one_row_insert():

@@ -476,9 +476,11 @@ def test_window_pool_boundary_times():
 def test_window_pool_rejects_regression():
     pool = WindowPool(width=1, window_us=10)
     pool.push(np.array([[1]], dtype=np.int8), [25])
-    with pytest.raises(OrderingError):   # starts behind the open window
+    with pytest.raises(OrderingError,    # starts behind the open window
+                       match="timestamps regress at record 0: 15 < 20"):
         pool.push(np.array([[1], [1]], dtype=np.int8), [15, 30])
-    with pytest.raises(OrderingError):   # regresses within the chunk
+    with pytest.raises(OrderingError,    # regresses within the chunk
+                       match="timestamps regress at record 1: 29 < 31"):
         pool.push(np.array([[1], [1]], dtype=np.int8), [31, 29])
     with pytest.raises(ValidationError):  # one row a timestamp
         pool.push(np.array([[1], [1]], dtype=np.int8), [31])
@@ -488,6 +490,21 @@ def test_window_pool_rejects_regression():
         pool.push(np.array([[1, 1]], dtype=np.int8), [31])
     assert _pooled(pool.push(np.array([[3]], dtype=np.int8), [20])) == []
     assert _pooled(pool.flush()) == [(2, [3])]
+
+
+@pytest.mark.parametrize("t", [-1, 2**32])
+def test_window_pool_refuses_timestamps_outside_32_bits(t):
+    # the stream's rule: no window is emitted up to such a timestamp, and
+    # the refused chunk leaves the pool as it was
+    pool = WindowPool(width=1)
+    pool.push(np.array([[4]], dtype=np.int8), [15_000])
+    with pytest.raises(ValidationError,
+                       match="timestamps must fit in unsigned 32 bits") as err:
+        pool.push(np.array([[9], [9]], dtype=np.int8), [20_000, t])
+    assert err.type is ValidationError
+    assert _pooled(pool.push(np.array([[2]], dtype=np.int8), [25_000])) == [
+        (1, [4])]
+    assert _pooled(pool.flush()) == [(2, [2])]
 
 
 def test_window_pool_max_is_elementwise():
@@ -1029,19 +1046,26 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
 
 
 @pytest.mark.parametrize("case,error,message", [
-    ("polarities one short", ValidationError, "polarities"),
+    ("polarities one short", ValidationError,
+     r"polarities \(523,\) are not 1-D columns of one length"),
     ("channels one short", ValidationError, "one length"),
-    ("two-dimensional columns", ValidationError, "one length"),
+    ("two-dimensional columns", ValidationError,
+     r"timestamps \(2, 262\), channels \(2, 262\), polarities \(2, 262\)"),
     ("scalar columns", ValidationError, "one length"),
     ("polarity 7", ValidationError, "polarity 7 not in"),
-    ("uint8 polarities, -1 as 255", ValidationError, "polarity 255 not in"),
+    ("uint8 polarities, -1 as 255", ValidationError,
+     "record 3: polarity 255 not in"),
     ("polarity 0", ValidationError, "polarity 0 not in"),
     ("channel off the sensor in the last chunk", ValidationError,
-     "channel 32 outside"),
-    ("timestamp regressing in the last chunk", OrderingError, "regress"),
-    ("timestamp before the last fed", OrderingError, "regress"),
+     r"record 523: channel 32 outside \[0, 32\)"),
+    ("timestamp regressing in the last chunk", OrderingError,
+     "timestamps regress at record 523: 9084 < 9085"),
+    ("timestamp before the last fed", OrderingError,
+     "timestamps regress at record 0: 741 < 742"),
     ("float timestamps", ValidationError, "timestamps must be integers"),
     ("bool polarities", ValidationError, "polarities must be integers"),
+    ("negative timestamp", ValidationError,
+     "timestamps must fit in unsigned 32 bits"),
     ("timestamp at 2**32 in the last chunk", ValidationError,
      "timestamps must fit in unsigned 32 bits"),
     ("timestamp at the int64 maximum", ValidationError,
@@ -1082,12 +1106,15 @@ def test_feed_refuses_malformed_input_whole(case, error, message):
         bt[-1] = 2**32
     elif case == "timestamp at the int64 maximum":
         bt[-1] = 2**63 - 1
+    elif case == "negative timestamp":
+        bt[0] = -1
     else:
         bt[0] = t[cut - 1] - 1
     state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
     preds = state.feed(t[:cut], c[:cut], p[:cut])
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as refused:
         state.feed(bt, bc, bp)
+    assert refused.type is error
     preds += state.feed(t[cut:], c[cut:], p[cut:]) + state.close()
     whole = InferenceEngine(SPLIT_WEIGHTS, SPLIT_GRAPH, window_us=1000).run(
         EventStream(SensorConfig(32), t, c, p))

@@ -181,6 +181,26 @@ def test_weights_validation_broken_chain():
                      class_count=11)
 
 
+def test_weights_refuse_blocks_of_the_wrong_kind():
+    # widths alone would let either through, to fail later in the head or
+    # in a conv stage
+    w = random_weights(0)
+    conv = w.conv_layers[3]
+    as_head = ConvLayer(weight=np.zeros((12, conv.out_width + 2), np.int8),
+                        bias=np.zeros(12, np.int32),
+                        in_width=conv.out_width, out_width=12)
+    with pytest.raises(ValidationError,
+                       match="head block 0 is a ConvLayer, not a HeadBlock"):
+        ModelWeights(w.conv_layers, [as_head], 11)
+    as_conv = LinearBlock(weight=np.zeros((conv.out_width, conv.in_width),
+                                          np.int8),
+                          bias=np.zeros(conv.out_width, np.int32),
+                          in_width=conv.in_width, out_width=conv.out_width)
+    with pytest.raises(ValidationError,
+                       match="conv layer 4 is a LinearBlock, not a ConvLayer"):
+        ModelWeights([*w.conv_layers[:3], as_conv], w.head_blocks, 11)
+
+
 def test_weights_and_blocks_are_frozen():
     w = random_weights(0)
     assert isinstance(w.conv_layers, tuple)
