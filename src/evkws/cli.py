@@ -53,17 +53,16 @@ def _load_stream(path: str, config: RunConfig) -> EventStream:
     return read_stream(path, _stream_format(path, config), config.sensor)
 
 
-def _emit(doc: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(doc: dict, fmt: str) -> None:
     if fmt == "csv":
         rows = []
         _flatten("", doc, rows)
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["key", "value"])
         writer.writerows(rows)
     else:
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 def _flatten(prefix: str, node, rows: list) -> None:

@@ -53,7 +53,7 @@ from .hwmodel import HwParams
 
 @dataclass(frozen=True)
 class FiltrationSettings:
-    """Filter knobs as configured, before thresholds are materialized."""
+    """Filter knobs as configured, before the channel count is known."""
 
     div_factor: int = 8
     weight: int = 32
@@ -63,11 +63,6 @@ class FiltrationSettings:
 
     def schedule(self) -> ThresholdSchedule:
         return ThresholdSchedule(self.kind, self.start, self.end)
-
-    def materialize(self, channels: int) -> FiltrationParams:
-        return FiltrationParams.from_schedule(self.schedule(),
-                                              self.div_factor, self.weight,
-                                              channels)
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,9 @@ class RunConfig:
     io_format: str = "binary"
 
     def filtration_params(self) -> FiltrationParams:
-        return self.filtration.materialize(self.sensor.channels)
+        f = self.filtration
+        return FiltrationParams.from_schedule(f.schedule(), f.div_factor,
+                                              f.weight, self.sensor.channels)
 
     def to_dict(self) -> dict:
         doc: dict[str, dict] = {section: {} for section in SECTIONS}

@@ -17,8 +17,8 @@ class EvkwsError(Exception):
 class ParseError(EvkwsError):
     """File content could not be decoded under the declared format.
 
-    Carries the 1-based line number (text formats) or byte offset (binary)
-    of the first offending record when known.
+    The message names the 1-based line number (text formats) or byte offset
+    (binary) of the first offending record when known.
     """
 
     def __init__(self, message: str, *, line: int | None = None,
@@ -28,8 +28,6 @@ class ParseError(EvkwsError):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.line = line
-        self.offset = offset
 
 
 class ValidationError(EvkwsError):

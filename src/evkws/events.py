@@ -211,10 +211,6 @@ class EventStream:
         return int(self.t[-1] - self.t[0])
 
 
-def _topology_byte(topology: str) -> int:
-    return TOPOLOGIES.index(topology)
-
-
 def write_stream(stream: EventStream, path: str, format: str = FORMAT_BINARY) -> None:
     """Serialize a stream (valid, since it was checked when built)."""
     if format == FORMAT_BINARY:
@@ -223,7 +219,7 @@ def write_stream(stream: EventStream, path: str, format: str = FORMAT_BINARY) ->
         records["c"] = stream.c
         records["p"] = stream.p
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, stream.config.channels,
-                              _topology_byte(stream.config.topology))
+                              TOPOLOGIES.index(stream.config.topology))
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(records.tobytes())
@@ -237,9 +233,9 @@ def write_stream(stream: EventStream, path: str, format: str = FORMAT_BINARY) ->
 
 
 def read_stream(path: str, format: str = FORMAT_BINARY,
-                config: SensorConfig | None = None,
-                sample_id: str | None = None) -> EventStream:
-    """Parse an event file into a checked stream.
+                config: SensorConfig | None = None) -> EventStream:
+    """Parse an event file into a checked stream whose ``sample_id`` is the
+    file's stem.
 
     For binary files the header carries the sensor config; a config passed in
     as well must agree with it. CSV carries no header metadata, so ``config``
@@ -247,15 +243,13 @@ def read_stream(path: str, format: str = FORMAT_BINARY,
     or byte offset; domain violations (channel out of range, bad polarity,
     time regression) raise ValidationError / OrderingError.
     """
-    if sample_id is None:
-        sample_id = _stem(path)
     if format == FORMAT_BINARY:
         config, columns = _read_binary(path, config)
     elif format == FORMAT_CSV:
         columns = _read_csv(path, config)
     else:
         raise ConfigError(f"unknown stream format {format!r}")
-    return EventStream(config, *columns, sample_id=sample_id)
+    return EventStream(config, *columns, sample_id=_stem(path))
 
 
 def _stem(path: str) -> str:

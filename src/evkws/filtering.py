@@ -9,7 +9,8 @@ copied through unchanged.
 
 Thresholds per channel come from a schedule: constant, linear or exponential
 interpolation from ``start`` (channel 0) down to ``end`` (last channel),
-rounded half up and clamped to at least 1.
+rounded half up. Both ends are at least 1 and a curve only runs downward,
+so no threshold falls below 1.
 
 ``filter_stream`` evaluates the rule rank by rank instead of event by event.
 An event's update reads and writes only its own channel's state, so the
@@ -87,7 +88,7 @@ def make_thresholds(schedule: ThresholdSchedule, channels: int) -> np.ndarray:
             math.floor(start * ratio ** (c / (channels - 1)) + 0.5)
             for c in range(channels)
         ]
-    return np.maximum(np.array(values, dtype=np.int64), 1)
+    return np.array(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ when ``r_t_low`` is 0.
 Events go in as time-sorted batches of timestamp and channel columns, each
 answered with one ``(K, n)`` table, one row per channel offset and one
 column per event, whose entries point into one history row per channel (the
-state before the batch) followed by the batch's own rows. Batch size never
-changes the answer; whole streams go through in batches of ``CHUNK`` events,
-which bounds memory.
+state before the batch) followed by the batch's own rows. An offset of
+``channels`` or more never lands on the sensor, so it gets no row: reach
+past ``channels - 1`` costs nothing. Batch size never changes the answer;
+whole streams go through in batches of ``CHUNK`` events, which bounds
+memory.
 
 A batch of ``n`` events is answered from a ``(channels + 1, n + 1)`` grid of
 the row each channel last held before each event. Every cell run of that
@@ -24,7 +26,7 @@ it, a segmented broadcast with no scan (Blelloch, "Prefix Sums and Their
 Applications", CMU-CS-90-190); each offset's row of the table then costs two
 gathers. Offsets off the sensor read the extra channel, a sentinel row after
 the batch rows. That row and every channel with no event yet carry the time
-``NEVER``, after every timestamp ``check`` accepts (below 2**32), so their
+``NEVER``, after every timestamp ``insert`` accepts (below 2**32), so their
 age is negative; the sentinel row is then clamped to the table's last row.
 """
 
@@ -139,7 +141,8 @@ class GraphBuilder:
             raise ValidationError("channel count must be positive")
         self.channels = channels
         self.params = params
-        reach = params.r_c // params.skip_step
+        # offsets past channels - 1 never land on the sensor: no row for them
+        reach = min(params.r_c, channels - 1) // params.skip_step
         self.dc = np.array([k * params.skip_step
                             for k in range(-reach, reach + 1) if k],
                            dtype=np.int64)
@@ -153,17 +156,15 @@ class GraphBuilder:
         self.last_t = 0
         self.latest = np.arange(channels)
 
-    def check(self, t, c) -> tuple[np.ndarray, np.ndarray]:
-        """A batch's timestamp and channel columns as int64, once they pass
-        the event rule (``events.check_events``) on this sensor's channels,
-        from ``last_t`` on. Records nothing."""
+    def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
+        """Query neighbors for a time-sorted batch, then record it.
+
+        The timestamp and channel columns pass the event rule
+        (``events.check_events``) on this sensor's channels, from
+        ``last_t`` on, before anything is recorded."""
         t, c, _ = check_events(t, c, channels=self.channels,
                                after=self.last_t)
-        return t.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
-
-    def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
-        """Query neighbors for a time-sorted batch, then record it."""
-        t, c = self.check(t, c)
+        t, c = t.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
         n, channels = len(t), self.channels
         # grid[ch * span + j]: row of the latest event on ch before batch
         # event j (j = n: after the batch). Channel ch's cells hold its

@@ -130,11 +130,11 @@ def calibrate_cycle_model(min_latency_us: float = 0.47,
     return CycleCalibration(base_i, per_vertex_i, residual)
 
 
-def throughput_envelope(params: HwParams,
-                        max_edges: int = DEFAULT_MAX_EDGES) -> tuple[float, float]:
-    """(best, worst) sustained events/second for edge counts 0 and max."""
+def throughput_envelope(params: HwParams) -> tuple[float, float]:
+    """(best, worst) sustained events/second for edge counts 0 and
+    ``DEFAULT_MAX_EDGES``."""
     best = params.clock_hz / params.cycles(0)
-    worst = params.clock_hz / params.cycles(max_edges)
+    worst = params.clock_hz / params.cycles(DEFAULT_MAX_EDGES)
     return best, worst
 
 

@@ -143,13 +143,13 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
 class WindowPool:
     """Running per-feature max over fixed windows aligned at t=0.
 
-    ``push`` takes a chunk of ``width``-wide feature rows with their
-    timestamps, which pass the event rule (``events.check_events``) from the
-    open window's start on, and returns the (index, vector) pairs of every
+    ``push`` takes a chunk of ``width``-wide int8 feature rows with their
+    timestamps, which pass the event rule (``events.check_events``) from
+    ``open_start`` on, and returns the (index, vector) pairs of every
     window the chunk completed; ``flush`` closes the window holding the last
-    row. Each window's max starts from zeros, and every window nothing
-    landed in emits the pool's one read-only zero vector. A stream with no
-    rows emits nothing.
+    row and opens the next, so no window is emitted twice. Each window's max
+    starts from zeros, and every window nothing landed in emits the pool's
+    one read-only zero vector. A stream with no rows emits nothing.
     """
 
     def __init__(self, width: int, window_us: int = DEFAULT_WINDOW_US):
@@ -163,12 +163,19 @@ class WindowPool:
         self._current = 0     # the open window
         self._acc = None      # its running max; None until a row lands
 
+    @property
+    def open_start(self) -> int:
+        """Start of the open window, the earliest timestamp ``push`` takes."""
+        return self._current * self.window_us
+
     def push(self, features: np.ndarray,
              t: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        t = check_events(t, after=self._current * self.window_us)[0]
-        if features.shape != (len(t), len(self._zero)):
-            raise ValidationError(f"feature rows {features.shape} do not "
-                                  f"pair with {t.shape} timestamps")
+        t = check_events(t, after=self.open_start)[0]
+        width = len(self._zero)
+        if features.dtype != np.int8 or features.shape != (len(t), width):
+            raise ValidationError(
+                f"feature rows are {features.dtype} {features.shape}, pool "
+                f"expects int8 ({len(t)}, {width})")
         if not len(t):
             return []
         window = t // self.window_us
@@ -177,8 +184,7 @@ class WindowPool:
         maxes = np.maximum.reduceat(features, starts, axis=0)
         acc = self._zero if self._acc is None else self._acc
         emitted: list[tuple[int, np.ndarray]] = []
-        for w, rows_max in zip(window[starts].tolist(),
-                               maxes.astype(np.int8, copy=False)):
+        for w, rows_max in zip(window[starts].tolist(), maxes):
             if w > self._current:
                 emitted.append((self._current, acc))
                 emitted += [(k, self._zero)
@@ -192,6 +198,7 @@ class WindowPool:
         if self._acc is None:
             return []
         out = [(self._current, self._acc)]
+        self._current += 1
         self._acc = None
         return out
 
@@ -236,19 +243,14 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     gate. Sigmoid entries are 256-scaled, so every product steps back down
     with a rounding shift by 8.
     """
-    hidden = block.out_width
     w = block.weight_t  # exact products for int8 x and h, in its dtype
     ax = (x @ w[:block.in_width]).astype(np.int64) + block.bias
     ah = (h @ w[block.in_width:]).astype(np.int64)
-
-    def gate_index(rows: slice, acc: np.ndarray) -> np.ndarray:
-        return requantize(acc[rows], block.scale_num, block.scale_shift)
-
-    z = lut_sigmoid(gate_index(slice(0, hidden), ax + ah))
-    r = lut_sigmoid(gate_index(slice(hidden, 2 * hidden), ax + ah))
-    cand_rows = slice(2 * hidden, 3 * hidden)
-    gated = rounding_rshift(r.astype(np.int64) * ah[cand_rows], 8)
-    n = lut_tanh(requantize(ax[cand_rows] + gated,
+    gates = 2 * block.out_width  # update and reset: one element-wise pass
+    z, r = np.split(lut_sigmoid(requantize(
+        ax[:gates] + ah[:gates], block.scale_num, block.scale_shift)), 2)
+    gated = rounding_rshift(r.astype(np.int64) * ah[gates:], 8)
+    n = lut_tanh(requantize(ax[gates:] + gated,
                             block.scale_num, block.scale_shift))
     blend = (256 - z.astype(np.int64)) * n + z.astype(np.int64) * h
     return saturate_i8(rounding_rshift(blend, 8))
@@ -299,8 +301,9 @@ class RunState:
     product clamped to the layer's bounds, less its ``offset``; a channel
     with no event yet holds zeros, which no neighbor table reads), the open
     pooling window and the recurrent head state. ``feed`` takes time-sorted
-    events and ``close`` ends the run; together they return the same
-    predictions however the stream is split.
+    events and ``close`` emits the window holding the last one; together
+    they return the same predictions however the stream is split. A window
+    closed is never reopened: a later ``feed`` starts past it.
 
     ``feed`` runs ``CHUNK`` events at a time, one ``pointnet_conv`` call per
     stage into the stage's node buffer of ``channels + CHUNK`` rows, in the
@@ -325,11 +328,12 @@ class RunState:
         """Run events; returns the predictions of the windows they closed.
 
         The three columns pass the event rule (``events.check_events``)
-        whole, from the last timestamp fed on, before any event runs, so a
-        refused call leaves the run as it was.
+        whole, from the last timestamp fed or the open window's start,
+        whichever is later, before any event runs, so a refused call leaves
+        the run as it was.
         """
         t, c, p = check_events(t, c, p, self.graph.channels,
-                               self.graph.last_t)
+                               max(self.graph.last_t, self.pool.open_start))
         predictions = []
         for i in range(0, len(t), CHUNK):
             end = i + CHUNK

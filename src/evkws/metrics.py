@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParseError, ValidationError, open_text
-from .events import EventStream, compute_stats, DEFAULT_WINDOW_US
+from .events import EventStream, compute_stats
 
 F1_EPS = 1e-12
 
@@ -170,14 +170,13 @@ def read_records(path: str) -> list[EvalRecord]:
 
 
 def event_rate_report(pre: Sequence[EventStream],
-                      post: Sequence[EventStream] | None = None,
-                      window_us: int = DEFAULT_WINDOW_US) -> dict:
+                      post: Sequence[EventStream] | None = None) -> dict:
     """Stream statistics before and after filtration, plus the reduction.
 
     ``post`` must pair with ``pre`` sample for sample. The reduction is
     :func:`reduction_pct` of the pre- and post-filter event totals.
     """
-    report: dict = {"pre": compute_stats(pre, window_us).to_json_dict(),
+    report: dict = {"pre": compute_stats(pre).to_json_dict(),
                     "post": None, "reduction_pct": None}
     if post is not None:
         if len(post) != len(pre):
@@ -189,7 +188,7 @@ def event_rate_report(pre: Sequence[EventStream],
             if a.sample_id != b.sample_id:
                 raise ValidationError(
                     f"sample mismatch: {a.sample_id!r} vs {b.sample_id!r}")
-        post_stats = compute_stats(post, window_us)
+        post_stats = compute_stats(post)
         report["post"] = post_stats.to_json_dict()
         report["reduction_pct"] = reduction_pct(
             report["pre"]["total_events"], post_stats.total_events)

@@ -11,10 +11,13 @@ from evkws import (
     EventStream,
     GraphBuilder,
     GraphParams,
+    InferenceEngine,
     OrderingError,
     SensorConfig,
     ValidationError,
     edges_per_event,
+    random_weights,
+    synth_stream,
 )
 from evkws.events import SUPPORTED_CHANNEL_COUNTS
 from evkws.graph import CHUNK, dump_neighbors
@@ -308,3 +311,24 @@ def test_dump_neighbors_format(rng):
     assert lines[2]["t"] == 150 and lines[2]["c"] == 3
     assert {"c": 2, "dt": 50} in lines[2]["neighbors"]
     assert {"c": 1, "dt": 150} in lines[2]["neighbors"]
+
+
+@pytest.mark.parametrize("skip_step", [1, 3])
+def test_reach_past_the_sensor_adds_nothing(skip_step):
+    # an offset of channels or more never lands on the sensor: a radius
+    # past channels - 1 builds no more table rows and gives the same bits
+    cfg = SensorConfig(channels=32)
+    stream = synth_stream(5, cfg, duration_us=40_000, rate_profile=700)
+    engine_weights = random_weights(0)
+    runs = []
+    for r_c in (31, 127, 4000):
+        params = GraphParams(r_c=r_c, skip_step=skip_step, r_t_high=3000)
+        assert len(GraphBuilder(32, params).dc) == 2 * (31 // skip_step)
+        dump = io.StringIO()
+        dump_neighbors(stream, params, dump)
+        preds = InferenceEngine(engine_weights, params).run(stream)
+        runs.append(([p.to_json_dict() for p in preds],
+                     edges_per_event(stream, params).tolist(),
+                     dump.getvalue()))
+    assert len(stream) > CHUNK and sum(runs[0][1]) > 0 and runs[0][0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]

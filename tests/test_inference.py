@@ -459,6 +459,9 @@ def test_window_pool_emits_gaps_as_zeros():
     assert out[2][1] is zero and not zero.flags.writeable
     assert _pooled(pool.flush()) == [(3, [2, 2])]
     assert pool.flush() == []
+    with pytest.raises(OrderingError,    # the flushed window stays closed
+                       match="timestamps regress at record 0: 39 < 40"):
+        pool.push(np.array([[1, 1]], dtype=np.int8), [39])
 
 
 def test_window_pool_flush_without_events():
@@ -488,6 +491,9 @@ def test_window_pool_rejects_regression():
         pool.push(np.array([1], dtype=np.int8), 31)
     with pytest.raises(ValidationError):  # the pool's width
         pool.push(np.array([[1, 1]], dtype=np.int8), [31])
+    with pytest.raises(ValidationError,   # int8 rows only, never wrapped
+                       match="feature rows are int64"):
+        pool.push(np.array([[300]]), [31])
     assert _pooled(pool.push(np.array([[3]], dtype=np.int8), [20])) == []
     assert _pooled(pool.flush()) == [(2, [3])]
 
@@ -1043,6 +1049,27 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     state.feed(np.array([500]), np.array([3]), np.array([1]))
     with pytest.raises(OrderingError):
         state.feed(np.array([400]), np.array([4]), np.array([1]))
+
+
+def test_feed_after_close_never_reopens_a_window():
+    # close emits window 0; a feed into it is refused whole, and later
+    # windows each come out once, in order
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    assert state.feed(np.array([100, 200]), np.array([3, 4]),
+                      np.array([1, -1])) == []
+    assert [pred.window_index for pred in state.close()] == [0]
+    latest, memories = state.graph.latest.copy(), [
+        memory.copy() for memory in state.memories]
+    with pytest.raises(OrderingError,
+                       match="timestamps regress at record 0: 300 < 1000"):
+        state.feed(np.array([300]), np.array([5]), np.array([1]))
+    assert state.graph.last_t == 200 and state.pool.open_start == 1000
+    np.testing.assert_array_equal(state.graph.latest, latest)
+    for memory, before in zip(state.memories, memories):
+        np.testing.assert_array_equal(memory, before)
+    assert state.close() == []
+    later = state.feed(np.array([2500]), np.array([5]), np.array([1]))
+    assert [pred.window_index for pred in later + state.close()] == [1, 2]
 
 
 @pytest.mark.parametrize("case,error,message", [
