@@ -11,9 +11,11 @@ stream = synth_stream(seed=12, config=config, duration_us=200_000,
                       rate_profile=500.0)
 
 params = GraphParams(r_c=6, skip_step=2, r_t_low=0, r_t_high=5_000)
+builder = GraphBuilder(config.channels, params)
 print(f"reach {params.r_c} channels at stride {params.skip_step}, "
       f"dt window [{params.r_t_low}, {params.r_t_high}] us")
-print(f"degree can never exceed {params.max_degree}")
+# one table row per channel offset that lands on the sensor
+print(f"degree can never exceed {len(builder.dc)}")
 
 
 def rescan(i):
@@ -33,7 +35,6 @@ def rescan(i):
     return found
 
 
-builder = GraphBuilder(config.channels, params)
 degrees = np.zeros(len(stream), dtype=np.int64)
 for start in range(0, len(stream), CHUNK):
     # one neighbor table per chunk: one row per offset, one column per event
@@ -47,7 +48,7 @@ for start in range(0, len(stream), CHUNK):
 
 print(f"checked {len(stream)} events in chunks of {CHUNK}, "
       f"mean degree {degrees.mean():.2f}, max {degrees.max()}")
-hist = np.bincount(degrees, minlength=params.max_degree + 1)
+hist = np.bincount(degrees, minlength=len(builder.dc) + 1)
 for d, n in enumerate(hist):
     bar = "#" * int(60 * n / hist.max())
     print(f"degree {d}: {n:5d} {bar}")

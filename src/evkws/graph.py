@@ -19,15 +19,15 @@ past ``channels - 1`` costs nothing. Batch size never changes the answer;
 whole streams go through in batches of ``CHUNK`` events, which bounds
 memory.
 
-A batch of ``n`` events is answered from a ``(channels + 1, n + 1)`` grid of
-the row each channel last held before each event. Every cell run of that
-grid holds one row, so one ``np.repeat`` over the runs in start order fills
-it, a segmented broadcast with no scan (Blelloch, "Prefix Sums and Their
-Applications", CMU-CS-90-190); each offset's row of the table then costs two
-gathers. Offsets off the sensor read the extra channel, a sentinel row after
-the batch rows. That row and every channel with no event yet carry the time
-``NEVER``, after every timestamp ``insert`` accepts (below 2**32), so their
-age is negative; the sentinel row is then clamped to the table's last row.
+A batch of ``n`` events is answered from a ``(channels + 1, n + 1)`` int32
+grid of the row each channel last held before each event. Every cell run of
+that grid holds one row, so one ``np.repeat`` over the runs in start order
+fills it, a segmented broadcast with no scan (Blelloch, "Prefix Sums and
+Their Applications", CMU-CS-90-190); each offset's row of the table then
+costs two gathers. Offsets off the sensor read the extra channel, a sentinel
+row after the batch rows. That row and every channel with no event yet carry
+the time ``NEVER``, after every timestamp ``insert`` accepts (below 2**32),
+so their age is negative; the sentinel row is then clamped to the last row.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .errors import ValidationError
 from .events import EventStream, check_events
 from .quant import I8_MAX, quantize_dt
 
-# Events per batch for whole streams: a larger batch spreads each stage
-# call's fixed cost over more events. On bench/run.py wide_raw (128
-# channels, 2-vCPU x86_64) 256 ran about 11% faster per event than 128;
-# 512 and 1024 gave no consistent gain and raised peak RSS by 1.3-3.8 MB.
-CHUNK = 256
+# Events per batch for whole streams: each chunk pays about 150 numpy calls
+# whatever its length. On bench/run.py (2-vCPU x86_64, seed 17) 768 ran 14%
+# faster per event than 256 on stream_infer and wide_raw and 7% on hw_timing,
+# at +0.8 MB peak RSS at most; 1024 read 8% slower than 768 on wide_raw.
+CHUNK = 768
 NEVER = 2**63 - 1  # time of the sentinel row and of unseen channels
 
 
@@ -72,6 +72,7 @@ class GraphParams:
 
     @property
     def max_degree(self) -> int:
+        """The degree bound, assuming a sensor wider than ``r_c``."""
         return 2 * (self.r_c // self.skip_step)
 
 
@@ -91,7 +92,7 @@ class NeighborTable:
     the stage-1 features read them.
     """
 
-    row: np.ndarray      # int64, (K, n)
+    row: np.ndarray      # int32 (intp from 2**31 rows), (K, n)
     dc: np.ndarray       # int64, (K,)
     dt: np.ndarray       # int64, (K, n)
     valid: np.ndarray    # bool, (K, n)
@@ -130,10 +131,10 @@ class GraphBuilder:
     """One-record-per-channel incremental neighborhood builder.
 
     After ``insert``, ``latest[ch]`` is the row of channel ``ch``'s latest
-    event among that batch's history and batch rows, in an array of its own
-    (the batch's grid is not kept), and ``last_t`` is the last inserted
-    timestamp (0 before the first). A channel's time is ``NEVER`` until its
-    first event.
+    event among that batch's history and batch rows, in an int32 array of
+    its own (the batch's grid is not kept), and ``last_t`` is the last
+    inserted timestamp (0 before the first). A channel's time is ``NEVER``
+    until its first event.
     """
 
     def __init__(self, channels: int, params: GraphParams):
@@ -154,7 +155,7 @@ class GraphBuilder:
         self._target.flags.writeable = False
         self._t = np.full(channels, NEVER, dtype=np.int64)
         self.last_t = 0
-        self.latest = np.arange(channels)
+        self.latest = np.arange(channels, dtype=np.int32)
 
     def insert(self, t: np.ndarray, c: np.ndarray) -> NeighborTable:
         """Query neighbors for a time-sorted batch, then record it.
@@ -179,7 +180,9 @@ class GraphBuilder:
                                  [channels * span, (channels + 1) * span]])
         rows = np.argsort(starts, kind="stable")
         first = starts.take(rows)
-        grid = np.repeat(rows[:-1], first[1:] - first[:-1])
+        # rows run to channels + n: int32 holds them, halving the grid
+        index = np.int32 if channels + n < 2**31 else np.intp
+        grid = np.repeat(rows[:-1].astype(index), first[1:] - first[:-1])
         # (K, n): one row per neighbor column, indexing the grid flat
         target = self._target.take(c, axis=1)
         target *= span

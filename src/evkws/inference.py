@@ -127,6 +127,7 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
     low, high = layer.node_range
     np.maximum(stored, low, out=stored)
     node[own:] = np.minimum(stored, high, out=stored)
+    del stored  # each transient goes before the next (n, out_w) is made
     best = node[own:].copy()
     cand, aged = np.empty_like(best), np.empty_like(best)
     for k in range(len(nbr)):
@@ -134,9 +135,11 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
         layer.age_table.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
         np.maximum(best, cand, out=best)
+    del cand, aged
     acc = layer.channel_table.take(table.channel[own:] + I8_MAX, axis=0,
                                    mode="clip")
     acc += best                          # bias - ch_i * w_dc + offset
+    del best
     return requantize(acc, layer.scale_num, layer.scale_shift, rectify=True)
 
 
@@ -309,7 +312,9 @@ class RunState:
     stage into the stage's node buffer of ``channels + CHUNK`` rows, in the
     layer's ``node_dtype``: the carried memories (``memories`` are views of
     its first rows), then the chunk's own products. The chunk's stage-4 rows
-    go to ``WindowPool.push`` whole.
+    go to ``WindowPool.push`` whole. A stage drops each transient before the
+    next is made: one 768-event chunk at 128 channels, ten offsets and
+    72-wide stages peaks at 789 KB beyond the node buffers.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,

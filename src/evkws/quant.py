@@ -124,7 +124,8 @@ def requantize(acc, scale_num: int, scale_shift: int,
     acc = acc.astype(dtype, copy=False)
     scaled = acc.clip(lo, hi, out=np.empty_like(acc))
     scaled = scaled.astype(scale, copy=False)
-    scaled *= scale_num
+    if scale_num != 1:
+        scaled *= scale_num
     scaled += half
     scaled >>= scale_shift
     if scale_num > 1 << scale_shift:

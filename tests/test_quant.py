@@ -176,6 +176,24 @@ def test_requantize_equals_oracle_over_the_whole_domain(data, dtype, num,
     assert got.tolist() == [max(0, v) if rectify else v for v in expect]
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shift", [0, 1, 8, 20])
+@pytest.mark.parametrize("rectify", [False, True])
+def test_requantize_at_scale_one_is_exact_at_both_clamp_edges(dtype, shift,
+                                                              rectify):
+    # scale_num 1, as every layer of random_weights has, skips the multiply:
+    # the accumulators around each end of the clamp window, lo the largest
+    # giving the lowest output and hi the smallest giving 127, still
+    # requantize as the oracle does
+    low, half = 0 if rectify else I8_MIN, (1 << shift) >> 1
+    lo, hi = ((low + 1) << shift) - half - 1, (I8_MAX << shift) - half
+    acc = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
+    got = requantize(np.array(acc, dtype=dtype), 1, shift, rectify=rectify)
+    expect = [max(low, ref_requant(a, 1, shift)) for a in acc]
+    assert got.dtype == np.int8 and got.tolist() == expect
+    assert expect == [low, low, low + 1, I8_MAX - 1, I8_MAX, I8_MAX]
+
+
 def test_requantize_rejects_a_zero_scale():
     with pytest.raises(ValidationError, match="scale_num"):
         requantize(np.array([1]), 0, 0)
