@@ -17,8 +17,9 @@ Two file formats are supported:
 * csv: an optional first line ``t,c,p``, then one ``t,c,p`` integer triple
   per line. Blank lines are skipped and each field is read as ``int()``
   reads it after the line is stripped (``_scan_csv`` is the definition).
-  Files of plain digits, ``-``, ``,`` and newlines decode on a faster path
-  with identical results.
+  Files decode on a faster path with identical results where deleting the
+  digits and ``-`` after the header leaves one ``,,`` and newline per line
+  (no empty last field) and every ``-`` is the sign of a nonzero value.
 
 A zero-byte file decodes as an empty stream in either format (the caller
 must then supply the sensor config, since there is no header to read it
@@ -34,10 +35,10 @@ last event.
 
 from __future__ import annotations
 
-import io
 import struct
+import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -299,47 +300,46 @@ def _read_csv(path: str,
     if config is None:
         raise ConfigError(f"{path}: csv carries no header metadata; a sensor "
                           "config must be supplied")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    columns = _decode_plain_csv(blob)
+    # Unbuffered, header read apart: one body copy, never joined or sliced.
+    with open(path, "rb", buffering=0) as fh:
+        columns = _decode_plain_csv(fh)
     return _scan_csv(path) if columns is None else columns
 
 
-def _decode_plain_csv(blob: bytes) -> tuple[np.ndarray, ...] | None:
-    """The ``t``, ``c`` and ``p`` columns of a plain CSV file, or None.
-
-    Plain means an optional exact ``t,c,p`` first line, then non-blank lines
-    of ASCII digits, ``-`` and ``,`` only. On such bytes numpy's parser reads
-    a field exactly as ``int()`` does, so the values equal ``_scan_csv``'s.
-    Anything else, and every failure of the parser, is left to the scanner,
-    which defines the format and is the only source of its errors.
-    """
-    header = blob.startswith(_CSV_HEADER.encode() + b"\n")
-    letters = b"tcp" if header else b""
-    # Deleting digits, "-" and "," must leave the header's letters and then
-    # only the newlines, one per line break.
-    rest = blob.translate(None, b"0123456789-,")
-    if rest.rstrip(b"\n") != letters:
+def _decode_plain_csv(fh: BinaryIO) -> tuple[np.ndarray, ...] | None:
+    """The ``t``, ``c`` and ``p`` columns of the binary file ``fh`` if it is
+    plain CSV (see the module docstring), or None. numpy's parser reads
+    plain fields exactly as ``int()`` does. Anything else, and every failure
+    or warning of the parser, is left to the scanner, which defines the
+    format and is the only source of its errors."""
+    if fh.read(len(_CSV_HEADER) + 1) != _CSV_HEADER.encode() + b"\n":
+        fh.seek(0)
+    body = fh.read()
+    tail = not body.endswith(b"\n")  # a last line without its newline
+    rest = body.translate(None, b"0123456789")  # separators and signs
+    minus = rest.count(b"-")
+    rest = rest.translate(None, b"-")
+    lines = rest.count(b"\n") + tail
+    # One ",," and newline per line: the parse meets 3 * lines fields. An
+    # empty last one would end it a value short, left unset without a word.
+    if rest != (b",,\n" * lines)[:3 * lines - tail] or body.endswith(b","):
         return None
-    breaks = len(rest) - len(letters) - header  # line breaks after the header
-    if breaks == len(blob) - (len(_CSV_HEADER) + 1) * header:
-        return None  # empty or blank body: the parser would only warn
-    try:
-        rows = np.loadtxt(io.BytesIO(blob), delimiter=",", dtype=np.int64,
-                          comments=None, skiprows=int(header), ndmin=2)
-    except Exception:  # the scanner decides every input the parser refuses
+    del rest
+    body = body.replace(b"\n", b",")
+    with warnings.catch_warnings():  # numpy 1.x warns where 2.x raises
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(body, np.int64, count=3 * lines, sep=",")
+        except (ValueError, Warning):
+            return None
+    del body
+    # numpy 2 reads a lone "-" as 0 and "-0" is 0; beyond int64 a value
+    # saturates to a limit, which no event holds. The scanner decides these.
+    if (np.count_nonzero(values < 0) != minus
+            or values.min() == _INT64.min or values.max() == _INT64.max):
         return None
-    # A blank line is one line fewer parsed than the file has.
-    if rows.shape != (breaks + (not blob.endswith(b"\n")), 3):
-        return None
-    # numpy 1.x reads an integer beyond int64 through a float (with only a
-    # DeprecationWarning) and the cast leaves an int64 limit. No event holds
-    # a limit, so such rows go to the scanner, which names the field.
-    if rows.min() == _INT64.min or rows.max() == _INT64.max:
-        return None
-    # Only t keeps its int64 width; once the stream narrows c and p, the
-    # (n, 3) block is freed.
-    return rows[:, 0].copy(), rows[:, 1], rows[:, 2]
+    # t is copied, so the parsed block is freed once the stream narrows c, p.
+    return values[0::3].copy(), values[1::3], values[2::3]
 
 
 def _scan_csv(path: str) -> tuple[np.ndarray, ...]:
