@@ -282,13 +282,13 @@ def _read_binary(path: str, config: SensorConfig | None
     if config is not None and config != file_config:
         raise ValidationError(
             f"{path}: header declares {file_config}, caller expected {config}")
-    body = blob[_HEADER.size:]
-    if len(body) % _RECORD_DTYPE.itemsize:
+    trailing = (len(blob) - _HEADER.size) % _RECORD_DTYPE.itemsize
+    if trailing:
         raise ParseError(
-            f"{path}: trailing {len(body) % _RECORD_DTYPE.itemsize} bytes do "
-            "not form a record",
-            offset=_HEADER.size + len(body) - len(body) % _RECORD_DTYPE.itemsize)
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+            f"{path}: trailing {trailing} bytes do not form a record",
+            offset=len(blob) - trailing)
+    # a view past the header: the body is never copied
+    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     # Copies, so that no column is a strided view of the file buffer.
     return file_config, (records["t"].astype(np.int64),
                          records["c"].astype(np.int32),

@@ -58,9 +58,10 @@ elapsed window emits (empty ones as all zeros, the minimum of the rectified
 domain) and the head runs once per emission: linear and recurrent blocks in
 declared order, hidden blocks rectified, the final block affine. Its
 products are BLAS matrix-vector products on each block's ``weight_t``, exact
-by the same rule, then summed with the bias in 64 bits. Its output is class
-logits plus one confidence value. Recurrent state persists across windows of
-one sample and resets between samples.
+by the same rule, accumulated in int32. Only a GRU's ``r * ah`` (up to 256 *
+2**31) and the logits' ``acc * scale_num`` (below 2**62) take int64. Its
+output is class logits plus one confidence value. Recurrent state persists
+across windows of one sample and resets between samples.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ from .events import DEFAULT_WINDOW_US, EventStream, check_events
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
 from .model import ConvLayer, GruBlock, ModelWeights
-from .quant import (I8_MAX, I8_MIN, div_round_half_away,
-                    div_round_half_up_nonneg, lut_sigmoid, lut_tanh,
-                    quantize_dt, requantize, rounding_rshift, saturate_i8)
+from .quant import (I8_MAX, div_round_half_away, div_round_half_up_nonneg,
+                    lut_sigmoid, lut_tanh, quantize_dt, requantize,
+                    rounding_rshift, saturate_i8)
 
 
 def first_layer_inputs(table: NeighborTable, p: np.ndarray) -> np.ndarray:
@@ -244,19 +245,19 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     reset gate weighs only the recurrent accumulator of the candidate; the
     new hidden state blends candidate and previous state with the update
     gate. Sigmoid entries are 256-scaled, so every product steps back down
-    with a rounding shift by 8.
+    with a rounding shift by 8. Every sum is int32: the gates' stay within
+    the row's load-time bound (``|gated| <= |ah|``), the blend within 2**15.
     """
     w = block.weight_t  # exact products for int8 x and h, in its dtype
-    ax = (x @ w[:block.in_width]).astype(np.int64) + block.bias
-    ah = (h @ w[block.in_width:]).astype(np.int64)
+    ax = (x @ w[:block.in_width]).astype(np.int32) + block.bias
+    ah = (h @ w[block.in_width:]).astype(np.int32)
     gates = 2 * block.out_width  # update and reset: one element-wise pass
     z, r = np.split(lut_sigmoid(requantize(
         ax[:gates] + ah[:gates], block.scale_num, block.scale_shift)), 2)
     gated = rounding_rshift(r.astype(np.int64) * ah[gates:], 8)
-    n = lut_tanh(requantize(ax[gates:] + gated,
+    n = lut_tanh(requantize(ax[gates:] + gated.astype(np.int32),
                             block.scale_num, block.scale_shift))
-    blend = (256 - z.astype(np.int64)) * n + z.astype(np.int64) * h
-    return saturate_i8(rounding_rshift(blend, 8))
+    return requantize((256 - z) * n + z * h, 1, 8)
 
 
 def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
@@ -268,12 +269,11 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
     keeps the products in each block's ``weight_t`` dtype exact.
     """
     pooled = np.asarray(pooled)
-    if pooled.shape != (weights.head_blocks[0].in_width,) or (
-            pooled.dtype != np.int8
-            and ((pooled < I8_MIN) | (pooled > I8_MAX)).any()):
+    width = weights.head_blocks[0].in_width
+    if pooled.dtype != np.int8 or pooled.shape != (width,):
         raise ValidationError(
-            f"pooled vector has shape {pooled.shape}, head expects "
-            f"({weights.head_blocks[0].in_width},) int8 values")
+            f"pooled vector is {pooled.dtype} {pooled.shape}, head expects "
+            f"int8 ({width},)")
     x = pooled
     new_hidden: list[np.ndarray] = []
     last = len(weights.head_blocks) - 1
@@ -282,10 +282,11 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
             x = gru_step(block, x, state.hidden[len(new_hidden)])
             new_hidden.append(x)
             continue
-        acc = (x @ block.weight_t).astype(np.int64) + block.bias
+        acc = (x @ block.weight_t).astype(np.int32) + block.bias
         if i == last:
-            # logits keep sign and full range
-            x = rounding_rshift(acc * block.scale_num, block.scale_shift)
+            # logits keep sign and full range; acc * scale_num < 2**62
+            x = rounding_rshift(acc.astype(np.int64) * block.scale_num,
+                                block.scale_shift)
         else:
             x = requantize(acc, block.scale_num, block.scale_shift,
                            rectify=True)

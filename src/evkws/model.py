@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParseError, ValidationError, open_text
-from .quant import I8_MAX, I8_MIN, _window
+from .quant import I8_MAX, I8_MIN, I32_MAX, MAX_SHIFT, _window
 
 WEIGHT_FORMAT_VERSION = 1
 
@@ -54,9 +54,7 @@ POSITION_WIDTH = 2
 CONV_LAYER_COUNT = 4
 
 ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
-I32_MAX = ACC_LIMIT - 1
 I16_SPAN = 2**16 - 1  # widest range of candidates an int16 node holds
-MAX_SHIFT = 62     # rounding offset 2**61 plus a scaled value below 2**62
 
 
 def exact_float(weight: np.ndarray, extra=0) -> type:
@@ -170,7 +168,7 @@ class ConvLayer(Block):
       to ``[low, high]``.
 
     The rectified ``requantize`` saturates outside its window ``[lo, hi]``
-    (``quant._window``, capped at the int32 maximum), and the maximum, the
+    (``quant._window`` caps both at the int32 maximum), and the maximum, the
     adds and that clamp are monotone. So clamping P per feature to ``[lo -
     max A - max C, hi - min A - min C]`` changes no output. Both bounds are
     then clipped to the products' reach ``±(128 * sum|Wx| + 127 * |w_dc|)``,
@@ -205,9 +203,7 @@ class ConvLayer(Block):
         w_dc, w_age = weight[:, self.in_width:].T
         age = np.outer(np.arange(I8_MAX + 1), w_age)
         channel = self.bias - np.outer(np.arange(-I8_MAX, I8_MAX + 1), w_dc)
-        _, lo, hi, *_ = _window(np.dtype(np.int32), self.scale_num,
-                                self.scale_shift, 0)
-        lo, hi = min(int(lo), I32_MAX), min(int(hi), I32_MAX)
+        lo, hi, *_ = _window(self.scale_num, self.scale_shift, 0)
         a_min, a_max = age.min(axis=0), age.max(axis=0)
         reach = 128 * np.abs(w_x).sum(axis=1) + I8_MAX * np.abs(w_dc)
         low = np.clip(lo - a_max - channel.max(axis=0), -reach, reach)

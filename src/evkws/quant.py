@@ -1,8 +1,9 @@
 """Fixed-point primitives shared by the quantized network.
 
-All tensors are symmetric signed 8-bit with zero point 0. Layer accumulation
-happens in 32 bits; results return to 8 bits through a rounding right shift
-(add half, shift, saturate), optionally after an integer scale multiplier.
+All tensors are symmetric signed 8-bit with zero point 0. Every layer
+accumulates in int32, and ``requantize`` takes int32 accumulators alone;
+results return to 8 bits through a rounding right shift (add half, shift,
+saturate), optionally after an integer scale multiplier.
 Negative values shift arithmetically, so rounding is half toward +inf
 everywhere, matching what a hardware barrel shifter with an added offset
 produces.
@@ -25,7 +26,9 @@ from .errors import ValidationError
 
 I8_MIN = -128
 I8_MAX = 127
-I64_MAX = 2**63 - 1
+I32_MIN = -2**31
+I32_MAX = 2**31 - 1
+MAX_SHIFT = 62  # rounding offset 2**61 plus a scaled value below 2**62
 
 # Age offsets enter the network scaled by 1/64 so the default 5000 us window
 # maps inside int8 range.
@@ -68,60 +71,56 @@ def saturate_i8(value) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _window(dtype: np.dtype, scale_num: int, scale_shift: int, low: int):
-    """Where ``requantize`` clamps accumulators of ``dtype`` and the type
-    it scales in: ``(clamp dtype, lo, hi, scale dtype, rounding offset)``.
+def _window(scale_num: int, scale_shift: int, low: int):
+    """Where ``requantize`` clamps int32 accumulators and the type it
+    scales in: ``(lo, hi, scale dtype, rounding offset)``, ``lo`` and
+    ``hi`` int32 scalars.
     """
     half = (1 << scale_shift) >> 1
     # Python ints, so that no bound overflows; 0 < hi and lo < 2**62
     lo = (((low + 1) << scale_shift) - half - 1) // scale_num
     hi = -((half - (I8_MAX << scale_shift)) // scale_num)
-    info = np.iinfo(dtype)
-    if lo > info.max:               # widen to a dtype that holds lo
-        dtype, info = np.dtype(np.int64), np.iinfo(np.int64)
-    lo, hi = max(lo, int(info.min)), min(hi, int(info.max))
-    reach = max(-lo, hi) * scale_num + half
-    scale = (np.int32 if reach < 2**31 else np.int64 if reach <= I64_MAX
-             else object)
-    return dtype, dtype.type(lo), dtype.type(hi), scale, half
+    # every int32 below a lo past the int32 maximum gives the lowest output
+    lo, hi = min(max(lo, I32_MIN), I32_MAX), min(hi, I32_MAX)
+    reach = max(-lo, hi) * scale_num + half  # below 2**63
+    scale = np.int32 if reach <= I32_MAX else np.int64
+    return np.int32(lo), np.int32(hi), scale, half
 
 
-def requantize(acc, scale_num: int, scale_shift: int,
+def requantize(acc: np.ndarray, scale_num: int, scale_shift: int,
                rectify: bool = False) -> np.ndarray:
-    """32-bit accumulator back to int8: scale, rounding shift, saturate.
+    """int32 accumulators back to int8: scale, rounding shift, saturate.
     With ``rectify``, negative outputs become 0 as well (ReLU).
 
-    Clamps first, in the accumulator's own dtype, to the window ``[lo,
-    hi]`` outside which the output saturates: ``lo`` is the largest
-    accumulator that gives the lowest output (-128, or 0 when rectifying)
-    and ``hi`` the smallest that gives 127. Then it scales in the narrowest
-    of int32, int64 and Python ints that holds the window's scaled ends
-    plus the rounding offset, so the result is exact for every integer
-    accumulator (uint64 up to the int64 range) and every ``scale_num >= 1``.
-    A layer's window fits int32, so a conv stage never widens its
-    accumulators. When ``scale_num <= 2**scale_shift`` the window's scaled
-    ends already lie in the output range; otherwise a last clamp saturates.
-    Clamps take ``ndarray.clip`` with bounds of the array's dtype: on a
-    chunk's accumulators that costs a third of ``maximum`` and ``minimum``,
-    and the method skips the dispatch cost of ``np.clip``. The window of
-    each dtype and scale is derived once and cached.
+    ``acc`` must be an int32 array; any other input, a Python int
+    included, is refused. Scales lie in the range every block checks at
+    load: ``1 <= scale_num < 2**31`` and ``0 <= scale_shift <= 62``.
+    Clamps first, in int32, to the window ``[lo, hi]`` outside which the
+    output saturates: ``lo`` is the largest accumulator that gives the
+    lowest output (-128, or 0 when rectifying) and ``hi`` the smallest
+    that gives 127, both capped to int32. Then it scales in int32 where
+    the window's scaled ends plus the rounding offset fit, and in int64
+    otherwise, which always holds them, so the result is exact. When
+    ``scale_num <= 2**scale_shift`` the window's scaled ends already lie
+    in the output range; otherwise a last clamp saturates. Clamps take
+    ``ndarray.clip`` with int32 bounds: on a chunk's accumulators that
+    costs a third of ``maximum`` and ``minimum``, and the method skips the
+    dispatch cost of ``np.clip``. The window of each scale is derived once
+    and cached.
     """
     # Python ints, so that the window's arithmetic cannot wrap
     scale_num, scale_shift = operator.index(scale_num), operator.index(
         scale_shift)
-    if scale_shift < 0:
-        raise ValidationError("shift must be non-negative")
-    if scale_num < 1:
-        raise ValidationError("scale_num must be positive")
-    acc = np.asarray(acc)
-    if acc.dtype.kind not in "iu":
-        acc = acc.astype(np.int64)
-    if acc.dtype == np.uint64 and (acc > np.uint64(I64_MAX)).any():
-        raise ValidationError("accumulator beyond the int64 range")
+    if not 0 <= scale_shift <= MAX_SHIFT:
+        raise ValidationError(f"shift must lie in [0, {MAX_SHIFT}]")
+    if not 1 <= scale_num <= I32_MAX:
+        raise ValidationError("scale_num must lie in [1, 2**31)")
+    if not isinstance(acc, np.ndarray) or acc.dtype != np.int32:
+        raise ValidationError(
+            "accumulators must be an int32 array, got "
+            f"{getattr(acc, 'dtype', type(acc).__name__)}")
     low = 0 if rectify else I8_MIN
-    dtype, lo, hi, scale, half = _window(acc.dtype, scale_num, scale_shift,
-                                         low)
-    acc = acc.astype(dtype, copy=False)
+    lo, hi, scale, half = _window(scale_num, scale_shift, low)
     scaled = acc.clip(lo, hi, out=np.empty_like(acc))
     scaled = scaled.astype(scale, copy=False)
     if scale_num != 1:

@@ -452,6 +452,28 @@ def test_csv_read_peak_is_bounded(tmp_path):
     assert 0 < peak <= CSV_READ_PEAK_BYTES, peak
 
 
+# traced peak of read_stream on the binary file of the same second (39,660
+# events, 317,288 bytes): 833,986 bytes (numpy 2.4.6, the file's bytes and
+# the three columns), plus about 10%
+BINARY_READ_PEAK_BYTES = 917_000
+
+
+def test_binary_read_peak_is_bounded(tmp_path):
+    # the records are a view of the file's bytes: a slice of the body adds
+    # its 317 KB and fails here
+    stream = synth_stream(7, SensorConfig(64), 1_000_000, 625.0)
+    path = tmp_path / "one_second.nas"
+    write_stream(stream, str(path))
+    tracemalloc.start()
+    try:
+        back = read_stream(str(path), config=stream.config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == stream
+    assert 0 < peak <= BINARY_READ_PEAK_BYTES, peak
+
+
 def test_binary_zero_byte_file(tmp_path, cfg64):
     path = tmp_path / "empty.nas"
     path.write_bytes(b"")

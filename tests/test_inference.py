@@ -34,7 +34,7 @@ from evkws import (
 import evkws.graph
 import evkws.inference
 from evkws.graph import CHUNK, NeighborTable
-from evkws.model import ConvLayer, GruBlock, LinearBlock
+from evkws.model import ACC_LIMIT, ConvLayer, GruBlock, LinearBlock
 
 from conftest import events_of, make_stream
 from oracles import (
@@ -619,16 +619,48 @@ def test_head_forward_checks_pooled_width():
     with pytest.raises(ValidationError):
         head_forward(weights, np.zeros(7, dtype=np.int8),
                      HeadState.fresh(weights))
-    # int8 values in any dtype run; others would break exact products
-    pooled = np.array([127, -128, 0, 1, 2, 3])
+    # int8 alone keeps every product exact: int8 values held in int64,
+    # halves and booleans are refused, never cast
+    for bad in (np.array([127, -128, 0, 1, 2, 3]), np.full(6, 0.5),
+                np.ones(6, dtype=bool)):
+        with pytest.raises(ValidationError, match=f"{bad.dtype} .* int8"):
+            head_forward(weights, bad, HeadState.fresh(weights))
+
+
+def test_final_block_scales_logits_in_64_bits():
+    # accumulators 2**31 - 128 and -2**31 + 32386 times 2**31 - 1 pass
+    # 2**61: taken in int32, the products wrap and logit and confidence
+    # both read 0
+    edge = ACC_LIMIT - 1 - 128 * 127
+    final = LinearBlock(weight=np.full((2, 1), 127, dtype=np.int8),
+                        bias=np.array([edge, -edge], dtype=np.int32),
+                        in_width=1, out_width=2, scale_num=ACC_LIMIT - 1,
+                        scale_shift=62)
+    rng = np.random.default_rng(0)
+    convs = [rand_conv(rng, 3, 1)] + [rand_conv(rng, 1, 1) for _ in range(3)]
+    weights = ModelWeights(conv_layers=convs, head_blocks=[final],
+                           class_count=1)
+    pooled = np.array([127], dtype=np.int8)
     pred, _ = head_forward(weights, pooled, HeadState.fresh(weights))
-    expect, _ = head_forward(weights, pooled.astype(np.int8),
-                             HeadState.fresh(weights))
-    assert _triples([pred]) == _triples([expect])
-    for bad in (128, -129, 2**40):
-        pooled[0] = bad
-        with pytest.raises(ValidationError, match="int8"):
-            head_forward(weights, pooled, HeadState.fresh(weights))
+    logits, conf, _ = ref_head_forward([as_oracle_block(final)],
+                                       pooled.tolist(), [])
+    assert (pred.logits.tolist(), pred.conf) == (logits, conf) == ([1], -1)
+
+
+def test_gru_reset_gate_product_takes_64_bits():
+    # 540 recurrent columns of 127 on h = 127: the candidate's recurrent
+    # accumulator is 8,709,660 and the saturated reset gate 256, so r * ah
+    # passes 2**31; taken in int32, it wraps negative and h turns to -127
+    hidden = 540
+    gate = np.full((hidden, 1 + hidden), 127, dtype=np.int8)
+    block = GruBlock(weight=np.vstack([-gate, gate, gate]),
+                     bias=np.zeros(3 * hidden, dtype=np.int32),
+                     in_width=1, out_width=hidden)
+    x = np.array([127], dtype=np.int8)
+    h = np.full(hidden, 127, dtype=np.int8)
+    expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(), 1, 0,
+                          1, hidden, x.tolist(), h.tolist())
+    assert gru_step(block, x, h).tolist() == expect == [127] * hidden
 
 
 # ------------------------------------------------------------- predictions

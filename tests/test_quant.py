@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from evkws import ValidationError
 from evkws.quant import (
     DT_SHIFT,
-    I64_MAX,
+    I32_MAX,
+    I32_MIN,
     I8_MAX,
     I8_MIN,
     LUT_INPUT_STEP,
@@ -27,6 +28,12 @@ from evkws.quant import (
 )
 
 from oracles import ref_requant, ref_sat8
+
+I64_MAX = 2**63 - 1
+
+
+def i32(values) -> np.ndarray:
+    return np.array(values, dtype=np.int32)
 
 
 # ------------------------------------------------------------------ shifts
@@ -69,12 +76,12 @@ def test_saturate_scalar_and_array():
 
 
 def test_requantize_saturates():
-    assert requantize(127 << 4, 1, 4) == 127
-    assert requantize(4097 << 4, 1, 4) == 127
-    assert requantize(-(4097 << 4), 1, 4) == -128
-    assert requantize(100, 3, 2) == 75
+    assert requantize(i32(127 << 4), 1, 4) == 127
+    assert requantize(i32(4097 << 4), 1, 4) == 127
+    assert requantize(i32(-(4097 << 4)), 1, 4) == -128
+    assert requantize(i32(100), 3, 2) == 75
     np.testing.assert_array_equal(
-        requantize(np.array([100, -100]), 3, 2), [75, -75])
+        requantize(i32([100, -100]), 3, 2), [75, -75])
 
 
 INT64_EDGES = st.sampled_from([-2**63, -2**63 + 1, -129, -128, 127, 128,
@@ -119,58 +126,52 @@ def test_saturate_equals_oracle_over_every_dtype(data, dtype):
        shift=st.integers(0, 62))
 @settings(max_examples=300, deadline=None)
 def test_requantize_array_equals_scalar(data, num, shift):
-    # every accumulator whose scaled value plus rounding offset fits int64:
-    # at num 1 and shift 0 that is all of int64
-    lo, hi = -(2**63 // num), (I64_MAX - ((1 << shift) >> 1)) // num
-    acc = data.draw(st.lists(
-        st.integers(-2**31, 2**31 - 1) | st.integers(lo, hi)
-        | st.sampled_from([lo, hi]), min_size=1, max_size=20))
-    got = requantize(np.array(acc, dtype=np.int64), num, shift)
+    # each element of an int32 array requantizes as it does alone, in a
+    # 0-d int32 array; the same value as a Python int is refused
+    acc = data.draw(st.lists(st.integers(I32_MIN, I32_MAX), min_size=1,
+                             max_size=20))
+    got = requantize(i32(acc), num, shift)
     assert got.dtype == np.int8
-    assert got.tolist() == [ref_requant(a, num, shift) for a in acc]
-    scalar = requantize(acc[0], num, shift)  # a Python int
-    assert scalar.dtype == np.int8
-    assert scalar == ref_requant(acc[0], num, shift)
+    assert got.tolist() == [int(requantize(i32(a), num, shift)) for a in acc]
+    with pytest.raises(ValidationError, match="int32 array"):
+        requantize(acc[0], num, shift)
 
 
 def test_requantize_near_the_int64_ends_does_not_wrap():
-    # acc * scale_num + 2**61 used to wrap in int64: -2 instead of 2
-    assert requantize(np.array([I64_MAX]), 1, 62).tolist() == [2]
-    assert ref_requant(I64_MAX, 1, 62) == 2
-    assert requantize(np.array([-2**63]), 1, 62).tolist() == [-2]
-    assert requantize(np.array([I64_MAX, -I64_MAX]), 2**31 - 1,
-                      62).tolist() == [127, -128]
-    # numpy integer scales, as a Block built in code may hold, are exact too
-    acc = [I64_MAX, -I64_MAX, 2**50]
-    assert requantize(np.array(acc), np.int64(12345),
-                      np.int64(61)).tolist() == [
-        ref_requant(a, 12345, 61) for a in acc] == [127, -128, 6]
+    # int64 accumulators are refused, never wrapped or narrowed: near the
+    # int64 ends, acc * scale_num + 2**61 fits no machine integer
+    for acc in ([I64_MAX], [-2**63], [I64_MAX, -I64_MAX]):
+        with pytest.raises(ValidationError, match="int64"):
+            requantize(np.array(acc), 2**31 - 1, 62)
+    # the int32 ends at the widest scales are exact, numpy integer scales
+    # (as a Block built in code may hold) too
+    acc = [I32_MAX, I32_MIN, I32_MIN + 1, 0, -1]
+    for num, shift in ((1, 62), (2**31 - 1, 62), (2**31 - 1, 0),
+                       (np.int64(12345), np.int64(61))):
+        assert requantize(i32(acc), num, shift).tolist() == [
+            ref_requant(a, int(num), int(shift)) for a in acc]
+    assert requantize(i32(acc), 2**31 - 1, 62).tolist() == [
+        1, -1, -1, 0, 0]
 
 
-ACC_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32,
-              np.uint64]
-
-
-@given(data=st.data(), dtype=st.sampled_from(ACC_DTYPES),
+@given(data=st.data(),
        num=st.integers(1, 2**31 - 1) | st.sampled_from([1, 2, 2**31 - 1]),
        shift=st.integers(0, 62) | st.sampled_from([0, 30, 31, 55, 56, 62]),
        rectify=st.booleans())
 @settings(max_examples=500, deadline=None)
-def test_requantize_equals_oracle_over_the_whole_domain(data, dtype, num,
-                                                         shift, rectify):
-    # every accumulator of every integer dtype (uint64 up to int64), every
-    # scale the blocks accept, with and without rectification; the edges
-    # include the accumulators around each output's threshold
-    info = np.iinfo(dtype)
-    lo, hi = int(info.min), min(int(info.max), I64_MAX)
-    edges = [lo, lo + 1, hi - 1, hi] + [
+def test_requantize_equals_oracle_over_the_whole_domain(data, num, shift,
+                                                         rectify):
+    # every int32 accumulator, every scale the blocks accept, with and
+    # without rectification; the edges include the accumulators around
+    # each output's threshold
+    edges = [I32_MIN, I32_MIN + 1, I32_MAX - 1, I32_MAX] + [
         ((k << shift) - ((1 << shift) >> 1)) // num + d
         for k in (-127, 0, 1, 127) for d in (-1, 0, 1)]
     acc = data.draw(st.lists(
-        st.integers(lo, hi)
-        | st.sampled_from([v for v in edges if lo <= v <= hi]),
+        st.integers(I32_MIN, I32_MAX)
+        | st.sampled_from([v for v in edges if I32_MIN <= v <= I32_MAX]),
         min_size=1, max_size=20))
-    got = requantize(np.array(acc, dtype=dtype), num, shift, rectify=rectify)
+    got = requantize(i32(acc), num, shift, rectify=rectify)
     assert got.dtype == np.int8
     expect = [ref_requant(a, num, shift) for a in acc]
     assert got.tolist() == [max(0, v) if rectify else v for v in expect]
@@ -184,32 +185,52 @@ def test_requantize_at_scale_one_is_exact_at_both_clamp_edges(dtype, shift,
     # scale_num 1, as every layer of random_weights has, skips the multiply:
     # the accumulators around each end of the clamp window, lo the largest
     # giving the lowest output and hi the smallest giving 127, still
-    # requantize as the oracle does
+    # requantize as the oracle does; as int64 they are refused until the
+    # caller narrows them
     low, half = 0 if rectify else I8_MIN, (1 << shift) >> 1
     lo, hi = ((low + 1) << shift) - half - 1, (I8_MAX << shift) - half
-    acc = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
-    got = requantize(np.array(acc, dtype=dtype), 1, shift, rectify=rectify)
-    expect = [max(low, ref_requant(a, 1, shift)) for a in acc]
+    acc = np.array([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1], dtype=dtype)
+    if dtype != np.int32:
+        with pytest.raises(ValidationError, match="int32"):
+            requantize(acc, 1, shift, rectify=rectify)
+        acc = acc.astype(np.int32)
+    got = requantize(acc, 1, shift, rectify=rectify)
+    expect = [max(low, ref_requant(int(a), 1, shift)) for a in acc]
     assert got.dtype == np.int8 and got.tolist() == expect
     assert expect == [low, low, low + 1, I8_MAX - 1, I8_MAX, I8_MAX]
 
 
+@pytest.mark.parametrize("name", ["int8", "int16", "int64", "uint32",
+                                  "uint64", "float64", "bool", "int"])
+def test_requantize_refuses_every_accumulator_but_int32(name):
+    acc = 0 if name == "int" else np.zeros(2, dtype=name)  # "int": Python
+    with pytest.raises(ValidationError, match=f"accumulators must be an "
+                                              f"int32 array, got {name}$"):
+        requantize(acc, 1, 0)
+
+
 def test_requantize_rejects_a_zero_scale():
     with pytest.raises(ValidationError, match="scale_num"):
-        requantize(np.array([1]), 0, 0)
+        requantize(i32([1]), 0, 0)
+
+
+def test_requantize_rejects_a_scale_outside_the_block_range():
+    # the blocks' load-time range, where int64 holds every scaled window
+    for num, shift, name in ((2**31, 0, "scale_num"), (1, -1, "shift"),
+                             (1, 63, "shift")):
+        with pytest.raises(ValidationError, match=name):
+            requantize(i32([1]), num, shift)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 def test_unsigned_inputs_saturate_without_wrapping(dtype):
+    # saturate_i8 clamps every unsigned value; requantize refuses them all,
+    # so none can wrap to a negative accumulator
     top = int(np.iinfo(dtype).max)
     values = np.array([0, 127, 128, top], dtype=dtype)
     assert saturate_i8(values).tolist() == [0, 127, 127, 127]
-    assert requantize(values[:3], 1, 0).tolist() == [0, 127, 127]
-    if top > I64_MAX:  # no int64 holds it: refused, not wrapped to -1
-        with pytest.raises(ValidationError, match="int64"):
-            requantize(values, 1, 0)
-    else:
-        assert requantize(values, 1, 0).tolist() == [0, 127, 127, 127]
+    with pytest.raises(ValidationError, match=f"got {values.dtype}"):
+        requantize(values, 1, 0)
 
 
 def test_quantize_dt_scales_by_64():
