@@ -23,6 +23,7 @@ import operator
 import numpy as np
 
 from .errors import ValidationError
+from .events import int_column
 
 I8_MIN = -128
 I8_MAX = 127
@@ -49,10 +50,16 @@ SIGMOID_LUT, TANH_LUT = _build_luts()
 
 
 def rounding_rshift(value, shift: int) -> np.ndarray:
-    """Shift right with rounding half toward +inf, in int64."""
+    """Shift right with rounding half toward +inf, in int64.
+
+    ``value`` must be integers within the int64 range, as
+    ``events.int_column`` takes them: float, bool and wider values are
+    refused, never truncated or wrapped.
+    """
     if shift < 0:
         raise ValidationError("shift must be non-negative")
-    return (np.asarray(value, dtype=np.int64) + ((1 << shift) >> 1)) >> shift
+    value = int_column(value, "shifted values").astype(np.int64, copy=False)
+    return (value + ((1 << shift) >> 1)) >> shift
 
 
 def saturate_i8(value) -> np.ndarray:

@@ -704,6 +704,30 @@ def test_engine_runs_are_independent(rng):
         np.testing.assert_array_equal(x.logits, y.logits)
 
 
+def test_one_engine_runs_streams_in_turn_as_fresh_engines_do(rng):
+    # the engine keeps its convolution scratch from run to run: a run must
+    # read nothing an earlier one left there, and no prediction it returns
+    # may alias it
+    weights = random_weights(5)
+    gp = GraphParams(r_c=10, skip_step=2, r_t_low=100, r_t_high=5000)
+    streams = [make_stream(rng, channels=128, n=300, t_max=9000),
+               make_stream(rng, channels=32, n=300, t_max=9000),
+               make_stream(rng, channels=128, n=300, t_max=9000),
+               make_stream(rng, channels=64, n=3 * CHUNK, t_max=30_000),
+               EventStream.from_events(SensorConfig(64), [(2500, 3, 1)])]
+    engine = InferenceEngine(weights, gp, window_us=1000)
+    first = engine.run(streams[0])
+    kept = [(p.window_index, p.logits.tolist(), p.conf) for p in first]
+    for stream in streams[1:]:
+        preds = engine.run(stream)
+        assert preds and _same(
+            preds, InferenceEngine(weights, gp, window_us=1000).run(stream))
+    assert [(p.window_index, p.logits.tolist(), p.conf)
+            for p in first] == kept
+    assert _same(first, InferenceEngine(weights, gp,
+                                        window_us=1000).run(streams[0]))
+
+
 def test_engine_prediction_windows_cover_stream(rng):
     weights = random_weights(0, small_arch())
     gp = GraphParams(r_c=4, skip_step=1, r_t_low=0, r_t_high=2000)
@@ -1235,31 +1259,41 @@ def test_one_feed_longer_than_a_chunk_equals_run():
         assert_carried(layer, memory, latest)
 
 
-# traced peak of one full chunk through a 128-channel run at the deployed
-# widths: 788,740 bytes at CHUNK 768 (numpy 2.4.6), plus 10%
-CHUNK_PEAK_BYTES = 868_000
+# traced peak of a full chunk through a 128-channel run at the deployed
+# widths, once the first chunk has allocated the scratch: 711,352 bytes at
+# CHUNK 768 (numpy 2.4.6), plus 10%. Arrays made afresh by every stage call
+# peaked at 787,076 bytes here.
+CHUNK_PEAK_BYTES = 782_500
 
 
 def test_one_chunk_transient_peak_is_bounded():
-    # the node buffers are built with the state, so what a feed allocates
-    # is the graph insert's grid and table and each stage's transients,
-    # which grow with CHUNK: a change that keeps more of them alive at once
-    # fails here
+    # the node buffers are built with the state and the scratch on its
+    # first chunk, so what a later feed allocates is the graph insert's
+    # grid and table and each stage's transients, which grow with CHUNK: a
+    # change that keeps more of them alive at once, or that lets the
+    # scratch grow or be replaced, fails here
     weights = random_weights(5)
     stream = synth_stream(3, SensorConfig(128), 20_000, 700.0)
-    assert len(stream) >= CHUNK
+    assert len(stream) >= 2 * CHUNK
     state = RunState(weights, GraphParams(r_c=10, skip_step=2, r_t_low=100,
                                           r_t_high=5000), 128)
+    state.feed(stream.t[:CHUNK], stream.c[:CHUNK], stream.p[:CHUNK])
+    warm = dict(state.scratch.arrays)
+    # one float32 product pair, three int16 and one int32 (768, 72) arrays
+    assert sum(a.nbytes for a in warm.values()) == 1_001_472
+    second = slice(CHUNK, 2 * CHUNK)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        state.feed(stream.t[:CHUNK], stream.c[:CHUNK], stream.p[:CHUNK])
+        state.feed(stream.t[second], stream.c[second], stream.p[second])
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert state.graph.last_t == stream.t[CHUNK - 1]
+    assert state.graph.last_t == stream.t[2 * CHUNK - 1]
     assert 0 < peak <= CHUNK_PEAK_BYTES, peak
+    assert state.scratch.arrays.keys() == warm.keys()
+    assert all(state.scratch.arrays[k] is a for k, a in warm.items())
 
 
 @pytest.mark.parametrize("filtered", [False, True])

@@ -65,6 +65,30 @@ def test_rounding_rshift_property(v, k):
     assert rounding_rshift(v, k) == math.floor(v / 2**k + 0.5)
 
 
+@pytest.mark.parametrize("value", [
+    2.7,                                   # truncated to 2
+    np.array([0.5, -1.5]),                 # floats, whole arrays too
+    True,                                  # bool read as 1
+    np.array([True, False]),
+    np.array([2**63], dtype=np.uint64),    # wrapped to a negative int64
+    2**63,                                 # past int64, as a Python int
+    -2**63 - 1,
+    "5",
+])
+def test_rounding_rshift_refuses_what_it_would_truncate_or_wrap(value):
+    with pytest.raises(ValidationError, match="int64 range"):
+        rounding_rshift(value, 0)
+
+
+def test_rounding_rshift_takes_every_integer_dtype_within_int64():
+    v = np.array([-2**62, 2**62 - 1, 3], dtype=np.int64)
+    np.testing.assert_array_equal(rounding_rshift(v, 61), [-2, 2, 0])
+    assert rounding_rshift(np.array([2**62], np.uint64), 1) == 2**61
+    assert rounding_rshift(np.array([255], np.uint8), 4) == 16
+    assert rounding_rshift(np.zeros(0, np.int16), 3).dtype == np.int64
+    assert rounding_rshift([], 3).shape == (0,)
+
+
 # -------------------------------------------------------------- saturation
 
 def test_saturate_scalar_and_array():
