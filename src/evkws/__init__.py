@@ -19,8 +19,8 @@ from .graph import GraphBuilder, GraphParams, NeighborTable, edges_per_event
 from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       calibrate_cycle_model, latency_report, simulate,
                       throughput_envelope)
-from .inference import (HeadState, InferenceEngine, Prediction, RunState,
-                        WindowPool, first_layer_inputs, gru_step, head_forward,
+from .inference import (InferenceEngine, Prediction, RunState, WindowPool,
+                        first_layer_inputs, gru_step, head_forward,
                         pointnet_conv, summarize_predictions)
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
@@ -42,7 +42,7 @@ __all__ = [
     "GraphBuilder", "GraphParams", "NeighborTable", "edges_per_event",
     "CycleCalibration", "HwParams", "SimTrace", "calibrate_cycle_model",
     "latency_report", "simulate", "throughput_envelope",
-    "HeadState", "InferenceEngine", "Prediction", "RunState", "WindowPool",
+    "InferenceEngine", "Prediction", "RunState", "WindowPool",
     "first_layer_inputs", "gru_step", "head_forward", "pointnet_conv",
     "summarize_predictions",
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",

@@ -55,18 +55,19 @@ Stage-4 outputs pool element-wise-max into fixed 10 ms windows aligned at
 t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
 windows are derived. Whenever a row lands past the open window, every
 elapsed window emits (empty ones as all zeros, the minimum of the rectified
-domain) and the head runs once per emission: linear and recurrent blocks in
-declared order, hidden blocks rectified, the final block affine. Its
-products are BLAS matrix-vector products on each block's ``weight_t``, exact
-by the same rule, accumulated in int32. Only a GRU's ``r * ah`` (up to 256 *
-2**31) and the logits' ``acc * scale_num`` (below 2**62) take int64. Its
-output is class logits plus one confidence value. Recurrent state persists
-across windows of one sample and resets between samples.
+domain) and the head runs once per chunk on them: blocks in declared order,
+hidden ones rectified, the final one affine. A linear block takes all the
+chunk's windows in one BLAS product on its ``weight_t``, exact by the same
+rule, accumulated in int32; a GRU steps them in order. Only a GRU's ``r *
+ah`` (up to 256 * 2**31) and the logits' ``acc * scale_num`` (below 2**62)
+take int64. The output is class logits plus one confidence value per
+window. Recurrent state persists across one sample's windows only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,10 +138,8 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
 
     Every chunk-sized work array (the product's input and output, the
     running maximum and its two operands, the accumulators) comes from
-    ``scratch``, a fresh one of ``n`` rows when none is given. The
-    ``InferenceEngine`` owns the scratch its runs pass here and keeps it
-    across them, so steady-state calls fault no pages in for these arrays
-    (its docstring gives the fault counts this saves).
+    ``scratch``, a fresh one of ``n`` rows when none is given; the
+    ``InferenceEngine`` keeps the one its runs pass here (see its docstring).
     """
     n, in_w, out_w = table.row.shape[1], layer.in_width, layer.out_width
     dtype = layer.node_dtype
@@ -267,18 +266,6 @@ class Prediction:
                 "class": self.argmax_class}
 
 
-@dataclass
-class HeadState:
-    """Hidden vectors of the recurrent head blocks, one per gru block."""
-
-    hidden: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def fresh(cls, weights: ModelWeights) -> "HeadState":
-        return cls([np.zeros(b.out_width, dtype=np.int8)
-                    for b in weights.head_blocks if isinstance(b, GruBlock)])
-
-
 def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One recurrent update in pure integer arithmetic.
 
@@ -293,48 +280,53 @@ def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     ax = (x @ w[:block.in_width]).astype(np.int32) + block.bias
     ah = (h @ w[block.in_width:]).astype(np.int32)
     gates = 2 * block.out_width  # update and reset: one element-wise pass
-    z, r = np.split(lut_sigmoid(requantize(
-        ax[:gates] + ah[:gates], block.scale_num, block.scale_shift)), 2)
+    z, r = lut_sigmoid(requantize(ax[:gates] + ah[:gates], block.scale_num,
+                                  block.scale_shift)).reshape(2, -1)
     gated = rounding_rshift(r.astype(np.int64) * ah[gates:], 8)
     n = lut_tanh(requantize(ax[gates:] + gated.astype(np.int32),
                             block.scale_num, block.scale_shift))
     return requantize((256 - z) * n + z * h, 1, 8)
 
 
-def head_forward(weights: ModelWeights, pooled: np.ndarray, state: HeadState,
-                 window_index: int = 0) -> tuple[Prediction, HeadState]:
-    """Run the head once on a pooled window vector of int8 values.
+def head_forward(weights: ModelWeights, pooled: np.ndarray,
+                 hidden: list[np.ndarray], windows: Sequence[int]
+                 ) -> tuple[list[Prediction], list[np.ndarray]]:
+    """Run the head over ``m`` pooled window vectors, in window order.
 
-    Returns the prediction and the advanced recurrent state (a new object;
-    the input state is left untouched). Every block input is int8, which
-    keeps the products in each block's ``weight_t`` dtype exact.
+    ``pooled`` holds the int8 rows, ``(m, width)``, ``windows`` their ``m``
+    window indices and ``hidden`` one int8 vector per gru block, which the
+    call leaves untouched. Returns one prediction per row and the new
+    hidden vectors. Each linear block takes all rows in one product; a gru
+    block steps them in order. Every block input is int8, which keeps the
+    products in each block's ``weight_t`` dtype exact, so one product over
+    ``m`` rows gives the integers ``m`` one-row products give.
     """
     pooled = np.asarray(pooled)
-    width = weights.head_blocks[0].in_width
-    if pooled.dtype != np.int8 or pooled.shape != (width,):
+    m, width = len(windows), weights.head_blocks[0].in_width
+    if pooled.dtype != np.int8 or pooled.shape != (m, width):
         raise ValidationError(
-            f"pooled vector is {pooled.dtype} {pooled.shape}, head expects "
-            f"int8 ({width},)")
-    x = pooled
-    new_hidden: list[np.ndarray] = []
-    last = len(weights.head_blocks) - 1
+            f"pooled rows are {pooled.dtype} {pooled.shape}, head expects "
+            f"int8 ({m}, {width})")
+    x, hidden, gru = pooled, list(hidden), 0
     for i, block in enumerate(weights.head_blocks):
         if isinstance(block, GruBlock):
-            x = gru_step(block, x, state.hidden[len(new_hidden)])
-            new_hidden.append(x)
+            h, inputs = hidden[gru], x
+            x = np.empty((m, block.out_width), np.int8)
+            for j, row in enumerate(inputs):  # the recurrence: in order
+                x[j] = h = gru_step(block, row, h)
+            hidden[gru], gru = h, gru + 1
             continue
         acc = (x @ block.weight_t).astype(np.int32) + block.bias
-        if i == last:
+        if i == len(weights.head_blocks) - 1:
             # logits keep sign and full range; acc * scale_num < 2**62
             x = rounding_rshift(acc.astype(np.int64) * block.scale_num,
                                 block.scale_shift)
         else:
             x = requantize(acc, block.scale_num, block.scale_shift,
                            rectify=True)
-    logits = x[:-1].astype(np.int64)
-    conf = int(x[-1])
-    return (Prediction(window_index, logits, conf),
-            HeadState(new_hidden))
+    logits = x[:, :-1].astype(np.int64)
+    return ([Prediction(w, row, conf) for w, row, conf
+             in zip(windows, logits, x[:, -1].tolist())], hidden)
 
 
 class RunState:
@@ -345,26 +337,30 @@ class RunState:
     out_width)`` per stage in the layer's ``node_dtype``, int16 or int32: the
     product clamped to the layer's bounds, less its ``offset``; a channel
     with no event yet holds zeros, which no neighbor table reads), the open
-    pooling window and the recurrent head state. ``feed`` takes time-sorted
-    events and ``close`` emits the window holding the last one; together
-    they return the same predictions however the stream is split. A window
-    closed is never reopened: a later ``feed`` starts past it.
+    pooling window and the head's ``hidden`` vectors. ``feed`` takes
+    time-sorted events on at most 128 channels and ``close`` emits the
+    window holding the last one; together they return the same predictions
+    however the stream is split. A window closed is never reopened.
 
     ``feed`` runs ``CHUNK`` events at a time, one ``pointnet_conv`` call per
     stage into the stage's node buffer of ``channels + CHUNK`` rows, in the
     layer's ``node_dtype``: the carried memories (``memories`` are views of
     its first rows), then the chunk's own products. The chunk's stage-4 rows
-    go to ``WindowPool.push`` whole. Every stage takes its chunk-sized work
-    arrays from ``scratch``: the engine's, which outlives the run, or a
-    fresh one of its own when given none. That scratch is allocated on the
-    first chunk, about 1 MB at 72-wide int16 stages with float32 products;
-    once it is, one 768-event chunk at 128 channels and ten offsets peaks
-    at about 711 KB beyond the node buffers and the scratch.
+    go to ``WindowPool.push`` whole, and the windows they close to one
+    ``head_forward`` call. Every stage takes its chunk-sized work arrays
+    from ``scratch``: the engine's, which outlives the run, or a fresh one
+    of its own when given none. That scratch is allocated on the first
+    chunk, about 1 MB at 72-wide int16 stages with float32 products; once
+    it is, one 768-event chunk at 128 channels and ten offsets peaks at
+    about 711 KB beyond the node buffers and the scratch.
     """
 
     def __init__(self, weights: ModelWeights, graph_params: GraphParams,
                  channels: int, window_us: int = DEFAULT_WINDOW_US,
                  scratch: Scratch | None = None):
+        if channels > I8_MAX + 1:
+            raise ValidationError(f"the convolution stages take at most "
+                                  f"{I8_MAX + 1} channels, got {channels}")
         self.weights = weights
         self.scratch = Scratch() if scratch is None else scratch
         self.graph = GraphBuilder(channels, graph_params)
@@ -373,7 +369,8 @@ class RunState:
                        for layer in weights.conv_layers]
         self.memories = [node[:channels] for node in self._nodes]
         self.pool = WindowPool(weights.conv_layers[-1].out_width, window_us)
-        self.head = HeadState.fresh(weights)
+        self.hidden = [np.zeros(b.out_width, np.int8)
+                       for b in weights.head_blocks if isinstance(b, GruBlock)]
 
     def feed(self, t: np.ndarray, c: np.ndarray,
              p: np.ndarray) -> list[Prediction]:
@@ -410,11 +407,11 @@ class RunState:
 
     def _emit(self, emissions: list[tuple[int, np.ndarray]]
               ) -> list[Prediction]:
-        predictions = []
-        for window_index, pooled in emissions:
-            pred, self.head = head_forward(self.weights, pooled, self.head,
-                                           window_index)
-            predictions.append(pred)
+        if not emissions:
+            return []
+        windows, vectors = zip(*emissions)
+        predictions, self.hidden = head_forward(
+            self.weights, np.stack(vectors), self.hidden, windows)
         return predictions
 
 

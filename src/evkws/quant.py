@@ -54,12 +54,15 @@ def rounding_rshift(value, shift: int) -> np.ndarray:
 
     ``value`` must be integers within the int64 range, as
     ``events.int_column`` takes them: float, bool and wider values are
-    refused, never truncated or wrapped.
+    refused, never truncated or wrapped. Shifts lie in [0, 63], and the
+    rounding bit is added after the shift, so no int64 wraps.
     """
-    if shift < 0:
-        raise ValidationError("shift must be non-negative")
+    if not 0 <= shift <= 63:
+        raise ValidationError("shift must lie in [0, 63]")
     value = int_column(value, "shifted values").astype(np.int64, copy=False)
-    return (value + ((1 << shift) >> 1)) >> shift
+    if not shift:
+        return value.copy()
+    return (value >> shift) + ((value >> (shift - 1)) & 1)
 
 
 def saturate_i8(value) -> np.ndarray:

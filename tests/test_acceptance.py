@@ -18,7 +18,6 @@ from evkws import (
     FiltrationParams,
     GraphBuilder,
     GraphParams,
-    HeadState,
     HwParams,
     SensorConfig,
     calibrate_cycle_model,
@@ -42,6 +41,7 @@ from oracles import (
 from test_inference import (
     as_oracle_block,
     conv_one,
+    fresh_hidden,
     rand_conv,
     rand_gru,
     rand_linear,
@@ -186,17 +186,18 @@ def test_criterion_4_quantized_layers_match_integer_oracle():
             head.append(rand_linear(rng, head[-1].out_width, n_classes + 1))
             weights = ModelWeights(conv_layers=convs, head_blocks=head,
                                    class_count=n_classes)
-        state = HeadState.fresh(weights)
-        oracle_hidden = [h.tolist() for h in state.hidden]
+        hidden = fresh_hidden(weights)
+        oracle_hidden = [h.tolist() for h in hidden]
         blocks = [as_oracle_block(b) for b in weights.head_blocks]
         for step in range(2):  # recurrence exercised across two windows
             pooled = rng.integers(0, 128, size=pool_w).astype(np.int8)
-            pred, state = head_forward(weights, pooled, state, step)
+            (pred,), hidden = head_forward(weights, pooled[None], hidden,
+                                           [step])
             logits, conf, oracle_hidden = ref_head_forward(
                 blocks, pooled.tolist(), oracle_hidden)
             assert pred.logits.tolist() == logits, f"head case {case}"
             assert pred.conf == conf, f"head case {case}"
-            assert [h.tolist() for h in state.hidden] == oracle_hidden
+            assert [h.tolist() for h in hidden] == oracle_hidden
 
 
 def test_criterion_5_latency_model_reproduces_figures():

@@ -12,7 +12,6 @@ from evkws import (
     FiltrationParams,
     GraphBuilder,
     GraphParams,
-    HeadState,
     InferenceEngine,
     ModelArch,
     ModelWeights,
@@ -568,33 +567,66 @@ def small_head_weights(seed):
     return ModelWeights(conv_layers=convs, head_blocks=head, class_count=3)
 
 
+def fresh_hidden(weights):
+    """The head's hidden vectors at the start of a run: zeros per gru."""
+    return [np.zeros(b.out_width, dtype=np.int8) for b in weights.head_blocks
+            if isinstance(b, GruBlock)]
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_head_forward_matches_oracle(seed):
+    # the three windows as one call, as calls of 1 + 2 rows and as three
+    # calls: each split equals the oracle window by window
     rng = np.random.default_rng(seed)
     weights = small_head_weights(seed)
-    state = HeadState.fresh(weights)
-    oracle_hidden = [h.tolist() for h in state.hidden]
+    pooled = rng.integers(0, 128, size=(3, 6)).astype(np.int8)
+    oracle_hidden = [h.tolist() for h in fresh_hidden(weights)]
     oracle_blocks = [as_oracle_block(b) for b in weights.head_blocks]
-    for step in range(3):
-        pooled = rng.integers(0, 128, size=6).astype(np.int8)
-        pred, state = head_forward(weights, pooled, state, window_index=step)
+    expect = []
+    for vector in pooled:
         logits, conf, oracle_hidden = ref_head_forward(
-            oracle_blocks, pooled.tolist(), oracle_hidden)
-        assert pred.logits.tolist() == logits
-        assert pred.conf == conf
-        assert pred.window_index == step
-        assert [h.tolist() for h in state.hidden] == oracle_hidden
+            oracle_blocks, vector.tolist(), oracle_hidden)
+        expect.append((logits, conf, oracle_hidden))
+    for sizes in ([3], [1, 2], [1, 1, 1]):
+        hidden, start = fresh_hidden(weights), 0
+        for size in sizes:
+            steps = range(start, start + size)
+            preds, hidden = head_forward(weights, pooled[start:start + size],
+                                         hidden, steps)
+            assert len(preds) == size
+            for pred, step in zip(preds, steps):
+                logits, conf, _ = expect[step]
+                assert pred.logits.tolist() == logits
+                assert pred.conf == conf
+                assert pred.window_index == step
+            start += size
+            assert [h.tolist() for h in hidden] == expect[start - 1][2]
 
 
 def test_head_forward_does_not_mutate_input_state():
     weights = small_head_weights(0)
-    state = HeadState.fresh(weights)
-    before = [h.copy() for h in state.hidden]
-    pooled = np.full(6, 40, dtype=np.int8)
-    head_forward(weights, pooled, state)
-    for h, b in zip(state.hidden, before):
+    hidden = fresh_hidden(weights)
+    listed, before = list(hidden), [h.copy() for h in hidden]
+    pooled = np.full((2, 6), 40, dtype=np.int8)
+    _, after = head_forward(weights, pooled, hidden, [0, 1])
+    assert after is not hidden
+    assert len(hidden) == len(listed)
+    assert all(h is g for h, g in zip(hidden, listed))
+    for h, b in zip(hidden, before):
         np.testing.assert_array_equal(h, b)
+
+
+def test_head_forward_on_no_rows_predicts_nothing():
+    weights = small_head_weights(2)
+    hidden = [np.arange(-2, 3, dtype=np.int8)]
+    listed = list(hidden)
+    preds, after = head_forward(weights, np.zeros((0, 6), np.int8), hidden,
+                                [])
+    assert preds == []
+    assert [h.tolist() for h in after] == [[-2, -1, 0, 1, 2]]
+    assert len(hidden) == 1 and hidden[0] is listed[0]
+    assert hidden[0].tolist() == [-2, -1, 0, 1, 2]
 
 
 def test_head_forward_final_block_keeps_full_range():
@@ -609,22 +641,31 @@ def test_head_forward_final_block_keeps_full_range():
     convs = [rand_conv(rng, 3, 1)] + [rand_conv(rng, 1, 1) for _ in range(3)]
     weights = ModelWeights(conv_layers=convs, head_blocks=[big],
                            class_count=1)
-    pred, _ = head_forward(weights, np.array([127], dtype=np.int8),
-                           HeadState.fresh(weights))
+    (pred,), _ = head_forward(weights, np.array([[127]], dtype=np.int8),
+                              fresh_hidden(weights), [0])
     assert pred.logits[0] > 127
 
 
 def test_head_forward_checks_pooled_width():
     weights = small_head_weights(1)
     with pytest.raises(ValidationError):
-        head_forward(weights, np.zeros(7, dtype=np.int8),
-                     HeadState.fresh(weights))
+        head_forward(weights, np.zeros((1, 7), dtype=np.int8),
+                     fresh_hidden(weights), [0])
     # int8 alone keeps every product exact: int8 values held in int64,
     # halves and booleans are refused, never cast
-    for bad in (np.array([127, -128, 0, 1, 2, 3]), np.full(6, 0.5),
-                np.ones(6, dtype=bool)):
+    for bad in (np.array([[127, -128, 0, 1, 2, 3]]), np.full((1, 6), 0.5),
+                np.ones((1, 6), dtype=bool)):
         with pytest.raises(ValidationError, match=f"{bad.dtype} .* int8"):
-            head_forward(weights, bad, HeadState.fresh(weights))
+            head_forward(weights, bad, fresh_hidden(weights), [0])
+    # rows come as a 2-D array, one per window index
+    with pytest.raises(ValidationError, match=r"int8 \(6,\), .* \(1, 6\)"):
+        head_forward(weights, np.zeros(6, np.int8), fresh_hidden(weights),
+                     [0])
+    for windows in ([], [0, 1]):
+        with pytest.raises(ValidationError,
+                           match=rf"\(1, 6\), .* \({len(windows)}, 6\)"):
+            head_forward(weights, np.zeros((1, 6), np.int8),
+                         fresh_hidden(weights), windows)
 
 
 def test_final_block_scales_logits_in_64_bits():
@@ -641,7 +682,8 @@ def test_final_block_scales_logits_in_64_bits():
     weights = ModelWeights(conv_layers=convs, head_blocks=[final],
                            class_count=1)
     pooled = np.array([127], dtype=np.int8)
-    pred, _ = head_forward(weights, pooled, HeadState.fresh(weights))
+    (pred,), _ = head_forward(weights, pooled[None], fresh_hidden(weights),
+                              [0])
     logits, conf, _ = ref_head_forward([as_oracle_block(final)],
                                        pooled.tolist(), [])
     assert (pred.logits.tolist(), pred.conf) == (logits, conf) == ([1], -1)
@@ -1106,6 +1148,42 @@ def test_feed_rejects_a_chunk_older_than_the_last(cfg64):
     state.feed(np.array([500]), np.array([3]), np.array([1]))
     with pytest.raises(OrderingError):
         state.feed(np.array([400]), np.array([4]), np.array([1]))
+
+
+def test_run_state_runs_the_head_once_per_chunk_that_closes_windows(
+        monkeypatch):
+    calls = []
+
+    def counted(weights, pooled, hidden, windows):
+        calls.append(list(windows))
+        return head_forward(weights, pooled, hidden, windows)
+
+    monkeypatch.setattr(evkws.inference, "head_forward", counted)
+    state = RunState(SPLIT_WEIGHTS, SPLIT_GRAPH, 32, 1000)
+    # one chunk of 40 events over windows 0-6 closes windows 0-5
+    t = np.arange(40) * 175
+    fed = state.feed(t, t % 32, np.ones(40, np.int64))
+    assert calls == [[0, 1, 2, 3, 4, 5]]
+    assert [pred.window_index for pred in fed] == [0, 1, 2, 3, 4, 5]
+    # a feed inside the open window closes none and runs no head
+    assert state.feed(np.array([6900, 6950]), np.array([1, 2]),
+                      np.array([1, -1])) == []
+    assert len(calls) == 1
+    assert [pred.window_index for pred in state.close()] == [6]
+    assert calls[1:] == [[6]]
+    assert state.close() == [] and len(calls) == 2
+
+
+def test_run_state_refuses_channels_its_offsets_cannot_reach():
+    # channel offsets are int8: at 129 channels, history channel 128 lies
+    # outside [-127, 127], and the first feed used to fail half-way, after
+    # the graph had recorded it
+    with pytest.raises(ValidationError, match="at most 128 channels, got 129"):
+        RunState(random_weights(0), GraphParams(r_c=2), 129)
+    state = RunState(random_weights(0), GraphParams(r_c=2), 128)
+    state.feed(np.array([0, 5]), np.array([126, 127]), np.array([1, -1]))
+    assert state.graph.last_t == 5
+    assert [pred.window_index for pred in state.close()] == [0]
 
 
 def test_feed_after_close_never_reopens_a_window():

@@ -80,6 +80,34 @@ def test_rounding_rshift_refuses_what_it_would_truncate_or_wrap(value):
         rounding_rshift(value, 0)
 
 
+def python_rshift(value: int, shift: int) -> int:
+    """floor((value + 2**(shift - 1)) / 2**shift) in Python ints."""
+    return (value + ((1 << shift) >> 1)) >> shift
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2, 31, 32, 61, 62, 63])
+@pytest.mark.parametrize("value", [I64_MAX, I64_MAX - 1, 2**62, 2**62 - 1,
+                                   1, 0, -1, -2**62, -2**63 + 1, -2**63])
+def test_rounding_rshift_is_exact_at_the_int64_ends(value, shift):
+    # adding the half before the shift wrapped within 2**(shift - 1) of the
+    # int64 maximum: 2**63 - 1 >> 1 read -2**62, 2**62 >> 63 read -1
+    got = rounding_rshift(np.array([value], dtype=np.int64), shift)
+    assert got.dtype == np.int64
+    assert got.tolist() == [python_rshift(value, shift)]
+
+
+@given(v=st.integers(-2**63, I64_MAX), k=st.integers(0, 63))
+@settings(max_examples=300, deadline=None)
+def test_rounding_rshift_property_over_int64(v, k):
+    assert rounding_rshift(v, k) == python_rshift(v, k)
+
+
+@pytest.mark.parametrize("shift", [-1, 64, 65, 200])
+def test_rounding_rshift_refuses_shifts_outside_int64(shift):
+    with pytest.raises(ValidationError, match=r"shift must lie in \[0, 63\]"):
+        rounding_rshift(np.array([1, 2]), shift)
+
+
 def test_rounding_rshift_takes_every_integer_dtype_within_int64():
     v = np.array([-2**62, 2**62 - 1, 3], dtype=np.int64)
     np.testing.assert_array_equal(rounding_rshift(v, 61), [-2, 2, 0])
