@@ -20,7 +20,7 @@ from .hwmodel import (CycleCalibration, HwParams, SimTrace,
                       calibrate_cycle_model, latency_report, simulate,
                       throughput_envelope)
 from .inference import (InferenceEngine, Prediction, RunState, WindowPool,
-                        first_layer_inputs, gru_step, head_forward,
+                        first_layer_inputs, gru_forward, head_forward,
                         pointnet_conv, summarize_predictions)
 from .metrics import (EvalRecord, MetricReport, accuracy, event_rate_report,
                       macro_f1, metric_report, read_records, ts_accuracy)
@@ -43,7 +43,7 @@ __all__ = [
     "CycleCalibration", "HwParams", "SimTrace", "calibrate_cycle_model",
     "latency_report", "simulate", "throughput_envelope",
     "InferenceEngine", "Prediction", "RunState", "WindowPool",
-    "first_layer_inputs", "gru_step", "head_forward", "pointnet_conv",
+    "first_layer_inputs", "gru_forward", "head_forward", "pointnet_conv",
     "summarize_predictions",
     "EvalRecord", "MetricReport", "accuracy", "event_rate_report", "macro_f1",
     "metric_report", "read_records", "ts_accuracy",

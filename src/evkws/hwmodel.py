@@ -38,8 +38,9 @@ sensor-delayed axis, so the sensor delay is excluded; end-to-end latency is
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +52,8 @@ DEFAULT_MAX_EDGES = 20
 
 @dataclass(frozen=True)
 class HwParams:
-    """Clock, cycle model, queueing and latency constants of the pipeline."""
+    """Clock, cycle model, queueing and latency constants of the pipeline,
+    each finite and in range, checked when built."""
 
     clock_hz: float = 200e6
     cycle_base: int = 58
@@ -64,13 +66,20 @@ class HwParams:
     window_latency_bound_us: float = 18.62
 
     def __post_init__(self):
+        # NaN passes every range check below, and a report would print NaN
+        # or Infinity, which is not JSON
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.clock_hz <= 0:
             raise ValidationError("clock_hz must be positive")
         if self.cycle_base <= 0 or self.cycle_per_vertex <= 0:
             raise ValidationError("cycle counts must be positive")
         if self.fifo_depth < 1:
             raise ValidationError("fifo_depth must be at least 1")
-        if self.nas_latency_us < 0 or self.head_latency_us < 0:
+        if min(self.nas_latency_us, self.head_latency_us,
+               self.window_latency_bound_us) < 0:
             raise ValidationError("latencies must be non-negative")
         if self.window_us < 1:
             raise ValidationError("window width must be positive")

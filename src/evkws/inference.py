@@ -56,12 +56,13 @@ t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
 windows are derived. Whenever a row lands past the open window, every
 elapsed window emits (empty ones as all zeros, the minimum of the rectified
 domain) and the head runs once per chunk on them: blocks in declared order,
-hidden ones rectified, the final one affine. A linear block takes all the
-chunk's windows in one BLAS product on its ``weight_t``, exact by the same
-rule, accumulated in int32; a GRU steps them in order. Only a GRU's ``r *
-ah`` (up to 256 * 2**31) and the logits' ``acc * scale_num`` (below 2**62)
-take int64. The output is class logits plus one confidence value per
-window. Recurrent state persists across one sample's windows only.
+hidden ones rectified, the final one affine, each mapping window rows to
+rows. A linear block and a GRU's input projection take all the windows in
+one BLAS product on ``weight_t``, exact by the same rule, summed in int32;
+``gru_forward`` steps only the recurrence in order. Only a GRU's ``r * ah``
+(up to 256 * 2**31) and the logits' ``acc * scale_num`` (below 2**62) take
+int64. Each window outputs class logits and a confidence value; recurrent
+state persists across one sample's windows only.
 """
 
 from __future__ import annotations
@@ -266,26 +267,32 @@ class Prediction:
                 "class": self.argmax_class}
 
 
-def gru_step(block: GruBlock, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One recurrent update in pure integer arithmetic.
+def gru_forward(block: GruBlock, xs: np.ndarray,
+                h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence over ``m`` int8 window rows ``xs``, in order.
 
-    Gate pre-activations requantize onto the lookup-table index scale. The
-    reset gate weighs only the recurrent accumulator of the candidate; the
-    new hidden state blends candidate and previous state with the update
-    gate. Sigmoid entries are 256-scaled, so every product steps back down
-    with a rounding shift by 8. Every sum is int32: the gates' stay within
-    the row's load-time bound (``|gated| <= |ah|``), the blend within 2**15.
+    Returns the int8 states, ``(m, out_width)``, and the last (the int8
+    ``h`` given, untouched, when ``m`` is 0). The input projection ``xs @
+    weight_t[:in_width] + bias`` is one product over all rows. The gates
+    saturate once, in ``requantize`` onto the table index scale; the reset
+    product takes int64 (up to 256 * 2**31). Sigmoid entries are 256-scaled,
+    so both products step back by a rounding shift by 8. With z in [0, 256],
+    the blend over 256 lies between n and h, so nothing clamps it. Other
+    sums are int32, the gates' within the load-time bound (``|gated| <=
+    |ah|``), the blend's within 2**15.
     """
-    w = block.weight_t  # exact products for int8 x and h, in its dtype
-    ax = (x @ w[:block.in_width]).astype(np.int32) + block.bias
-    ah = (h @ w[block.in_width:]).astype(np.int32)
-    gates = 2 * block.out_width  # update and reset: one element-wise pass
-    z, r = lut_sigmoid(requantize(ax[:gates] + ah[:gates], block.scale_num,
-                                  block.scale_shift)).reshape(2, -1)
-    gated = rounding_rshift(r.astype(np.int64) * ah[gates:], 8)
-    n = lut_tanh(requantize(ax[gates:] + gated.astype(np.int32),
-                            block.scale_num, block.scale_shift))
-    return requantize((256 - z) * n + z * h, 1, 8)
+    w, gates = block.weight_t, 2 * block.out_width
+    ax = (xs @ w[:block.in_width]).astype(np.int32) + block.bias
+    states = np.empty((len(ax), block.out_width), np.int8)
+    for j, a in enumerate(ax):  # the recurrence: in order
+        ah = (h @ w[block.in_width:]).astype(np.int32)
+        z, r = lut_sigmoid(requantize(a[:gates] + ah[:gates], block.scale_num,
+                                      block.scale_shift)).reshape(2, -1)
+        gated = (r.astype(np.int64) * ah[gates:] + 128) >> 8
+        n = lut_tanh(requantize(a[gates:] + gated.astype(np.int32),
+                                block.scale_num, block.scale_shift))
+        states[j] = h = (((256 - z) * n + z * h + 128) >> 8).astype(np.int8)
+    return states, h
 
 
 def head_forward(weights: ModelWeights, pooled: np.ndarray,
@@ -296,10 +303,10 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray,
     ``pooled`` holds the int8 rows, ``(m, width)``, ``windows`` their ``m``
     window indices and ``hidden`` one int8 vector per gru block, which the
     call leaves untouched. Returns one prediction per row and the new
-    hidden vectors. Each linear block takes all rows in one product; a gru
-    block steps them in order. Every block input is int8, which keeps the
-    products in each block's ``weight_t`` dtype exact, so one product over
-    ``m`` rows gives the integers ``m`` one-row products give.
+    hidden vectors. Every block maps the ``m`` rows to ``m`` rows, a linear
+    block in one product, a gru through ``gru_forward``. Every block input
+    is int8, which keeps the products in each block's ``weight_t`` dtype
+    exact, so one product over ``m`` rows gives what ``m`` one-row ones give.
     """
     pooled = np.asarray(pooled)
     m, width = len(windows), weights.head_blocks[0].in_width
@@ -310,11 +317,8 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray,
     x, hidden, gru = pooled, list(hidden), 0
     for i, block in enumerate(weights.head_blocks):
         if isinstance(block, GruBlock):
-            h, inputs = hidden[gru], x
-            x = np.empty((m, block.out_width), np.int8)
-            for j, row in enumerate(inputs):  # the recurrence: in order
-                x[j] = h = gru_step(block, row, h)
-            hidden[gru], gru = h, gru + 1
+            x, hidden[gru] = gru_forward(block, x, hidden[gru])
+            gru += 1
             continue
         acc = (x @ block.weight_t).astype(np.int32) + block.bias
         if i == len(weights.head_blocks) - 1:

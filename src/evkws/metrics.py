@@ -128,10 +128,19 @@ def metric_report(records: Sequence[EvalRecord],
                         excluded_from_ts=excluded)
 
 
+def _json_int(value, key: str) -> int:
+    """An integer field of a JSON record; ``int`` would truncate a float
+    and take a boolean as 0 or 1, where the CSV path refuses both."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def read_records(path: str) -> list[EvalRecord]:
     """Load records from JSON lines or ``sample_id,y,t,y_hat,t_hat`` CSV.
 
-    A JSON line holds {"sample_id", "y", "y_hat", "t_hat", optional "t"}.
+    A JSON line holds {"sample_id", "y", "y_hat", "t_hat", optional "t"};
+    a float or boolean in the four integer fields is refused, as in CSV.
     In CSV an empty ``t`` field means no ground-truth bin.
     """
     records: list[EvalRecord] = []
@@ -145,10 +154,11 @@ def read_records(path: str) -> list[EvalRecord]:
                     doc = json.loads(line)
                     records.append(EvalRecord(
                         sample_id=str(doc["sample_id"]),
-                        y=int(doc["y"]), y_hat=int(doc["y_hat"]),
-                        pred_bin=int(doc.get("t_hat", 0)),
+                        y=_json_int(doc["y"], "y"),
+                        y_hat=_json_int(doc["y_hat"], "y_hat"),
+                        pred_bin=_json_int(doc.get("t_hat", 0), "t_hat"),
                         true_bin=None if doc.get("t") is None
-                        else int(doc["t"])))
+                        else _json_int(doc["t"], "t")))
                 except (json.JSONDecodeError, KeyError, TypeError,
                         ValueError, OverflowError) as exc:
                     raise ParseError(f"{path}: bad record: {exc}", line=lineno)

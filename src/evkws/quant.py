@@ -12,7 +12,8 @@ Sigmoid and tanh for the recurrent head come from 256-entry tables indexed by
 an int8 whose value q represents q/16, covering [-8, 8). Sigmoid entries are
 round(256 * sigmoid(x)) in [0, 256]; tanh entries are round(127 * tanh(x)) in
 [-127, 127]. Multiplying by a sigmoid entry therefore scales by 256, undone
-with a rounding shift by 8.
+with a rounding shift by 8. ``lut_sigmoid`` and ``lut_tanh`` take int8 arrays
+alone, as ``requantize`` makes them, and read entry q + 128 at byte q ^ 128.
 """
 
 from __future__ import annotations
@@ -38,15 +39,9 @@ DT_SHIFT = 6
 LUT_SIZE = 256
 LUT_INPUT_STEP = 16  # table index q encodes q / 16
 
-
-def _build_luts() -> tuple[np.ndarray, np.ndarray]:
-    xs = (np.arange(LUT_SIZE) - 128) / LUT_INPUT_STEP
-    sig = np.floor(256.0 / (1.0 + np.exp(-xs)) + 0.5).astype(np.int32)
-    tanh = np.floor(127.0 * np.tanh(xs) + 0.5).astype(np.int32)
-    return sig, tanh
-
-
-SIGMOID_LUT, TANH_LUT = _build_luts()
+_XS = (np.arange(LUT_SIZE) - 128) / LUT_INPUT_STEP  # entry i is x = _XS[i]
+SIGMOID_LUT = np.floor(256.0 / (1.0 + np.exp(-_XS)) + 0.5).astype(np.int32)
+TANH_LUT = np.floor(127.0 * np.tanh(_XS) + 0.5).astype(np.int32)
 
 
 def rounding_rshift(value, shift: int) -> np.ndarray:
@@ -148,13 +143,14 @@ def quantize_dt(dt_us) -> np.ndarray:
     return saturate_i8(rounding_rshift(dt_us, DT_SHIFT))
 
 
-def lut_sigmoid(index) -> np.ndarray:
-    """Table lookup on a saturated int8 index; returns values in [0, 256]."""
-    return SIGMOID_LUT[saturate_i8(index).astype(np.int32) + 128]
+def lut_sigmoid(q: np.ndarray) -> np.ndarray:
+    """Sigmoid entries, in [0, 256], of an int8 array (see above)."""
+    return SIGMOID_LUT.take(q.view(np.uint8) ^ 128)
 
 
-def lut_tanh(index) -> np.ndarray:
-    return TANH_LUT[saturate_i8(index).astype(np.int32) + 128]
+def lut_tanh(q: np.ndarray) -> np.ndarray:
+    """Tanh entries, in [-127, 127], of an int8 array."""
+    return TANH_LUT.take(q.view(np.uint8) ^ 128)
 
 
 def div_round_half_away(total, count):

@@ -393,6 +393,21 @@ def test_cli_bad_override_is_config_error(capsys, sample_file):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("override", [
+    "hw.nas_latency_us=nan",   # exited 0, printed NaN, dropped every event
+    "hw.clock_hz=inf",         # printed Infinity as a throughput
+    "hw.window_latency_bound_us=-inf",
+    "hw.window_latency_bound_us=-1",
+])
+def test_cli_non_finite_hardware_constant_is_a_config_error(
+        capsys, sample_file, override):
+    code, out, err = run_cli(capsys, "--set", override, "simulate",
+                             str(sample_file))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
 def test_cli_corrupt_file_is_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.nas"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -522,6 +537,17 @@ def test_cli_non_utf8_input_is_one_json_line(capsys, tmp_path, sample_file,
      b"path,label,end_bin\n\x00.nas,1,2\n"),  # open() raises ValueError
     (["eval", "--records", "{bad}"], "records.jsonl",   # int(inf) raises
      b'{"sample_id": "a", "y": 1e999, "y_hat": 1, "t_hat": 9}\n'),
+    # floats and booleans loaded truncated, as y=1, y_hat=1, pred_bin=2
+    (["eval", "--records", "{bad}"], "records.jsonl",
+     b'{"sample_id": "a", "y": 1.9, "y_hat": 1, "t_hat": 2}\n'),
+    (["eval", "--records", "{bad}"], "records.jsonl",
+     b'{"sample_id": "a", "y": 1, "y_hat": true, "t_hat": 2}\n'),
+    (["eval", "--records", "{bad}"], "records.jsonl",
+     b'{"sample_id": "a", "y": 1, "y_hat": 1, "t_hat": 2.7}\n'),
+    (["eval", "--records", "{bad}"], "records.jsonl",
+     b'{"sample_id": "a", "y": 1, "y_hat": 1, "t_hat": 2, "t": 3.0}\n'),
+    (["eval", "--records", "{bad}"], "records.jsonl",
+     b'{"sample_id": "a", "y": 1, "y_hat": 1, "t_hat": false}\n'),
 ])
 def test_cli_malformed_row_is_one_json_line(capsys, tmp_path, argv, name,
                                              body):

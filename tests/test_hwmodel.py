@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +70,17 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         HwParams(nas_latency_us=-1)
     with pytest.raises(ValidationError):
+        HwParams(window_latency_bound_us=-1)
+    with pytest.raises(ValidationError):
         HwParams().cycles(-1)
+    # NaN passes every range check, and infinity prints as non-JSON
+    for name in ("clock_hz", "nas_latency_us", "head_latency_us",
+                 "flush_timeout_us", "window_latency_bound_us",
+                 "fifo_depth", "window_us"):
+        for value in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValidationError, match=name):
+                HwParams(**{name: value})
+    HwParams(window_latency_bound_us=0.0, flush_timeout_us=0.0)
 
 
 # --------------------------------------------------------------- queueing

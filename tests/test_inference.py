@@ -23,7 +23,7 @@ from evkws import (
     WindowPool,
     filter_stream,
     first_layer_inputs,
-    gru_step,
+    gru_forward,
     head_forward,
     pointnet_conv,
     random_weights,
@@ -543,20 +543,27 @@ def test_window_pool_pieces_match_oracle(data):
 
 # -------------------------------------------------------------------- head
 
-@given(seed=st.integers(0, 2**32 - 1))
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 5))
 @settings(max_examples=150, deadline=None)
-def test_gru_step_matches_oracle(seed):
+def test_gru_forward_matches_the_oracle_row_by_row(seed, m):
     rng = np.random.default_rng(seed)
     in_w = int(rng.integers(1, 8))
     out_w = int(rng.integers(1, 8))
     block = rand_gru(rng, in_w, out_w)
-    x = rng.integers(-128, 128, size=in_w).astype(np.int8)
+    xs = rng.integers(-128, 128, size=(m, in_w)).astype(np.int8)
     h = rng.integers(-128, 128, size=out_w).astype(np.int8)
-    got = gru_step(block, x, h)
-    expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(),
-                          block.scale_num, block.scale_shift,
-                          in_w, out_w, x.tolist(), h.tolist())
-    assert got.tolist() == expect
+    h_before = h.copy()
+    states, last = gru_forward(block, xs, h)
+    expect, ref_h = [], h.tolist()
+    for x in xs.tolist():
+        ref_h = ref_gru_step(block.weight.tolist(), block.bias.tolist(),
+                             block.scale_num, block.scale_shift,
+                             in_w, out_w, x, ref_h)
+        expect.append(ref_h)
+    assert states.dtype == np.int8 and states.shape == (m, out_w)
+    assert states.tolist() == expect
+    assert last.tolist() == ref_h
+    np.testing.assert_array_equal(h, h_before)  # the caller's h untouched
 
 
 def small_head_weights(seed):
@@ -702,7 +709,9 @@ def test_gru_reset_gate_product_takes_64_bits():
     h = np.full(hidden, 127, dtype=np.int8)
     expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(), 1, 0,
                           1, hidden, x.tolist(), h.tolist())
-    assert gru_step(block, x, h).tolist() == expect == [127] * hidden
+    states, last = gru_forward(block, x[None], h)
+    assert states.tolist() == [expect] and expect == [127] * hidden
+    assert last.tolist() == expect
 
 
 # ------------------------------------------------------------- predictions

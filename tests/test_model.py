@@ -420,9 +420,10 @@ def test_blocks_reject_scales_beyond_the_64_bit_requantizer(kind):
 
 def test_gru_at_the_accumulator_limit_matches_the_oracle():
     # Bias 2**31 - 1 used to be accepted and wrapped the int32 accumulator:
-    # gru_step gave [-127, -127] where the integer oracle gives [3, -2].
-    # Such a block is now rejected; the largest accepted bias stays exact.
-    from evkws.inference import gru_step
+    # the recurrence gave [-127, -127] where the integer oracle gives
+    # [3, -2]. Such a block is now rejected; the largest accepted bias stays
+    # exact.
+    from evkws.inference import gru_forward
     from oracles import ref_gru_step
 
     with pytest.raises(ValidationError):
@@ -434,4 +435,5 @@ def test_gru_at_the_accumulator_limit_matches_the_oracle():
         block = _block("gru", bias)
         expect = ref_gru_step(block.weight.tolist(), block.bias.tolist(),
                               1, 0, 1, 2, x.tolist(), h.tolist())
-        assert gru_step(block, x, h).tolist() == expect
+        states, last = gru_forward(block, x[None], h)
+        assert states.tolist() == [expect] and last.tolist() == expect

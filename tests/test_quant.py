@@ -316,10 +316,37 @@ def test_lut_entries_match_float_reference():
 
 def test_lut_lookup_uses_q_over_16_domain():
     # q=16 is x=1.0
-    assert lut_sigmoid(16) == math.floor(256 / (1 + math.exp(-1.0)) + 0.5)
-    assert lut_tanh(16) == math.floor(127 * math.tanh(1.0) + 0.5)
-    assert lut_sigmoid(I8_MIN) == SIGMOID_LUT[0]
-    assert lut_sigmoid(I8_MAX) == SIGMOID_LUT[255]
+    q = np.array([16], dtype=np.int8)
+    assert lut_sigmoid(q) == math.floor(256 / (1 + math.exp(-1.0)) + 0.5)
+    assert lut_tanh(q) == math.floor(127 * math.tanh(1.0) + 0.5)
+    ends = np.array([I8_MIN, I8_MAX], dtype=np.int8)
+    assert lut_sigmoid(ends).tolist() == [SIGMOID_LUT[0], SIGMOID_LUT[255]]
+
+
+def test_lut_lookups_read_entry_q_plus_128_for_every_int8():
+    q = np.arange(I8_MIN, I8_MAX + 1).astype(np.int8)
+    entry = q.astype(np.int64) + 128
+    np.testing.assert_array_equal(lut_sigmoid(q), SIGMOID_LUT[entry])
+    np.testing.assert_array_equal(lut_tanh(q), TANH_LUT[entry])
+    # the gates' lookup is one flat int8 row; a 2-d one reads alike
+    np.testing.assert_array_equal(lut_sigmoid(q.reshape(2, -1)),
+                                  SIGMOID_LUT[entry.reshape(2, -1)])
+
+
+def test_gru_blend_lies_between_candidate_and_state_without_a_clamp():
+    # the blend ((256 - z) * n + z * h + 128) >> 8 over every sigmoid entry
+    # z, tanh entry n and int8 state h: a convex mix, so its rounding stays
+    # between n and h and equals the saturating requantize(..., 1, 8)
+    z = np.unique(SIGMOID_LUT)[:, None]
+    n = np.unique(TANH_LUT)[None, :]
+    assert z.min() == 0 and z.max() == 256
+    for h in range(I8_MIN, I8_MAX + 1):
+        total = (256 - z) * n + z * h
+        blend = (total + 128) >> 8
+        assert (np.minimum(n, h) <= blend).all()
+        assert (blend <= np.maximum(n, h)).all()
+        np.testing.assert_array_equal(requantize(total.astype(np.int32), 1, 8),
+                                      blend)
 
 
 # --------------------------------------------------------------- division
