@@ -162,8 +162,18 @@ def _eval_one(path: str, label: int, end_bin: int | None,
                       pred_bin=pred_bin, true_bin=end_bin)
 
 
+def _tolerances(text: str) -> list[int]:
+    """``--tolerances``: comma-separated non-negative integers (none when
+    empty); anything else is a ConfigError, before any record is read."""
+    ks = [k.strip() for k in text.split(",") if k.strip()]
+    if not all(k.isascii() and k.isdigit() for k in ks):
+        raise ConfigError(f"--tolerances must be comma-separated "
+                          f"non-negative integers, got {text!r}")
+    return [int(k) for k in ks]
+
+
 def cmd_eval(args, config: RunConfig) -> int:
-    ks = [int(k) for k in args.tolerances.split(",") if k.strip()]
+    ks = _tolerances(args.tolerances)
     if args.records:
         records = read_records(args.records)
     else:

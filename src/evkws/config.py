@@ -146,7 +146,7 @@ def _build(values: dict[tuple[str, str], object]) -> RunConfig:
         for group, fields in changes.items():
             top[group] = replace(getattr(_DEFAULTS, group), **fields)
         config = replace(_DEFAULTS, **top)
-        config.filtration.schedule()  # fail fast on bad schedule values
+        config.filtration_params()  # fail fast on bad filter settings
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     return config

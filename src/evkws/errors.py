@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the UTF-8 file opener.
+"""Exception types shared across the package, the UTF-8 file opener and
+the integer-field rule of the JSON readers.
 
 The command-line front end maps each class to a distinct exit code, so new
 error conditions should reuse one of these rather than raising bare
@@ -7,6 +8,7 @@ ValueError.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -50,3 +52,13 @@ def open_text(path: str, error: type[EvkwsError] = ParseError):
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def exact_int(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as a Python int when it is an integer (a numpy one too);
+    ``error`` naming ``name`` otherwise. ``int`` would truncate a float,
+    take a boolean as 0 or 1 and parse a string, so the JSON readers (weight
+    files and record files) refuse all three through this one rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -30,9 +30,10 @@ depend on position alone come from tables each layer builds once, when it is
 built (``ConvLayer.age_table`` and ``channel_table``), so no chunk derives
 anything from the weights. Weights are checked at load time so that no
 accumulator or partial value reaches 2**31 (|bias| + 128*sum|w| per row),
-which keeps int32 accumulation exact. Requantize clamps each int32
-accumulator to the window ``[lo, hi]`` outside which its output saturates,
-so it scales in int32 and folds the ReLU into that clamp.
+which keeps int32 accumulation exact. ``requantize(acc, layer)`` clamps
+each int32 accumulator to the layer's ``window`` ``[lo, hi]``, outside which
+its output saturates, so it scales in int32 and folds the ReLU into that
+clamp; the window is derived once, when the layer is built.
 
 That window makes the node buffers narrow. The maximum, the adds and the
 clamp are monotone, so a stage clamps each vertex product per feature to
@@ -56,7 +57,8 @@ t=0; ``WindowPool.push`` takes a chunk's rows whole and is the one place
 windows are derived. Whenever a row lands past the open window, every
 elapsed window emits (empty ones as all zeros, the minimum of the rectified
 domain) and the head runs once per chunk on them: blocks in declared order,
-hidden ones rectified, the final one affine, each mapping window rows to
+hidden ones through ``requantize`` (a linear block's window rectifies, a
+GRU's gates' does not), the final one affine, each mapping window rows to
 rows. A linear block and a GRU's input projection take all the windows in
 one BLAS product on ``weight_t``, exact by the same rule, summed in int32;
 ``gru_forward`` steps only the recurrence in order. Only a GRU's ``r * ah``
@@ -182,7 +184,7 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
                                    mode="clip",
                                    out=scratch.take("acc", np.int32, n, out_w))
     acc += best                          # bias - ch_i * w_dc + offset
-    return requantize(acc, layer.scale_num, layer.scale_shift, rectify=True)
+    return requantize(acc, layer)
 
 
 class WindowPool:
@@ -274,23 +276,22 @@ def gru_forward(block: GruBlock, xs: np.ndarray,
     Returns the int8 states, ``(m, out_width)``, and the last (the int8
     ``h`` given, untouched, when ``m`` is 0). The input projection ``xs @
     weight_t[:in_width] + bias`` is one product over all rows. The gates
-    saturate once, in ``requantize`` onto the table index scale; the reset
-    product takes int64 (up to 256 * 2**31). Sigmoid entries are 256-scaled,
-    so both products step back by a rounding shift by 8. With z in [0, 256],
-    the blend over 256 lies between n and h, so nothing clamps it. Other
-    sums are int32, the gates' within the load-time bound (``|gated| <=
-    |ah|``), the blend's within 2**15.
+    saturate once, in ``requantize`` onto the table index scale (a GRU's
+    window does not rectify); the reset product takes int64 (up to 256 *
+    2**31). Sigmoid entries are 256-scaled, so both products step back by a
+    rounding shift by 8. With z in [0, 256], the blend over 256 lies between
+    n and h, so nothing clamps it. Other sums are int32, the gates' within
+    the load-time bound (``|gated| <= |ah|``), the blend's within 2**15.
     """
     w, gates = block.weight_t, 2 * block.out_width
     ax = (xs @ w[:block.in_width]).astype(np.int32) + block.bias
     states = np.empty((len(ax), block.out_width), np.int8)
     for j, a in enumerate(ax):  # the recurrence: in order
         ah = (h @ w[block.in_width:]).astype(np.int32)
-        z, r = lut_sigmoid(requantize(a[:gates] + ah[:gates], block.scale_num,
-                                      block.scale_shift)).reshape(2, -1)
+        z, r = lut_sigmoid(requantize(a[:gates] + ah[:gates],
+                                      block)).reshape(2, -1)
         gated = (r.astype(np.int64) * ah[gates:] + 128) >> 8
-        n = lut_tanh(requantize(a[gates:] + gated.astype(np.int32),
-                                block.scale_num, block.scale_shift))
+        n = lut_tanh(requantize(a[gates:] + gated.astype(np.int32), block))
         states[j] = h = (((256 - z) * n + z * h + 128) >> 8).astype(np.int8)
     return states, h
 
@@ -326,8 +327,7 @@ def head_forward(weights: ModelWeights, pooled: np.ndarray,
             x = rounding_rshift(acc.astype(np.int64) * block.scale_num,
                                 block.scale_shift)
         else:
-            x = requantize(acc, block.scale_num, block.scale_shift,
-                           rectify=True)
+            x = requantize(acc, block)
     logits = x[:, :-1].astype(np.int64)
     return ([Prediction(w, row, conf) for w, row, conf
              in zip(windows, logits, x[:, -1].tolist())], hidden)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, ValidationError, open_text
+from .errors import ParseError, ValidationError, exact_int, open_text
 from .events import EventStream, compute_stats
 
 F1_EPS = 1e-12
@@ -128,19 +128,12 @@ def metric_report(records: Sequence[EvalRecord],
                         excluded_from_ts=excluded)
 
 
-def _json_int(value, key: str) -> int:
-    """An integer field of a JSON record; ``int`` would truncate a float
-    and take a boolean as 0 or 1, where the CSV path refuses both."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
 def read_records(path: str) -> list[EvalRecord]:
     """Load records from JSON lines or ``sample_id,y,t,y_hat,t_hat`` CSV.
 
     A JSON line holds {"sample_id", "y", "y_hat", "t_hat", optional "t"};
-    a float or boolean in the four integer fields is refused, as in CSV.
+    the id must be a string and the other four integers (``exact_int``):
+    a float, boolean or string in them is refused, as in CSV.
     In CSV an empty ``t`` field means no ground-truth bin.
     """
     records: list[EvalRecord] = []
@@ -152,13 +145,17 @@ def read_records(path: str) -> list[EvalRecord]:
             if line.startswith("{"):
                 try:
                     doc = json.loads(line)
+                    sample_id = doc["sample_id"]
+                    if not isinstance(sample_id, str):
+                        raise ValueError("sample_id must be a string, got "
+                                         f"{json.dumps(sample_id)}")
                     records.append(EvalRecord(
-                        sample_id=str(doc["sample_id"]),
-                        y=_json_int(doc["y"], "y"),
-                        y_hat=_json_int(doc["y_hat"], "y_hat"),
-                        pred_bin=_json_int(doc.get("t_hat", 0), "t_hat"),
+                        sample_id=sample_id,
+                        y=exact_int(doc["y"], "y"),
+                        y_hat=exact_int(doc["y_hat"], "y_hat"),
+                        pred_bin=exact_int(doc.get("t_hat", 0), "t_hat"),
                         true_bin=None if doc.get("t") is None
-                        else _json_int(doc["t"], "t")))
+                        else exact_int(doc["t"], "t")))
                 except (json.JSONDecodeError, KeyError, TypeError,
                         ValueError, OverflowError) as exc:
                     raise ParseError(f"{path}: bad record: {exc}", line=lineno)

@@ -11,8 +11,8 @@ recurrent blocks executed in declared order. The file is JSON:
         {"kind": "conv" | "linear" | "gru",
          "in": <feature input width>,
          "out": <output width>,
-         "scale_num": <int >= 1>,
-         "scale_shift": <int >= 0>,
+         "scale_num": <int in [1, 2**31)>,
+         "scale_shift": <int in [0, 62]>,
          "weight": "<base64 of row-major int8 bytes>",
          "bias": [<int32>, ...]},
         ...
@@ -26,7 +26,9 @@ columns take the relative channel and age inputs); linear blocks ``out x in``;
 a gru block stores ``(3*out) x (in + out)`` with gate rows ordered update,
 reset, candidate and input columns before recurrent columns. The bias holds
 one value per weight row. The final head block must emit ``class_count + 1``
-values: the class logits plus a confidence scalar.
+values: the class logits plus a confidence scalar. Every integer field must
+be a JSON integer: a float, boolean or string there is refused
+(``errors.exact_int``), never truncated or parsed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, open_text
+from .errors import ParseError, ValidationError, exact_int, open_text
 from .quant import I8_MAX, I8_MIN, I32_MAX, MAX_SHIFT, _window
 
 WEIGHT_FORMAT_VERSION = 1
@@ -69,16 +71,25 @@ def exact_float(weight: np.ndarray, extra=0) -> type:
 class Block:
     """One int8 affine block: ``weight`` (int8) and ``bias`` (int32, one
     value per weight row) with the requantization scale of its output.
-    Checked once, when built; both arrays are then read-only.
+    Checked once, when built; both arrays are then read-only. The scales
+    must be integers (Python or numpy; a float, bool or str is refused) with
+    ``1 <= scale_num < 2**31`` and ``0 <= scale_shift <= 62``, and are kept
+    as Python ints.
 
-    Tables derived from the weights are built once, with the block, and are
-    read-only too; ``==`` compares the six fields alone.
+    ``window`` is where ``quant.requantize`` clamps the block's
+    accumulators and how it scales them, derived once, when the block is
+    built, by ``quant._window``. Its outputs start at 0 (a ReLU) where the
+    kind sets ``rectify``, as conv and linear blocks do, and at -128 for a
+    GRU's gates, which do not. Tables derived from the weights are built
+    once, with the block, and are read-only too; ``==`` compares the six
+    fields alone.
 
     Subclasses set ``kind``, the file's block kind, and ``weight_shape``,
     the only rule in which kinds differ.
     """
 
     kind: ClassVar[str]
+    rectify: ClassVar[bool] = True
 
     weight: np.ndarray
     bias: np.ndarray
@@ -86,6 +97,7 @@ class Block:
     out_width: int
     scale_num: int = 1
     scale_shift: int = 0
+    window: tuple = field(init=False, repr=False)
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
@@ -117,14 +129,18 @@ class Block:
         # Inputs are int8, so a row's accumulator stays within |bias| + 128 *
         # sum|w|: below 2**31 it fits int32, and scale_num < 2**31 with shift
         # <= 62 keeps requantization inside int64.
-        if not 1 <= self.scale_num < ACC_LIMIT:
+        num = exact_int(self.scale_num, "scale_num", ValidationError)
+        shift = exact_int(self.scale_shift, "scale_shift", ValidationError)
+        if not 1 <= num < ACC_LIMIT:
             raise ValidationError(
-                f"scale_num must be an integer in [1, 2**31), got "
-                f"{self.scale_num}")
-        if not 0 <= self.scale_shift <= MAX_SHIFT:
+                f"scale_num must be an integer in [1, 2**31), got {num}")
+        if not 0 <= shift <= MAX_SHIFT:
             raise ValidationError(
-                f"scale_shift must lie in [0, {MAX_SHIFT}], got "
-                f"{self.scale_shift}")
+                f"scale_shift must lie in [0, {MAX_SHIFT}], got {shift}")
+        object.__setattr__(self, "scale_num", num)
+        object.__setattr__(self, "scale_shift", shift)
+        object.__setattr__(self, "window", _window(
+            num, shift, 0 if self.rectify else I8_MIN))
         bound = np.abs(bias) + 128 * np.abs(weight.astype(np.int64)).sum(1)
         if (bound >= ACC_LIMIT).any():
             row = int(np.argmax(bound >= ACC_LIMIT))
@@ -167,8 +183,8 @@ class ConvLayer(Block):
     * ``offset``, int32 per feature: a stored product plus it is P clamped
       to ``[low, high]``.
 
-    The rectified ``requantize`` saturates outside its window ``[lo, hi]``
-    (``quant._window`` caps both at the int32 maximum), and the maximum, the
+    The rectified ``requantize`` saturates outside the layer's ``window``
+    ``[lo, hi]`` (both capped at the int32 maximum), and the maximum, the
     adds and that clamp are monotone. So clamping P per feature to ``[lo -
     max A - max C, hi - min A - min C]`` changes no output. Both bounds are
     then clipped to the products' reach ``±(128 * sum|Wx| + 127 * |w_dc|)``,
@@ -203,7 +219,7 @@ class ConvLayer(Block):
         w_dc, w_age = weight[:, self.in_width:].T
         age = np.outer(np.arange(I8_MAX + 1), w_age)
         channel = self.bias - np.outer(np.arange(-I8_MAX, I8_MAX + 1), w_dc)
-        lo, hi, *_ = _window(self.scale_num, self.scale_shift, 0)
+        lo, hi, *_ = self.window
         a_min, a_max = age.min(axis=0), age.max(axis=0)
         reach = 128 * np.abs(w_x).sum(axis=1) + I8_MAX * np.abs(w_dc)
         low = np.clip(lo - a_max - channel.max(axis=0), -reach, reach)
@@ -249,10 +265,12 @@ class GruBlock(HeadBlock):
     """Recurrent head block; ``out_width`` is the hidden size.
 
     Rows of ``weight`` stack the update, reset and candidate gates; columns
-    hold the input weights first, then the recurrent weights.
+    hold the input weights first, then the recurrent weights. The gates'
+    ``window`` does not rectify: they saturate at -128 and 127.
     """
 
     kind = KIND_GRU
+    rectify = False
 
     @staticmethod
     def weight_shape(in_width: int, out_width: int) -> tuple[int, int]:
@@ -384,11 +402,10 @@ def _decode_block(entry: dict, index: int):
     kind = entry.get("kind")
     label = f"block {index} ({kind})"
     try:
-        in_width = int(entry["in"])
-        out_width = int(entry["out"])
-        scale_num = int(entry.get("scale_num", 1))
-        scale_shift = int(entry.get("scale_shift", 0))
-        bias = np.array(entry["bias"], dtype=np.int64)
+        in_width = exact_int(entry["in"], "in")
+        out_width = exact_int(entry["out"], "out")
+        bias = np.array([exact_int(b, "bias") for b in entry["bias"]],
+                        dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{label}: missing or malformed field: {exc}")
     cls = _block_class(kind)
@@ -398,8 +415,9 @@ def _decode_block(entry: dict, index: int):
                             *cls.weight_shape(in_width, out_width))
     try:
         return cls(weight=weight, bias=bias, in_width=in_width,
-                   out_width=out_width, scale_num=scale_num,
-                   scale_shift=scale_shift)
+                   out_width=out_width,
+                   scale_num=entry.get("scale_num", 1),
+                   scale_shift=entry.get("scale_shift", 0))
     except ValidationError as exc:
         raise ValidationError(f"{label}: {exc}") from None
 
@@ -414,12 +432,13 @@ def load_weights(path: str) -> ModelWeights:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
     version = doc.get("version")
-    if version != WEIGHT_FORMAT_VERSION:
+    if type(version) is not int or version != WEIGHT_FORMAT_VERSION:
         raise ValidationError(
             f"{path}: unsupported weight format version {version!r}")
     try:
-        class_count = int(doc["class_count"])
-        declared_widths = [int(w) for w in doc["conv_widths"]]
+        class_count = exact_int(doc["class_count"], "class_count")
+        declared_widths = [exact_int(w, "conv_widths")
+                           for w in doc["conv_widths"]]
         entries = doc["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}")

@@ -3,7 +3,10 @@
 All tensors are symmetric signed 8-bit with zero point 0. Every layer
 accumulates in int32, and ``requantize`` takes int32 accumulators alone;
 results return to 8 bits through a rounding right shift (add half, shift,
-saturate), optionally after an integer scale multiplier.
+saturate), optionally after an integer scale multiplier. Each block's scale
+is fixed when the block is built: it checks its scales then and keeps the
+clamp window ``_window`` derives, so ``requantize(acc, block)`` checks
+nothing but the accumulators.
 Negative values shift arithmetically, so rounding is half toward +inf
 everywhere, matching what a hardware barrel shifter with an added offset
 produces.
@@ -17,9 +20,6 @@ alone, as ``requantize`` makes them, and read entry q + 128 at byte q ^ 128.
 """
 
 from __future__ import annotations
-
-import functools
-import operator
 
 import numpy as np
 
@@ -75,11 +75,13 @@ def saturate_i8(value) -> np.ndarray:
     return value.clip(low, bound(I8_MAX)).astype(np.int8)
 
 
-@functools.lru_cache(maxsize=256)
-def _window(scale_num: int, scale_shift: int, low: int):
-    """Where ``requantize`` clamps int32 accumulators and the type it
-    scales in: ``(lo, hi, scale dtype, rounding offset)``, ``lo`` and
-    ``hi`` int32 scalars.
+def _window(scale_num: int, scale_shift: int, low: int) -> tuple:
+    """How ``requantize`` takes int32 accumulators to int8 outputs in
+    ``[low, 127]`` at one scale: ``(lo, hi, scale dtype, rounding offset,
+    last clamp)``. ``lo`` and ``hi``, int32 scalars, bound the window
+    outside which the output saturates; the last clamp is the output range
+    in the scale dtype where ``scale_num > 2**scale_shift``, None otherwise.
+    A ``Block`` derives its own when it is built, from scales it checked.
     """
     half = (1 << scale_shift) >> 1
     # Python ints, so that no bound overflows; 0 < hi and lo < 2**62
@@ -89,52 +91,44 @@ def _window(scale_num: int, scale_shift: int, low: int):
     lo, hi = min(max(lo, I32_MIN), I32_MAX), min(hi, I32_MAX)
     reach = max(-lo, hi) * scale_num + half  # below 2**63
     scale = np.int32 if reach <= I32_MAX else np.int64
-    return np.int32(lo), np.int32(hi), scale, half
+    last = ((scale(low), scale(I8_MAX)) if scale_num > 1 << scale_shift
+            else None)
+    return np.int32(lo), np.int32(hi), scale, half, last
 
 
-def requantize(acc: np.ndarray, scale_num: int, scale_shift: int,
-               rectify: bool = False) -> np.ndarray:
-    """int32 accumulators back to int8: scale, rounding shift, saturate.
-    With ``rectify``, negative outputs become 0 as well (ReLU).
+def requantize(acc: np.ndarray, block) -> np.ndarray:
+    """int32 accumulators of ``block`` back to int8: scale, rounding shift,
+    saturate, at the block's ``scale_num`` and ``scale_shift``, rectified
+    (negative outputs become 0) where its kind rectifies.
 
     ``acc`` must be an int32 array; any other input, a Python int
-    included, is refused. Scales lie in the range every block checks at
-    load: ``1 <= scale_num < 2**31`` and ``0 <= scale_shift <= 62``.
-    Clamps first, in int32, to the window ``[lo, hi]`` outside which the
-    output saturates: ``lo`` is the largest accumulator that gives the
-    lowest output (-128, or 0 when rectifying) and ``hi`` the smallest
-    that gives 127, both capped to int32. Then it scales in int32 where
-    the window's scaled ends plus the rounding offset fit, and in int64
-    otherwise, which always holds them, so the result is exact. When
-    ``scale_num <= 2**scale_shift`` the window's scaled ends already lie
-    in the output range; otherwise a last clamp saturates. Clamps take
-    ``ndarray.clip`` with int32 bounds: on a chunk's accumulators that
-    costs a third of ``maximum`` and ``minimum``, and the method skips the
-    dispatch cost of ``np.clip``. The window of each scale is derived once
-    and cached.
+    included, is refused. Everything else was checked and derived when the
+    block was built (``Block.window``, from ``_window``), so a call only
+    computes: it clamps first, in int32, to the window ``[lo, hi]`` outside
+    which the output saturates: ``lo`` is the largest accumulator that
+    gives the lowest output (-128, or 0 when rectifying) and ``hi`` the
+    smallest that gives 127, both capped to int32. Then it scales in int32
+    where the window's scaled ends plus the rounding offset fit, and in
+    int64 otherwise, which always holds them, so the result is exact. When
+    ``scale_num <= 2**scale_shift`` the window's scaled ends already lie in
+    the output range; otherwise a last clamp saturates. Clamps take
+    ``ndarray.clip`` with bounds of the array's dtype: on a chunk's
+    accumulators that costs a third of ``maximum`` and ``minimum``, and the
+    method skips the dispatch cost of ``np.clip``.
     """
-    # Python ints, so that the window's arithmetic cannot wrap
-    scale_num, scale_shift = operator.index(scale_num), operator.index(
-        scale_shift)
-    if not 0 <= scale_shift <= MAX_SHIFT:
-        raise ValidationError(f"shift must lie in [0, {MAX_SHIFT}]")
-    if not 1 <= scale_num <= I32_MAX:
-        raise ValidationError("scale_num must lie in [1, 2**31)")
     if not isinstance(acc, np.ndarray) or acc.dtype != np.int32:
         raise ValidationError(
             "accumulators must be an int32 array, got "
             f"{getattr(acc, 'dtype', type(acc).__name__)}")
-    low = 0 if rectify else I8_MIN
-    lo, hi, scale, half = _window(scale_num, scale_shift, low)
-    scaled = acc.clip(lo, hi, out=np.empty_like(acc))
-    scaled = scaled.astype(scale, copy=False)
-    if scale_num != 1:
-        scaled *= scale_num
+    lo, hi, scale, half, last = block.window
+    scaled = acc.clip(lo, hi, out=np.empty_like(acc)).astype(scale,
+                                                               copy=False)
+    if block.scale_num != 1:
+        scaled *= block.scale_num
     scaled += half
-    scaled >>= scale_shift
-    if scale_num > 1 << scale_shift:
-        bound = scaled.dtype.type
-        scaled.clip(bound(low), bound(I8_MAX), out=scaled)
+    scaled >>= block.scale_shift
+    if last is not None:
+        scaled.clip(*last, out=scaled)
     return scaled.astype(np.int8)
 
 

@@ -393,6 +393,29 @@ def test_cli_bad_override_is_config_error(capsys, sample_file):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["stats", "ablate"])
+@pytest.mark.parametrize("override", [
+    "filtration.div_factor=40",   # exited 0 from stats and from ablate,
+    "filtration.weight=-1",       # which wrote the bad config to disk
+    "filtration.threshold.start=-1",
+])
+def test_cli_filter_settings_are_checked_when_the_config_is_built(
+        capsys, tmp_path, sample_file, command, override):
+    section, rest = override.split(".", 1)
+    key, value = rest.split("=")
+    if command == "stats":
+        argv = ["--set", override, "stats", str(sample_file)]
+    else:
+        sweep = tmp_path / "sweep.ini"
+        sweep.write_text(f"[{section}]\n{key} = 8, {value}\n")
+        argv = ["ablate", str(sweep), "--out-dir", str(tmp_path / "runs")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("override", [
     "hw.nas_latency_us=nan",   # exited 0, printed NaN, dropped every event
     "hw.clock_hz=inf",         # printed Infinity as a throughput
@@ -481,6 +504,26 @@ def test_cli_out_of_range_csv_field_is_one_json_line(capsys, tmp_path, row):
     assert json.loads(err)["error"]["exit_code"] == code
 
 
+@pytest.mark.parametrize("tolerances,bins", [
+    ("a", True),      # a ValueError traceback, exit 1
+    ("1,x", True),
+    ("1.5", True),
+    ("-1", True),     # exit 4 from ts_accuracy
+    ("-1", False),    # ignored: no record has a ground-truth bin
+    ("0,-3", False),
+])
+def test_cli_eval_malformed_tolerances_are_config_errors(
+        capsys, tmp_path, tolerances, bins):
+    records = tmp_path / "records.csv"
+    records.write_text("sample_id,y,t,y_hat,t_hat\n"
+                       f"a,1,{2 if bins else ''},1,2\n")
+    code, out, err = run_cli(capsys, "eval", "--records", str(records),
+                             "--tolerances", tolerances)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
 def test_cli_eval_empty_manifest_is_validation_error(capsys, tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,label,end_bin\n")
@@ -493,6 +536,16 @@ def test_cli_eval_empty_manifest_is_validation_error(capsys, tmp_path):
     (4, "scale_num", 2**62),      # was a silent int64 wrap, exit 0
     (6, "bias", [2**31 - 1] * 192),  # the gru block: int32 could wrap
     (0, "bias", [2**70] * 72),       # was an OverflowError traceback
+    # non-integers were truncated or parsed, and each file ran, exit 0
+    (4, "scale_num", 2.9),        # loaded as 2
+    (4, "scale_num", 2.5),
+    (4, "scale_shift", True),     # loaded as 1
+    (7, "scale_shift", "3"),
+    (4, "bias", [1.7] * 96),      # loaded as 1
+    (8, "bias", [True] * 12),
+    (1, "in", 72.0),
+    (1, "in", "72"),
+    (6, "out", 64.0),
 ])
 def test_cli_weights_beyond_the_integer_datapath_are_validation_errors(
         capsys, tmp_path, sample_file, block, field, value):

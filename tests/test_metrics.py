@@ -179,17 +179,22 @@ def test_read_records_jsonl_bad_json(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("y", 1.9), ("y_hat", True), ("t_hat", 2.7), ("t", 3.0), ("y", False),
-    ("t_hat", 1e3),
+    ("t_hat", 1e3), ("y", "3"),
+    ("sample_id", None), ("sample_id", ["a"]), ("sample_id", 3),
+    ("sample_id", True),
 ])
 def test_read_records_jsonl_refuses_floats_and_booleans(tmp_path, field,
                                                         value):
-    # each used to load truncated: y 1.9 as 1, true as 1, t_hat 2.7 as 2
+    # each used to load truncated: y 1.9 as 1, true as 1, t_hat 2.7 as 2;
+    # "3" was parsed, and an id null loaded as "None", ["a"] as "['a']"
     row = {"sample_id": "a", "y": 1, "y_hat": 1, "t_hat": 2, "t": 3}
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(row) + "\n"
-                    + json.dumps(dict(row, sample_id="b", **{field: value}))
+                    + json.dumps(dict(row, **{"sample_id": "b",
+                                              field: value}))
                     + "\n")
-    with pytest.raises(ParseError, match=f"{field} must be an integer.*"
+    kind = "a string" if field == "sample_id" else "an integer"
+    with pytest.raises(ParseError, match=f"{field} must be {kind}.*"
                                          "line 2"):
         read_records(str(path))
 

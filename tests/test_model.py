@@ -124,6 +124,23 @@ def test_load_rejects_wrong_version(tmp_path):
         load_weights(str(path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("version", 1.0), ("version", True), ("class_count", 11.0),
+    ("class_count", "11"), ("conv_widths", [72.0, 72, 72, 72]),
+    ("conv_widths", [72, 72, 72, True]),
+])
+def test_load_refuses_top_level_integers_that_are_not_integers(
+        tmp_path, field, value):
+    # 1.0 and true passed the version check, and int() took the others
+    path = tmp_path / "w.json"
+    save_weights(random_weights(0), str(path))
+    blob = json.loads(path.read_text())
+    blob[field] = value
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValidationError, match=field.split("_")[0]):
+        load_weights(str(path))
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
     w = random_weights(0)
     path = tmp_path / "w.json"
@@ -416,6 +433,43 @@ def test_blocks_reject_scales_beyond_the_64_bit_requantizer(kind):
                    {"scale_shift": 100}, {"scale_shift": -1}):
         with pytest.raises(ValidationError):
             _block(kind, 0, **scales)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+@pytest.mark.parametrize("field", ["scale_num", "scale_shift"])
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, False,
+                                   np.True_, "3", None])
+def test_blocks_refuse_scales_that_are_not_integers(kind, field, value):
+    # a float scale used to build and raise a bare TypeError on the first
+    # requantize; a bool was read as 1 or 0, and a str raised a TypeError
+    with pytest.raises(ValidationError,
+                       match=f"{field} must be an integer, got"):
+        _block(kind, 0, **{field: value})
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+def test_blocks_keep_numpy_integer_scales_as_python_ints(kind):
+    block = _block(kind, 0, scale_num=np.int64(3), scale_shift=np.uint8(61))
+    assert type(block.scale_num) is int and block.scale_num == 3
+    assert type(block.scale_shift) is int and block.scale_shift == 61
+    assert block == _block(kind, 0, scale_num=3, scale_shift=61)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+def test_block_window_is_derived_once_from_its_kind(kind):
+    # conv and linear windows rectify at 0, a GRU's gates saturate at -128
+    from evkws.quant import I8_MIN, _window
+
+    block = _block(kind, 0, scale_num=3, scale_shift=9)
+    low = I8_MIN if kind == "gru" else 0
+    lo, hi, scale, half, last = block.window
+    assert (lo, hi, scale, half) == _window(3, 9, low)[:4]
+    assert last is None and half == 256
+    if kind != "gru":
+        assert (int(lo), int(hi)) == ref_rectified_window(3, 9)
+    # past 2**shift the scaled window passes the output range: a last clamp
+    last = _block(kind, 0, scale_num=2**31 - 1, scale_shift=0).window[4]
+    assert last == (low, 127)
 
 
 def test_gru_at_the_accumulator_limit_matches_the_oracle():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evkws import ValidationError
+from evkws.model import GruBlock, LinearBlock
 from evkws.quant import (
     DT_SHIFT,
     I32_MAX,
@@ -34,6 +35,16 @@ I64_MAX = 2**63 - 1
 
 def i32(values) -> np.ndarray:
     return np.array(values, dtype=np.int32)
+
+
+def block(scale_num, scale_shift, rectify=False):
+    """A one-output block at the scale whose window rectifies or not: a
+    linear block's does, a GRU's (its gates') does not."""
+    cls = LinearBlock if rectify else GruBlock
+    rows, cols = cls.weight_shape(1, 1)
+    return cls(weight=np.zeros((rows, cols), np.int8),
+               bias=np.zeros(rows, np.int32), in_width=1, out_width=1,
+               scale_num=scale_num, scale_shift=scale_shift)
 
 
 # ------------------------------------------------------------------ shifts
@@ -128,12 +139,14 @@ def test_saturate_scalar_and_array():
 
 
 def test_requantize_saturates():
-    assert requantize(i32(127 << 4), 1, 4) == 127
-    assert requantize(i32(4097 << 4), 1, 4) == 127
-    assert requantize(i32(-(4097 << 4)), 1, 4) == -128
-    assert requantize(i32(100), 3, 2) == 75
+    assert requantize(i32(127 << 4), block(1, 4)) == 127
+    assert requantize(i32(4097 << 4), block(1, 4)) == 127
+    assert requantize(i32(-(4097 << 4)), block(1, 4)) == -128
+    assert requantize(i32(100), block(3, 2)) == 75
     np.testing.assert_array_equal(
-        requantize(i32([100, -100]), 3, 2), [75, -75])
+        requantize(i32([100, -100]), block(3, 2)), [75, -75])
+    np.testing.assert_array_equal(
+        requantize(i32([100, -100]), block(3, 2, rectify=True)), [75, 0])
 
 
 INT64_EDGES = st.sampled_from([-2**63, -2**63 + 1, -129, -128, 127, 128,
@@ -182,11 +195,12 @@ def test_requantize_array_equals_scalar(data, num, shift):
     # 0-d int32 array; the same value as a Python int is refused
     acc = data.draw(st.lists(st.integers(I32_MIN, I32_MAX), min_size=1,
                              max_size=20))
-    got = requantize(i32(acc), num, shift)
+    scale = block(num, shift)
+    got = requantize(i32(acc), scale)
     assert got.dtype == np.int8
-    assert got.tolist() == [int(requantize(i32(a), num, shift)) for a in acc]
+    assert got.tolist() == [int(requantize(i32(a), scale)) for a in acc]
     with pytest.raises(ValidationError, match="int32 array"):
-        requantize(acc[0], num, shift)
+        requantize(acc[0], scale)
 
 
 def test_requantize_near_the_int64_ends_does_not_wrap():
@@ -194,15 +208,15 @@ def test_requantize_near_the_int64_ends_does_not_wrap():
     # int64 ends, acc * scale_num + 2**61 fits no machine integer
     for acc in ([I64_MAX], [-2**63], [I64_MAX, -I64_MAX]):
         with pytest.raises(ValidationError, match="int64"):
-            requantize(np.array(acc), 2**31 - 1, 62)
+            requantize(np.array(acc), block(2**31 - 1, 62))
     # the int32 ends at the widest scales are exact, numpy integer scales
-    # (as a Block built in code may hold) too
+    # (as a Block built in code may take) too
     acc = [I32_MAX, I32_MIN, I32_MIN + 1, 0, -1]
     for num, shift in ((1, 62), (2**31 - 1, 62), (2**31 - 1, 0),
                        (np.int64(12345), np.int64(61))):
-        assert requantize(i32(acc), num, shift).tolist() == [
+        assert requantize(i32(acc), block(num, shift)).tolist() == [
             ref_requant(a, int(num), int(shift)) for a in acc]
-    assert requantize(i32(acc), 2**31 - 1, 62).tolist() == [
+    assert requantize(i32(acc), block(2**31 - 1, 62)).tolist() == [
         1, -1, -1, 0, 0]
 
 
@@ -223,7 +237,7 @@ def test_requantize_equals_oracle_over_the_whole_domain(data, num, shift,
         st.integers(I32_MIN, I32_MAX)
         | st.sampled_from([v for v in edges if I32_MIN <= v <= I32_MAX]),
         min_size=1, max_size=20))
-    got = requantize(i32(acc), num, shift, rectify=rectify)
+    got = requantize(i32(acc), block(num, shift, rectify))
     assert got.dtype == np.int8
     expect = [ref_requant(a, num, shift) for a in acc]
     assert got.tolist() == [max(0, v) if rectify else v for v in expect]
@@ -242,11 +256,12 @@ def test_requantize_at_scale_one_is_exact_at_both_clamp_edges(dtype, shift,
     low, half = 0 if rectify else I8_MIN, (1 << shift) >> 1
     lo, hi = ((low + 1) << shift) - half - 1, (I8_MAX << shift) - half
     acc = np.array([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1], dtype=dtype)
+    scale = block(1, shift, rectify)
     if dtype != np.int32:
         with pytest.raises(ValidationError, match="int32"):
-            requantize(acc, 1, shift, rectify=rectify)
+            requantize(acc, scale)
         acc = acc.astype(np.int32)
-    got = requantize(acc, 1, shift, rectify=rectify)
+    got = requantize(acc, scale)
     expect = [max(low, ref_requant(int(a), 1, shift)) for a in acc]
     assert got.dtype == np.int8 and got.tolist() == expect
     assert expect == [low, low, low + 1, I8_MAX - 1, I8_MAX, I8_MAX]
@@ -258,20 +273,33 @@ def test_requantize_refuses_every_accumulator_but_int32(name):
     acc = 0 if name == "int" else np.zeros(2, dtype=name)  # "int": Python
     with pytest.raises(ValidationError, match=f"accumulators must be an "
                                               f"int32 array, got {name}$"):
-        requantize(acc, 1, 0)
+        requantize(acc, block(1, 0))
 
 
 def test_requantize_rejects_a_zero_scale():
-    with pytest.raises(ValidationError, match="scale_num"):
-        requantize(i32([1]), 0, 0)
+    # refused when the block is built, so no requantize ever sees it
+    for rectify in (False, True):
+        with pytest.raises(ValidationError, match="scale_num"):
+            block(0, 0, rectify)
 
 
 def test_requantize_rejects_a_scale_outside_the_block_range():
-    # the blocks' load-time range, where int64 holds every scaled window
+    # the blocks' build-time range, where int64 holds every scaled window
     for num, shift, name in ((2**31, 0, "scale_num"), (1, -1, "shift"),
                              (1, 63, "shift")):
-        with pytest.raises(ValidationError, match=name):
-            requantize(i32([1]), num, shift)
+        for rectify in (False, True):
+            with pytest.raises(ValidationError, match=name):
+                block(num, shift, rectify)
+
+
+def test_requantize_derives_nothing_per_call(monkeypatch):
+    # the window is derived when the block is built; requantize reads it
+    import evkws.quant
+
+    scale = block(3, 2)
+    monkeypatch.setattr(evkws.quant, "_window", None)
+    assert requantize(i32([100, -100, 2**20]), scale).tolist() == [
+        75, -75, 127]
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
@@ -282,7 +310,7 @@ def test_unsigned_inputs_saturate_without_wrapping(dtype):
     values = np.array([0, 127, 128, top], dtype=dtype)
     assert saturate_i8(values).tolist() == [0, 127, 127, 127]
     with pytest.raises(ValidationError, match=f"got {values.dtype}"):
-        requantize(values, 1, 0)
+        requantize(values, block(1, 0))
 
 
 def test_quantize_dt_scales_by_64():
@@ -336,7 +364,7 @@ def test_lut_lookups_read_entry_q_plus_128_for_every_int8():
 def test_gru_blend_lies_between_candidate_and_state_without_a_clamp():
     # the blend ((256 - z) * n + z * h + 128) >> 8 over every sigmoid entry
     # z, tanh entry n and int8 state h: a convex mix, so its rounding stays
-    # between n and h and equals the saturating requantize(..., 1, 8)
+    # between n and h and equals the saturating requantize at scale (1, 8)
     z = np.unique(SIGMOID_LUT)[:, None]
     n = np.unique(TANH_LUT)[None, :]
     assert z.min() == 0 and z.max() == 256
@@ -345,8 +373,8 @@ def test_gru_blend_lies_between_candidate_and_state_without_a_clamp():
         blend = (total + 128) >> 8
         assert (np.minimum(n, h) <= blend).all()
         assert (blend <= np.maximum(n, h)).all()
-        np.testing.assert_array_equal(requantize(total.astype(np.int32), 1, 8),
-                                      blend)
+        np.testing.assert_array_equal(
+            requantize(total.astype(np.int32), block(1, 8)), blend)
 
 
 # --------------------------------------------------------------- division
