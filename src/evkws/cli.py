@@ -25,7 +25,7 @@ import sys
 
 from .config import RunConfig, expand_sweep, load_config, write_config
 from .errors import (ConfigError, EvkwsError, ParseError, ValidationError,
-                     open_text)
+                     decimal_int, open_text)
 from .events import (FORMAT_CSV, EventStream, compute_stats, read_stream,
                      write_stream)
 from .filtering import filter_stream
@@ -138,8 +138,10 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
                 raise ParseError(f"{path}: NUL byte in sample path",
                                  line=lineno)
             try:
-                rows.append((os.path.join(base, parts[0]), int(parts[1]),
-                             int(parts[2]) if parts[2] else None))
+                rows.append((os.path.join(base, parts[0]),
+                             decimal_int(parts[1], "label"),
+                             decimal_int(parts[2], "end_bin") if parts[2]
+                             else None))
             except ValueError as exc:
                 raise ParseError(f"{path}: bad manifest row: {exc}",
                                  line=lineno)

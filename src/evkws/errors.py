@@ -1,5 +1,5 @@
 """Exception types shared across the package, the UTF-8 file opener and
-the integer-field rule of the JSON readers.
+the integer-field rules of the JSON and CSV readers.
 
 The command-line front end maps each class to a distinct exit code, so new
 error conditions should reuse one of these rather than raising bare
@@ -62,3 +62,14 @@ def exact_int(value, name: str, error: type[Exception] = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def decimal_int(text: str, name: str) -> int:
+    """``text`` as an int when it is an optional ``-`` and ASCII digits;
+    ValueError naming ``name`` otherwise. ``int`` would also take ``+5``,
+    ``1_0`` and non-ASCII digits, so the CSV readers (record files and
+    manifests) read their integer fields through this one rule."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)

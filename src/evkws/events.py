@@ -317,8 +317,9 @@ def _decode_plain_csv(fh: BinaryIO) -> tuple[np.ndarray, ...] | None:
     body = fh.read()
     tail = not body.endswith(b"\n")  # a last line without its newline
     rest = body.translate(None, b"0123456789")  # separators and signs
-    minus = rest.count(b"-")
+    minus = len(rest)
     rest = rest.translate(None, b"-")
+    minus -= len(rest)
     lines = rest.count(b"\n") + tail
     # One ",," and newline per line: the parse meets 3 * lines fields. An
     # empty last one would end it a value short, left unset without a word.

@@ -19,12 +19,16 @@ through sensor delay, a FIFO, and the single processing stage:
   FIFO empty, so the stage's state after it depends on that event alone
   (Lindley's recursion). Only an event arriving before its predecessor
   would be done, had that one started on arrival, can begin a busy run.
-  The simulation replays each busy run event by event, from such an event
-  to the first arrival that finds the stage free, and leaves every other
-  event at admit = arrival. Replayed or not, every admit and done time is
-  the same floating-point sum, so skipping is exact. A drop changes no
-  server time, so a run is replayed past its drops, and events that look
-  like run starts inside a replayed run are skipped;
+  A run is one event long when the next arrival comes once that event is
+  done: it stalls once, as its predecessor is done, and cannot drop, since
+  it finds the FIFO empty. These runs, most of them at the default clock,
+  are resolved as arrays. The simulation replays every other busy run
+  event by event, from its first event to the first arrival that finds the
+  stage free, and leaves every other event at admit = arrival. Replayed or
+  not, every admit and done time is the same floating-point sum, so
+  skipping is exact. A drop changes no server time, so a run is replayed
+  past its drops, and events that look like run starts inside a replayed
+  run (their predecessor stalled or dropped) keep the replayed times;
 * a window closes once its last event has finished processing and a
   later-window event has arrived (timestamp propagation); the final window
   closes by an end-of-sample flush at window end plus ``flush_timeout_us``.
@@ -204,15 +208,21 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     admit_us = arrival.copy()  # NaN for a dropped event
     idle_done = arrival + service
     # Only an event arriving before idle_done of its predecessor can begin a
-    # busy run (module docstring); the loop replays each run. The one server
-    # takes events in arrival order, so admit times never decrease: the
-    # FIFO is a queue of the stalled events' admit times.
+    # busy run (module docstring). The run is one event long when the next
+    # arrival comes once that event is done, and those runs are resolved as
+    # arrays below; the loop replays every other run. The one server takes
+    # events in arrival order, so admit times never decrease: the FIFO is a
+    # queue of the stalled events' admit times.
+    begins = np.flatnonzero(arrival[1:] < idle_done[:-1]) + 1
+    solo_done = idle_done[begins - 1] + service[begins]  # the loop's sum
+    next_arrival = arrival[np.minimum(begins + 1, len(arrival) - 1)]
+    one = (begins == len(arrival) - 1) | (next_arrival >= solo_done)
     waiting: deque[float] = deque()
     depth, max_depth = params.fifo_depth, 0
     arrival_of, cost_of = arrival.item, service.item
     stalled, starts, lost = [], [], []
     end = 0  # events up to `end` are replayed or start on arrival
-    for first in (np.flatnonzero(arrival[1:] < idle_done[:-1]) + 1).tolist():
+    for first in begins[~one].tolist():
         if first <= end:
             continue  # inside a run already replayed, or its last event
         server_free = idle_done.item(first - 1)
@@ -236,6 +246,14 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
         end = i
     admit_us[stalled] = starts
     admit_us[lost] = np.nan
+    # A one-event run stalls once, never drops (it finds the FIFO empty) and
+    # starts as its predecessor is done, unless that predecessor stalled or
+    # dropped: then it lies inside a replayed run and keeps the loop's times
+    solo = begins[one]
+    solo = solo[admit_us[solo - 1] == arrival[solo - 1]]
+    admit_us[solo] = idle_done[solo - 1]
+    if solo.size:
+        max_depth = max(max_depth, 1)
     done_us = admit_us + service  # the same sums the loop made
     dropped = np.isnan(admit_us)
 
@@ -260,7 +278,7 @@ def simulate(stream: EventStream, edges, params: HwParams) -> SimTrace:
     return SimTrace(
         arrival_us=arrival, admit_us=admit_us, done_us=done_us, edges=edges,
         dropped=dropped, window_predictions=window_predictions,
-        window_to_prediction_us=w2p, stall_count=len(stalled),
+        window_to_prediction_us=w2p, stall_count=len(stalled) + solo.size,
         max_queue_depth=max_depth, params=params)
 
 

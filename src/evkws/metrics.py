@@ -21,7 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, ValidationError, exact_int, open_text
+from .errors import (ParseError, ValidationError, decimal_int, exact_int,
+                     open_text)
 from .events import EventStream, compute_stats
 
 F1_EPS = 1e-12
@@ -133,8 +134,9 @@ def read_records(path: str) -> list[EvalRecord]:
 
     A JSON line holds {"sample_id", "y", "y_hat", "t_hat", optional "t"};
     the id must be a string and the other four integers (``exact_int``):
-    a float, boolean or string in them is refused, as in CSV.
-    In CSV an empty ``t`` field means no ground-truth bin.
+    a float, boolean or string in them is refused. A CSV integer field is
+    an optional ``-`` and ASCII digits (``decimal_int``), so ``+5`` and
+    ``1_0`` are refused too; an empty ``t`` field means no ground-truth bin.
     """
     records: list[EvalRecord] = []
     with open_text(path) as fh:
@@ -168,9 +170,10 @@ def read_records(path: str) -> list[EvalRecord]:
                                  line=lineno)
             try:
                 records.append(EvalRecord(
-                    sample_id=parts[0], y=int(parts[1]),
-                    true_bin=int(parts[2]) if parts[2] else None,
-                    y_hat=int(parts[3]), pred_bin=int(parts[4])))
+                    sample_id=parts[0], y=decimal_int(parts[1], "y"),
+                    true_bin=decimal_int(parts[2], "t") if parts[2] else None,
+                    y_hat=decimal_int(parts[3], "y_hat"),
+                    pred_bin=decimal_int(parts[4], "t_hat")))
             except ValueError as exc:
                 raise ParseError(f"{path}: bad record: {exc}", line=lineno)
     return records

@@ -71,10 +71,10 @@ def exact_float(weight: np.ndarray, extra=0) -> type:
 class Block:
     """One int8 affine block: ``weight`` (int8) and ``bias`` (int32, one
     value per weight row) with the requantization scale of its output.
-    Checked once, when built; both arrays are then read-only. The scales
-    must be integers (Python or numpy; a float, bool or str is refused) with
-    ``1 <= scale_num < 2**31`` and ``0 <= scale_shift <= 62``, and are kept
-    as Python ints.
+    Checked once, when built; both arrays are then read-only. The widths
+    and scales must be integers (Python or numpy; a float, bool or str is
+    refused) with positive widths, ``1 <= scale_num < 2**31`` and
+    ``0 <= scale_shift <= 62``, and are kept as Python ints.
 
     ``window`` is where ``quant.requantize`` clamps the block's
     accumulators and how it scales them, derived once, when the block is
@@ -109,8 +109,11 @@ class Block:
         object.__setattr__(self, name, array)
 
     def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ValidationError("block widths must be positive")
+        for name in ("in_width", "out_width"):
+            width = exact_int(getattr(self, name), name, ValidationError)
+            if width < 1:
+                raise ValidationError(f"{name} must be positive, got {width}")
+            object.__setattr__(self, name, width)
         weight = np.asarray(self.weight)
         if weight.dtype != np.int8:
             if (weight < I8_MIN).any() or (weight > I8_MAX).any():

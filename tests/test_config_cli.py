@@ -524,6 +524,23 @@ def test_cli_eval_malformed_tolerances_are_config_errors(
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("row", ["s.nas,1_0,3", "s.nas,+5,3", "s.nas,5,+3",
+                                 "s.nas,\u0663,3", "s.nas,5,3_0"])
+def test_cli_eval_manifest_integers_are_a_sign_and_ascii_digits(
+        capsys, tmp_path, rng, row):
+    # int() read the label 1_0 as 10 and +5 as 5, and scored the sample
+    write_stream(make_stream(rng, channels=64, n=50, t_max=10_000),
+                 str(tmp_path / "s.nas"))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label,end_bin\ns.nas,1,3\n{row}\n",
+                        encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest))
+    assert code == 5
+    assert out == "" and err.count("\n") == 1
+    message = json.loads(err)["error"]["message"]
+    assert "must be an integer" in message and "(line 3)" in message
+
+
 def test_cli_eval_empty_manifest_is_validation_error(capsys, tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,label,end_bin\n")

@@ -220,6 +220,77 @@ def test_arrival_after_a_drop_finds_the_stage_free():
     assert trace.stall_count == 1
 
 
+# One cycle each at 1 MHz: an event with E edges is served in 2 + E us, so
+# the fixtures below are exact in whole microseconds (arrival = t + 23).
+ONE_MHZ = dict(clock_hz=1e6, cycle_base=1, cycle_per_vertex=1)
+
+
+def test_every_busy_run_is_one_event_long():
+    # each pair: a 4 us event, then one arriving 1 us later that waits 3 us
+    # and is done 2 us before the next pair begins
+    times = [t for k in range(50) for t in (10 * k, 10 * k + 1)]
+    trace = assert_equals_reference(stream_of(times), [2, 0] * 50,
+                                    HwParams(**ONE_MHZ))
+    assert trace.admit_us[1::2].tolist() == [
+        10 * k + 27.0 for k in range(50)]
+    assert trace.stall_count == 50 and trace.max_queue_depth == 1
+
+
+def test_the_last_event_is_a_one_event_run():
+    trace = assert_equals_reference(stream_of([0, 10, 11]), [0, 2, 0],
+                                    HwParams(**ONE_MHZ, fifo_depth=1))
+    assert trace.admit_us.tolist() == [23.0, 33.0, 37.0]
+    assert trace.done_us[-1] == 39.0
+    assert trace.stall_count == 1 and trace.max_queue_depth == 1
+
+
+@pytest.mark.parametrize("times,edges,depth,admit", [
+    # event 3 arrives before event 2 would be done (31 < 9 + 23), event 2
+    # arrives after event 1 would be, and event 4 comes long after: event 3
+    # passes the one-event test, but event 2 stalled behind event 1, so
+    # event 3 waits for event 2 (admitted at 12 + 23) until 41
+    ([0, 1, 3, 8, 30], [8, 0, 4, 0, 0], 1024, [23, 33, 35, 41, 53]),
+    # event 2 overflows the one-slot FIFO; event 3 finds the stage free and
+    # ends the run, though it passes the test against event 2 (27 + 23)
+    ([0, 1, 5, 12, 40], [8, 0, 20, 0, 0], 1, [23, 33, None, 35, 63]),
+])
+def test_one_event_test_inside_a_replayed_run_keeps_the_replay(
+        times, edges, depth, admit):
+    trace = assert_equals_reference(stream_of(times), edges,
+                                    HwParams(**ONE_MHZ, fifo_depth=depth))
+    assert [None if lost else a for a, lost in zip(
+        trace.admit_us.tolist(), trace.dropped.tolist())] == admit
+
+
+def test_one_event_run_right_after_a_replayed_run_ends():
+    # events 1 and 2 stall behind event 0; event 3 arrives as event 2 is
+    # done (37) and ends that run; event 4 then waits for event 3 alone
+    trace = assert_equals_reference(stream_of([0, 1, 2, 14, 15, 40]),
+                                    [8, 0, 0, 4, 0, 0], HwParams(**ONE_MHZ))
+    assert trace.admit_us.tolist() == [23, 33, 35, 37, 43, 63]
+    assert trace.stall_count == 3 and trace.max_queue_depth == 2
+
+
+# gaps near the service time leave many one-event runs beside longer ones:
+# at 1 MHz an event takes 2 to 5 us, at 200 MHz 0.47 to 4.07 us
+NEAR_SERVICE = st.one_of(
+    st.tuples(st.just(ONE_MHZ), st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=120)),
+    st.tuples(st.just({}), st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 20)), max_size=120)))
+
+
+@given(case=NEAR_SERVICE, depth=st.sampled_from([1, 2, 3, 1024]))
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_reference_with_gaps_near_the_service_time(case,
+                                                                    depth):
+    clock, events = case
+    times = np.cumsum([gap for gap, _ in events], dtype=np.int64)
+    assert_equals_reference(stream_of(times.tolist()),
+                            [e for _, e in events],
+                            HwParams(**clock, fifo_depth=depth))
+
+
 def _hw_timing_stream():
     """About 2,000 kept events of a filtered 64-channel 625 ev/s/ch stream
     and their edge counts: the hw_timing shape of the benchmark."""

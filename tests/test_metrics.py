@@ -170,6 +170,31 @@ def test_read_records_reports_line(tmp_path):
         read_records(str(path))
 
 
+@pytest.mark.parametrize("column", [1, 2, 3, 4])
+@pytest.mark.parametrize("value", ["1_0", "+5", "\u0663", "1 0", "--1",
+                                   "-", "0x1", "\uff15"])
+def test_read_records_csv_integers_are_a_sign_and_ascii_digits(
+        tmp_path, column, value):
+    # int() read 1_0 as 10, +5 as 5 and the Arabic-Indic and full-width
+    # digits as 3 and 5, where the JSON rows refuse anything but an integer
+    row = ["b", "1", "2", "1", "2"]
+    row[column] = value
+    path = tmp_path / "r.csv"
+    path.write_text("sample_id,y,t,y_hat,t_hat\na,1,2,1,2\n"
+                    + ",".join(row) + "\n", encoding="utf-8")
+    name = ["y", "t", "y_hat", "t_hat"][column - 1]
+    with pytest.raises(ParseError, match=f"{name} must be an integer.*"
+                                         "line 3"):
+        read_records(str(path))
+
+
+def test_read_records_csv_reads_negative_integers(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("a,-1,-0,-1,20\n")
+    assert read_records(str(path)) == [
+        EvalRecord("a", -1, -1, pred_bin=20, true_bin=0)]
+
+
 def test_read_records_jsonl_bad_json(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"sample_id": "a", "y": 1, "y_hat": 1}\n{oops\n')

@@ -448,6 +448,25 @@ def test_blocks_refuse_scales_that_are_not_integers(kind, field, value):
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
+@pytest.mark.parametrize("field", ["in_width", "out_width"])
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, "2", None])
+def test_blocks_refuse_widths_that_are_not_integers(kind, field, value):
+    # a block built in code took True as a width of 1 and kept it
+    cls, shape = BLOCK_SHAPES[kind]
+
+    def make(width):
+        widths = dict({"in_width": 1, "out_width": 2}, **{field: width})
+        return cls(weight=np.zeros(shape, dtype=np.int8),
+                   bias=np.zeros(shape[0], dtype=np.int32), **widths)
+
+    with pytest.raises(ValidationError,
+                       match=f"{field} must be an integer, got"):
+        make(value)
+    block = make(np.int16(2 if field == "out_width" else 1))
+    assert type(getattr(block, field)) is int
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
 def test_blocks_keep_numpy_integer_scales_as_python_ints(kind):
     block = _block(kind, 0, scale_num=np.int64(3), scale_shift=np.uint8(61))
     assert type(block.scale_num) is int and block.scale_num == 3
