@@ -25,7 +25,7 @@ import sys
 
 from .config import RunConfig, expand_sweep, load_config, write_config
 from .errors import (ConfigError, EvkwsError, ParseError, ValidationError,
-                     decimal_int, open_text)
+                     csv_fields, csv_rows, decimal_int)
 from .events import (FORMAT_CSV, EventStream, compute_stats, read_stream,
                      write_stream)
 from .filtering import filter_stream
@@ -123,28 +123,16 @@ def _read_manifest(path: str) -> list[tuple[str, int, int | None]]:
     """Rows of ``path,label,end_bin``; paths resolve against the manifest."""
     base = os.path.dirname(os.path.abspath(path))
     rows: list[tuple[str, int, int | None]] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.replace(" ", "") == "path,label,end_bin":
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"{path}: expected 3 fields, got {len(parts)}",
-                                 line=lineno)
-            if "\0" in parts[0]:  # open() would raise ValueError
-                raise ParseError(f"{path}: NUL byte in sample path",
-                                 line=lineno)
-            try:
-                rows.append((os.path.join(base, parts[0]),
-                             decimal_int(parts[1], "label"),
-                             decimal_int(parts[2], "end_bin") if parts[2]
-                             else None))
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad manifest row: {exc}",
-                                 line=lineno)
+    for lineno, line in csv_rows(path, "path,label,end_bin"):
+        sample, label, end_bin = csv_fields(path, lineno, line, 3)
+        if "\0" in sample:  # open() would raise ValueError
+            raise ParseError(f"{path}: NUL byte in sample path", line=lineno)
+        try:
+            rows.append((os.path.join(base, sample),
+                         decimal_int(label, "label"),
+                         decimal_int(end_bin, "end_bin") if end_bin else None))
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad manifest row: {exc}", line=lineno)
     if not rows:
         raise ValidationError(f"{path}: manifest lists no samples")
     return rows
@@ -164,18 +152,22 @@ def _eval_one(path: str, label: int, end_bin: int | None,
                       pred_bin=pred_bin, true_bin=end_bin)
 
 
-def _tolerances(text: str) -> list[int]:
-    """``--tolerances``: comma-separated non-negative integers (none when
-    empty); anything else is a ConfigError, before any record is read."""
-    ks = [k.strip() for k in text.split(",") if k.strip()]
-    if not all(k.isascii() and k.isdigit() for k in ks):
-        raise ConfigError(f"--tolerances must be comma-separated "
-                          f"non-negative integers, got {text!r}")
-    return [int(k) for k in ks]
+def _natural(text: str, flag: str) -> int:
+    """``text`` as a non-negative integer (``decimal_int``); a ConfigError
+    naming ``flag`` otherwise."""
+    try:
+        value = decimal_int(text, flag)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ConfigError(f"{flag} takes non-negative integers, got {text!r}")
+    return value
 
 
 def cmd_eval(args, config: RunConfig) -> int:
-    ks = _tolerances(args.tolerances)
+    # checked before any record is read; none when empty
+    ks = [_natural(k.strip(), "--tolerances")
+          for k in args.tolerances.split(",") if k.strip()]
     if args.records:
         records = read_records(args.records)
     else:
@@ -239,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append",
                         default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config key (repeatable)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", default="0",
                         help="seed for operations that draw randomness")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format on stdout")
@@ -289,6 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _natural(args.seed, "--seed")
         config = load_config(args.config, args.overrides)
         return args.func(args, config)
     except ConfigError as exc:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import attrgetter
 
-from .errors import ConfigError, ValidationError, open_text
+from .errors import ConfigError, ValidationError, decimal_int, open_text
 from .events import SensorConfig
 from .filtering import FiltrationParams, ThresholdSchedule
 from .graph import GraphParams
@@ -126,13 +126,13 @@ def _cast(section: str, key: str, value: str):
     default = attrgetter(attr)(_DEFAULTS)
     if default is None:
         return value or None  # optional path; empty means unset
-    caster = type(default)
+    kind = type(default)  # an int is an optional "-" and ASCII digits
     try:
-        return caster(value)
+        return decimal_int(value, key) if kind is int else kind(value)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {value!r} as "
-            f"{caster.__name__}") from None
+            f"{kind.__name__}") from None
 
 
 def _build(values: dict[tuple[str, str], object]) -> RunConfig:

@@ -1,5 +1,8 @@
 """Exception types shared across the package, the UTF-8 file opener and
-the integer-field rules of the JSON and CSV readers.
+the text rules: ``csv_rows`` and ``csv_fields`` are the CSV line rule of
+event files, manifests and record files (lines stripped, blank ones and a
+line-1 header skipped, fields split on commas and stripped), and every
+integer read from text goes through ``decimal_int``.
 
 The command-line front end maps each class to a distinct exit code, so new
 error conditions should reuse one of these rather than raising bare
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
+from typing import Iterator
 
 
 class EvkwsError(Exception):
@@ -54,6 +58,26 @@ def open_text(path: str, error: type[EvkwsError] = ParseError):
             raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
+def csv_rows(path: str, header: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of ``path``, stripped;
+    line 1 is skipped when it equals ``header`` once its spaces are removed."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not (lineno == 1 and line.replace(" ", "") == header):
+                yield lineno, line
+
+
+def csv_fields(path: str, lineno: int, line: str, width: int) -> list[str]:
+    """``line`` split on commas into ``width`` stripped fields; a ParseError
+    naming the line when it holds another number of fields."""
+    fields = [part.strip() for part in line.split(",")]
+    if len(fields) != width:
+        raise ParseError(f"{path}: expected {width} fields, got {len(fields)}",
+                         line=lineno)
+    return fields
+
+
 def exact_int(value, name: str, error: type[Exception] = ValueError) -> int:
     """``value`` as a Python int when it is an integer (a numpy one too);
     ``error`` naming ``name`` otherwise. ``int`` would truncate a float,
@@ -67,8 +91,8 @@ def exact_int(value, name: str, error: type[Exception] = ValueError) -> int:
 def decimal_int(text: str, name: str) -> int:
     """``text`` as an int when it is an optional ``-`` and ASCII digits;
     ValueError naming ``name`` otherwise. ``int`` would also take ``+5``,
-    ``1_0`` and non-ASCII digits, so the CSV readers (record files and
-    manifests) read their integer fields through this one rule."""
+    ``1_0`` and non-ASCII digits, so every integer read from text (CSV
+    fields, config values, command-line numbers) goes through this rule."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{name} must be an integer, got {text!r}")

@@ -14,9 +14,11 @@ Two file formats are supported:
 * binary: 8-byte header (magic ``NASE``, format version byte, channel count
   as little-endian u16, topology byte 0=cascade 1=parallel) followed by
   packed 8-byte records ``<u32 t, u16 c, s8 p, 1 pad byte>``, little endian.
-* csv: an optional first line ``t,c,p``, then one ``t,c,p`` integer triple
-  per line. Blank lines are skipped and each field is read as ``int()``
-  reads it after the line is stripped (``_scan_csv`` is the definition).
+* csv: an optional first line ``t,c,p`` (spaces ignored), then one
+  ``t,c,p`` integer triple per line, under the CSV line rule of
+  ``errors.csv_rows``: lines stripped, blank ones skipped. Each field is
+  stripped and read through ``decimal_int``, an optional ``-`` and ASCII
+  digits (``_scan_csv`` is the definition).
   Files decode on a faster path with identical results where deleting the
   digits and ``-`` after the header leaves one ``,,`` and newline per line
   (no empty last field) and every ``-`` is the sign of a nonzero value.
@@ -43,7 +45,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import (ConfigError, OrderingError, ParseError, ValidationError,
-                     open_text)
+                     csv_fields, csv_rows, decimal_int)
 
 US_PER_S = 1_000_000
 DEFAULT_WINDOW_US = 10_000
@@ -344,36 +346,22 @@ def _decode_plain_csv(fh: BinaryIO) -> tuple[np.ndarray, ...] | None:
 
 
 def _scan_csv(path: str) -> tuple[np.ndarray, ...]:
-    """Line-by-line CSV decode: the definition of the CSV format.
-
-    An optional ``t,c,p`` first line, blank lines skipped, every other line
-    three comma-separated fields read by ``int()`` after stripping the line.
-    """
-    ts: list[int] = []
-    cs: list[int] = []
-    ps: list[int] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line == _CSV_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: expected 3 fields, got {len(parts)}",
-                                 line=lineno)
-            try:
-                ts.append(int(parts[0]))
-                cs.append(int(parts[1]))
-                ps.append(int(parts[2]))
-            except ValueError:
-                raise ParseError(f"{path}: non-integer field in {line!r}",
-                                 line=lineno) from None
+    """Line-by-line CSV decode: the definition of the CSV format, the CSV
+    line rule (``errors.csv_rows``) with header ``t,c,p`` and three fields
+    a line, each read by ``decimal_int``."""
+    columns: tuple[list[int], ...] = ([], [], [])
+    for lineno, line in csv_rows(path, _CSV_HEADER):
+        fields = csv_fields(path, lineno, line, 3)
+        try:
+            for column, name, text in zip(columns, "tcp", fields):
+                column.append(decimal_int(text, name))
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad event row: {exc}",
+                             line=lineno) from None
     try:
-        return tuple(np.array(col, dtype=np.int64) for col in (ts, cs, ps))
+        return tuple(np.array(column, dtype=np.int64) for column in columns)
     except OverflowError:
-        big = next(v for v in (*ts, *cs, *ps) if not -2**63 <= v < 2**63)
+        big = next(v for v in sum(columns, []) if not -2**63 <= v < 2**63)
         raise ValidationError(
             f"{path}: value {big} does not fit in 64 bits") from None
 

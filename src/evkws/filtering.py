@@ -9,7 +9,7 @@ copied through unchanged.
 
 Thresholds per channel come from a schedule: constant, linear or exponential
 interpolation from ``start`` (channel 0) down to ``end`` (last channel),
-rounded half up. Both ends are at least 1 and a curve only runs downward,
+rounded half up. Both ends lie in [1, 2**63) and a curve only runs downward,
 so no threshold falls below 1.
 
 ``filter_stream`` evaluates the rule rank by rank instead of event by event.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .events import EventStream
+from .events import EventStream, int_column
 
 SCHEDULE_KINDS = ("constant", "linear", "exponential")
 
@@ -56,8 +56,8 @@ class ThresholdSchedule:
                 f"unknown schedule kind {self.kind!r}; expected one of "
                 f"{SCHEDULE_KINDS}")
         end = self.start if self.end is None else self.end
-        if self.start < 1 or end < 1:
-            raise ValidationError("thresholds must be at least 1")
+        if not (1 <= self.start < 2**63 and 1 <= end < 2**63):
+            raise ValidationError("thresholds must lie in [1, 2**63)")
         if self.kind != "constant" and self.start < end:
             raise ValidationError(
                 f"schedules run downward: start {self.start} < end {end}")
@@ -67,7 +67,8 @@ def make_thresholds(schedule: ThresholdSchedule, channels: int) -> np.ndarray:
     """Materialize a schedule into per-channel integer thresholds.
 
     Linear interpolation is done in exact integer arithmetic; the exponential
-    curve uses floats with round half up. A single channel degenerates to
+    curve uses floats with round half up, capped at ``start`` (a float start
+    near 2**63 rounds up past it). A single channel degenerates to
     ``start`` for every kind.
     """
     if channels < 1:
@@ -85,7 +86,7 @@ def make_thresholds(schedule: ThresholdSchedule, channels: int) -> np.ndarray:
     else:
         ratio = end / start
         values = [
-            math.floor(start * ratio ** (c / (channels - 1)) + 0.5)
+            min(start, math.floor(start * ratio ** (c / (channels - 1)) + 0.5))
             for c in range(channels)
         ]
     return np.array(values, dtype=np.int64)
@@ -104,7 +105,8 @@ class FiltrationParams:
             raise ValidationError("div_factor must lie in [0, 32]")
         if self.weight < 0:
             raise ValidationError("event weight must be non-negative")
-        thresholds = np.asarray(self.thresholds, dtype=np.int64)
+        thresholds = int_column(self.thresholds, "thresholds").astype(
+            np.int64, copy=False)
         if thresholds.ndim != 1 or thresholds.size == 0:
             raise ValidationError("thresholds must be a non-empty 1-d array")
         if (thresholds < 1).any():

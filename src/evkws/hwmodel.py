@@ -85,8 +85,8 @@ class HwParams:
         if min(self.nas_latency_us, self.head_latency_us,
                self.window_latency_bound_us) < 0:
             raise ValidationError("latencies must be non-negative")
-        if self.window_us < 1:
-            raise ValidationError("window width must be positive")
+        if not 1 <= self.window_us < 2**63:
+            raise ValidationError("window width must lie in [1, 2**63)")
         if self.flush_timeout_us < 0:
             raise ValidationError("flush timeout must be non-negative")
 

@@ -202,8 +202,8 @@ class WindowPool:
     def __init__(self, width: int, window_us: int = DEFAULT_WINDOW_US):
         if width < 1:
             raise ValidationError("feature width must be positive")
-        if window_us < 1:
-            raise ValidationError("window width must be positive")
+        if not 1 <= window_us < 2**63:
+            raise ValidationError("window width must lie in [1, 2**63)")
         self.window_us = window_us
         self._zero = np.zeros(width, dtype=np.int8)
         self._zero.flags.writeable = False

@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (ParseError, ValidationError, decimal_int, exact_int,
-                     open_text)
+from .errors import (ParseError, ValidationError, csv_fields, csv_rows,
+                     decimal_int, exact_int)
 from .events import EventStream, compute_stats
 
 F1_EPS = 1e-12
@@ -139,43 +139,32 @@ def read_records(path: str) -> list[EvalRecord]:
     ``1_0`` are refused too; an empty ``t`` field means no ground-truth bin.
     """
     records: list[EvalRecord] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+    for lineno, line in csv_rows(path, "sample_id,y,t,y_hat,t_hat"):
+        try:
             if line.startswith("{"):
-                try:
-                    doc = json.loads(line)
-                    sample_id = doc["sample_id"]
-                    if not isinstance(sample_id, str):
-                        raise ValueError("sample_id must be a string, got "
-                                         f"{json.dumps(sample_id)}")
-                    records.append(EvalRecord(
-                        sample_id=sample_id,
-                        y=exact_int(doc["y"], "y"),
-                        y_hat=exact_int(doc["y_hat"], "y_hat"),
-                        pred_bin=exact_int(doc.get("t_hat", 0), "t_hat"),
-                        true_bin=None if doc.get("t") is None
-                        else exact_int(doc["t"], "t")))
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError, OverflowError) as exc:
-                    raise ParseError(f"{path}: bad record: {exc}", line=lineno)
-                continue
-            if lineno == 1 and line.replace(" ", "") == "sample_id,y,t,y_hat,t_hat":
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 5:
-                raise ParseError(f"{path}: expected 5 fields, got {len(parts)}",
-                                 line=lineno)
-            try:
+                doc = json.loads(line)
+                sample_id = doc["sample_id"]
+                if not isinstance(sample_id, str):
+                    raise ValueError("sample_id must be a string, got "
+                                     f"{json.dumps(sample_id)}")
                 records.append(EvalRecord(
-                    sample_id=parts[0], y=decimal_int(parts[1], "y"),
-                    true_bin=decimal_int(parts[2], "t") if parts[2] else None,
-                    y_hat=decimal_int(parts[3], "y_hat"),
-                    pred_bin=decimal_int(parts[4], "t_hat")))
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad record: {exc}", line=lineno)
+                    sample_id=sample_id,
+                    y=exact_int(doc["y"], "y"),
+                    y_hat=exact_int(doc["y_hat"], "y_hat"),
+                    pred_bin=exact_int(doc.get("t_hat", 0), "t_hat"),
+                    true_bin=None if doc.get("t") is None
+                    else exact_int(doc["t"], "t")))
+            else:
+                sample_id, y, t, y_hat, t_hat = csv_fields(
+                    path, lineno, line, 5)
+                records.append(EvalRecord(
+                    sample_id=sample_id, y=decimal_int(y, "y"),
+                    true_bin=decimal_int(t, "t") if t else None,
+                    y_hat=decimal_int(y_hat, "y_hat"),
+                    pred_bin=decimal_int(t_hat, "t_hat")))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
+            raise ParseError(f"{path}: bad record: {exc}", line=lineno)
     return records
 
 

@@ -41,6 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParseError, ValidationError, exact_int, open_text
+from .events import int_column
 from .quant import I8_MAX, I8_MIN, I32_MAX, MAX_SHIFT, _window
 
 WEIGHT_FORMAT_VERSION = 1
@@ -71,7 +72,9 @@ def exact_float(weight: np.ndarray, extra=0) -> type:
 class Block:
     """One int8 affine block: ``weight`` (int8) and ``bias`` (int32, one
     value per weight row) with the requantization scale of its output.
-    Checked once, when built; both arrays are then read-only. The widths
+    Checked once, when built; both arrays are then read-only. Their values
+    must be integers (``events.int_column``: a float, bool or value beyond
+    int64 is refused, never truncated) within those ranges. The widths
     and scales must be integers (Python or numpy; a float, bool or str is
     refused) with positive widths, ``1 <= scale_num < 2**31`` and
     ``0 <= scale_shift <= 62``, and are kept as Python ints.
@@ -114,7 +117,7 @@ class Block:
             if width < 1:
                 raise ValidationError(f"{name} must be positive, got {width}")
             object.__setattr__(self, name, width)
-        weight = np.asarray(self.weight)
+        weight = int_column(self.weight, "weight")
         if weight.dtype != np.int8:
             if (weight < I8_MIN).any() or (weight > I8_MAX).any():
                 raise ValidationError("weight values exceed int8 range")
@@ -125,7 +128,7 @@ class Block:
             raise ValidationError(
                 f"{self.kind} weight shape {weight.shape} does not match "
                 f"{shape} for in={self.in_width}, out={self.out_width}")
-        bias = np.asarray(self.bias, dtype=np.int64)
+        bias = int_column(self.bias, "bias").astype(np.int64, copy=False)
         if bias.shape != shape[:1]:
             raise ValidationError(
                 f"bias length {bias.shape} does not match {shape[0]} rows")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from evkws import (
     ConfigError,
+    ParseError,
     RunConfig,
     SensorConfig,
     expand_sweep,
@@ -18,9 +19,10 @@ from evkws import (
     write_stream,
 )
 import evkws.events as events
-from evkws.cli import main
+from evkws.cli import _read_manifest, main
 from evkws.config import KEYS
 from evkws.filtering import make_thresholds
+from evkws.metrics import read_records
 
 from conftest import make_stream
 
@@ -103,6 +105,23 @@ def test_bad_value_rejected():
         load_config(None, ["graph.r_c=ten"])
     with pytest.raises(ConfigError):
         load_config(None, ["graph.r_c"])  # no '='
+
+
+@pytest.mark.parametrize("override", [
+    "graph.r_c=1_0", "sensor.channels=+64", "hw.fifo_depth=\u0663",
+    "graph.r_c=1 0", "hw.window_us=0x10", "graph.r_t_high=5.0",
+])
+def test_config_integers_are_a_sign_and_ascii_digits(override):
+    # int() loaded the first three as 10, 64 and 3
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(None, [override])
+
+
+def test_config_integers_keep_leading_zeros_and_a_minus():
+    cfg = load_config(None, ["graph.r_c=007", "sensor.channels=0064"])
+    assert (cfg.graph.r_c, cfg.sensor.channels) == (7, 64)
+    with pytest.raises(ConfigError, match="need 0 <= r_t_low"):  # read
+        load_config(None, ["graph.r_t_low=-3"])
 
 
 def test_domain_violation_becomes_config_error():
@@ -661,6 +680,67 @@ def test_cli_weight_kind_not_a_known_string(capsys, tmp_path, sample_file,
     assert code == 4
     assert out == "" and err.count("\n") == 1
     assert "unknown block kind" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "1_0", "abc", "+5", "", " 5"])
+def test_cli_seed_is_a_non_negative_decimal_integer(capsys, sample_file,
+                                                    seed):
+    # --seed=-1 ended in numpy's ValueError traceback, exit 1
+    code, out, err = run_cli(capsys, f"--seed={seed}", "infer",
+                             str(sample_file))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["message"] == (
+        f"--seed takes non-negative integers, got {seed!r}")
+
+
+BEYOND_INT64 = 2**70
+
+
+@pytest.mark.parametrize("command", ["stats", "infer", "simulate", "eval"])
+@pytest.mark.parametrize("key", ["hw.window_us", "filtration.threshold.start",
+                                 "filtration.threshold.end"])
+def test_cli_integer_settings_beyond_int64_are_config_errors(
+        capsys, tmp_path, sample_file, command, key):
+    # each ended in an OverflowError traceback, exit 1
+    argv = {"stats": ["stats", str(sample_file)],
+            "infer": ["infer", str(sample_file)],
+            "simulate": ["simulate", str(sample_file)],
+            "eval": ["eval", "--manifest", str(tmp_path / "m.csv")]}[command]
+    (tmp_path / "m.csv").write_text(f"{sample_file.name},1,3\n")
+    code, out, err = run_cli(capsys, "--set", f"{key}={BEYOND_INT64}", *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["message"].endswith("[1, 2**63)")
+
+
+def _read_events(path):
+    return events.read_stream(path, events.FORMAT_CSV, SensorConfig(64))
+
+
+@pytest.mark.parametrize("reader,header,row", [
+    (_read_events, "t,c,p", "5,1,1"),
+    (_read_manifest, "path,label,end_bin", "s.nas,1,3"),
+    (read_records, "sample_id,y,t,y_hat,t_hat", "a,1,2,1,2"),
+], ids=["events", "manifest", "records"])
+def test_csv_readers_share_one_line_rule(tmp_path, reader, header, row):
+    def read(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return reader(str(path))
+
+    plain = read("plain.csv", f"{row}\n{row}\n")
+    assert len(plain) == 2
+    # blank lines skipped, a spaced header on line 1 skipped
+    spaced = " " + header.replace(",", " , ") + " "
+    assert read("loose.csv", f"{spaced}\n\n{row}\n \t\n{row}\n") == plain
+    # a header past line 1 is data, refused where it names its line
+    with pytest.raises(ParseError, match=r"must be an integer.*\(line 2\)"):
+        read("late.csv", f"{row}\n{header}\n")
+    width = header.count(",") + 1
+    with pytest.raises(ParseError, match=rf"expected {width} fields, got "
+                                         rf"{width + 1} \(line 3\)"):
+        read("wide.csv", f"{header}\n{row}\n{row},9\n")
 
 
 # ------------------------------------------------------- exit-code fuzzing

@@ -302,6 +302,15 @@ def test_csv_field_count_error(tmp_path, cfg64):
         read_stream(str(path), format="csv", config=cfg64)
 
 
+@pytest.mark.parametrize("field", ["1_0", "+12", "\u0663"])
+def test_csv_fields_are_a_sign_and_ascii_digits(tmp_path, cfg64, field):
+    # int() read 1_0 as 10, +12 as 12 and U+0663 as 3
+    path = tmp_path / "s.csv"
+    path.write_text(f"t,c,p\n0,1,1\n{field},1,1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"must be an integer.*\(line 3\)"):
+        read_stream(str(path), format="csv", config=cfg64)
+
+
 def test_csv_writer_bytes_match_the_per_event_lines(tmp_path, cfg64):
     rng = np.random.default_rng(3)
     n = 500

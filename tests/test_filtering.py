@@ -175,6 +175,35 @@ def test_schedule_rejects_increasing():
         ThresholdSchedule(kind="exponential", start=16, end=0)
 
 
+@pytest.mark.parametrize("start,end", [(2**63, 32), (64, 2**63),
+                                       (2**70, None), (0, None)])
+def test_schedule_ends_lie_in_one_to_2_63(start, end):
+    # 2**70 built, and make_thresholds raised OverflowError
+    with pytest.raises(ValidationError, match=r"\[1, 2\*\*63\)"):
+        ThresholdSchedule(kind="exponential", start=start, end=end)
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "exponential"])
+def test_schedule_near_2_63_stays_within_its_ends(kind):
+    # the float start 2**63 - 1 rounds up to 2**63, past int64
+    start = 2**63 - 1
+    vals = make_thresholds(ThresholdSchedule(kind, start, 1), 64)
+    assert vals[0] == start and vals.max() == start
+    assert (np.diff(vals) <= 0).all() and vals.min() >= 1
+
+
+@pytest.mark.parametrize("thresholds", [
+    [1.5, 2.7],                           # read as [1, 2]
+    [True, True],
+    [2**70],                              # an OverflowError
+    np.array([2**64 - 1], dtype=np.uint64),
+])
+def test_filtration_params_refuse_thresholds_that_are_not_int64(thresholds):
+    with pytest.raises(ValidationError,
+                       match="thresholds must be integers within the int64"):
+        FiltrationParams(8, 32, thresholds)
+
+
 def test_schedule_single_channel():
     sched = ThresholdSchedule(kind="exponential", start=64, end=32)
     np.testing.assert_array_equal(make_thresholds(sched, 1), [64])

@@ -12,6 +12,7 @@ from evkws import (
     FiltrationParams,
     GraphBuilder,
     GraphParams,
+    HwParams,
     InferenceEngine,
     ModelArch,
     ModelWeights,
@@ -474,6 +475,17 @@ def test_window_pool_boundary_times():
     pool = WindowPool(width=1, window_us=10)
     out = pool.push(np.array([[7], [4]], dtype=np.int8), [0, 10])
     assert _pooled(out) == [(0, [7])]    # 10 is exactly the next window
+
+
+@pytest.mark.parametrize("window_us", [0, -1, 2**63, 2**70])
+def test_window_width_lies_in_one_to_2_63(window_us):
+    # 2**70 built both, and t // window_us later raised OverflowError
+    for make in (lambda: HwParams(window_us=window_us),
+                 lambda: WindowPool(1, window_us)):
+        with pytest.raises(ValidationError, match=r"\[1, 2\*\*63\)"):
+            make()
+    assert HwParams(window_us=2**63 - 1).window_us == 2**63 - 1
+    assert WindowPool(1, 2**63 - 1).window_us == 2**63 - 1
 
 
 def test_window_pool_rejects_regression():

@@ -466,6 +466,23 @@ def test_blocks_refuse_widths_that_are_not_integers(kind, field, value):
     assert type(getattr(block, field)) is int
 
 
+@pytest.mark.parametrize("weight,bias,name", [
+    (np.array([[1.7]]), [2], "weight"),  # built with weight [[1]]
+    (np.array([[True]]), [2], "weight"),
+    (np.array([[2**64 - 1]], dtype=np.uint64), [2], "weight"),
+    (np.array([[1]]), [2.9], "bias"),     # built with bias [2]
+    (np.array([[1]]), [True], "bias"),
+    (np.array([[1]]), [2**70], "bias"),   # an OverflowError
+])
+def test_blocks_refuse_arrays_that_are_not_int64(weight, bias, name):
+    with pytest.raises(ValidationError,
+                       match=f"{name} must be integers within the int64"):
+        LinearBlock(weight=weight, bias=bias, in_width=1, out_width=1)
+    block = LinearBlock(weight=np.array([[-7]]), bias=[3], in_width=1,
+                        out_width=1)
+    assert block.weight.dtype == np.int8 and block.bias.dtype == np.int32
+
+
 @pytest.mark.parametrize("kind", sorted(BLOCK_SHAPES))
 def test_blocks_keep_numpy_integer_scales_as_python_ints(kind):
     block = _block(kind, 0, scale_num=np.int64(3), scale_shift=np.uint8(61))
