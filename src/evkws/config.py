@@ -44,7 +44,8 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import attrgetter
 
-from .errors import ConfigError, ValidationError, decimal_int, open_text
+from .errors import (ConfigError, ValidationError, decimal_float, decimal_int,
+                     open_text)
 from .events import SensorConfig
 from .filtering import FiltrationParams, ThresholdSchedule
 from .graph import GraphParams
@@ -126,9 +127,10 @@ def _cast(section: str, key: str, value: str):
     default = attrgetter(attr)(_DEFAULTS)
     if default is None:
         return value or None  # optional path; empty means unset
-    kind = type(default)  # an int is an optional "-" and ASCII digits
+    kind = type(default)
+    parse = {int: decimal_int, float: decimal_float}.get(kind)
     try:
-        return decimal_int(value, key) if kind is int else kind(value)
+        return kind(value) if parse is None else parse(value, key)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {value!r} as "

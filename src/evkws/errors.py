@@ -1,8 +1,9 @@
 """Exception types shared across the package, the UTF-8 file opener and
 the text rules: ``csv_rows`` and ``csv_fields`` are the CSV line rule of
 event files, manifests and record files (lines stripped, blank ones and a
-line-1 header skipped, fields split on commas and stripped), and every
-integer read from text goes through ``decimal_int``.
+line-1 header skipped, fields split on commas and stripped), every
+integer read from text goes through ``decimal_int`` and every float
+through ``decimal_float``.
 
 The command-line front end maps each class to a distinct exit code, so new
 error conditions should reuse one of these rather than raising bare
@@ -12,6 +13,7 @@ ValueError.
 from __future__ import annotations
 
 import numbers
+import re
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -97,3 +99,18 @@ def decimal_int(text: str, name: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{name} must be an integer, got {text!r}")
     return int(text)
+
+
+# an optional "-", ASCII digits, an optional fraction and an optional
+# exponent: str(float) of every finite float, and nothing else
+_DECIMAL_FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def decimal_float(text: str, name: str) -> float:
+    """``text`` as a float when it is an optional ``-``, ASCII digits, an
+    optional fraction and an optional exponent (``200e6``, ``2.11``,
+    ``1e-05``); ValueError naming ``name`` otherwise. ``float`` would also
+    take ``+2.11``, ``2_0_0e6``, non-ASCII digits, ``nan`` and ``inf``."""
+    if _DECIMAL_FLOAT.fullmatch(text) is None:
+        raise ValueError(f"{name} must be a decimal number, got {text!r}")
+    return float(text)

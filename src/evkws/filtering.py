@@ -20,10 +20,13 @@ every channel (its rank k) can be updated in one vector step once ranks
 that of the per-event loop. Channels are laid out as the columns of a
 ``(max rank, channels)`` grid ordered by falling event count, so the
 channels still active at rank k are a prefix of the columns and the grid is
-stored without its empty cells. The decay of each event depends only on
-timestamps and is computed for all events before the steps. A step costs
-the same whatever the number of active channels, so the run time follows
-the busiest channel's event count.
+stored without its empty cells. One stable sort of the events' columns
+groups them, on the narrowest unsigned key (uint8 on every sensor), which
+numpy radix-sorts in one pass per byte; their columns and ranks are then
+runs, built by ``np.repeat`` over the channel counts. The decay of each
+event depends only on timestamps and is computed for all events before the
+steps. A step costs the same whatever the number of active channels, so the
+run time follows the busiest channel's event count.
 """
 
 from __future__ import annotations
@@ -136,9 +139,9 @@ def filter_stream(stream: EventStream,
         raise ValidationError(
             f"params cover {params.channels} channels, stream has "
             f"{stream.config.channels}")
-    keep = _keep_mask(stream.t, stream.c, params)
-    return EventStream(stream.config, stream.t[keep], stream.c[keep],
-                       stream.p[keep], sample_id=stream.sample_id)
+    keep = np.flatnonzero(_keep_mask(stream.t, stream.c, params))
+    return EventStream(stream.config, stream.t.take(keep), stream.c.take(keep),
+                       stream.p.take(keep), sample_id=stream.sample_id)
 
 
 def _keep_mask(t: np.ndarray, c: np.ndarray,
@@ -153,28 +156,29 @@ def _keep_mask(t: np.ndarray, c: np.ndarray,
             f"channel {int(c[0])}: potential {weight} overflows 32-bit storage")
     counts = np.bincount(c, minlength=params.channels)
     channel_of_column = np.argsort(-counts, kind="stable")
-    column = np.empty(params.channels, dtype=np.int16)  # radix-sortable
+    column = np.empty_like(counts, np.min_scalar_type(params.channels - 1))
     column[channel_of_column] = np.arange(params.channels)
     # Events channel by channel in column order, stream order within each.
-    by_column = np.argsort(column[c], kind="stable")
-    sizes = counts[channel_of_column]
+    by_column = np.argsort(column.take(c), kind="stable")
+    sizes = counts.take(channel_of_column)
     firsts = np.cumsum(sizes) - sizes
-    col = column[c[by_column]]
-    rank = np.arange(len(t))
-    rank -= firsts[col]
+    index = np.int32 if len(t) < 2**31 else np.intp
+    col = np.repeat(np.arange(params.channels, dtype=index), sizes)
+    rank = np.arange(len(t), dtype=index)
+    rank -= np.repeat(firsts.astype(index), sizes)
     width = np.bincount(rank)  # active columns per rank, non-increasing
-    cell = np.concatenate(([0], np.cumsum(width)))[rank]
+    cell = np.concatenate(([0], np.cumsum(width)), dtype=index).take(rank)
     cell += col
     # The grid stored rank by rank: each cell starts as weight - decay and
     # ends as its event's potential.
-    ts = t[by_column].astype(np.int64, copy=False)
+    ts = t.take(by_column).astype(np.int64, copy=False)
     decay = ts.copy()
     decay[1:] -= ts[:-1]
     starts = firsts[:width[0]]
     decay[starts] = ts[starts]  # every channel's clock starts at 0
     decay >>= params.div_factor
     value = np.empty(len(t), dtype=np.int64)
-    value[cell] = np.subtract(weight, decay, out=decay)
+    value.put(cell, np.subtract(weight, decay, out=decay))
     del col, rank, ts, decay  # free n-sized temporaries before the steps
     v = np.zeros(width[0], dtype=np.int64)
     below = np.empty(width[0], dtype=bool)
@@ -192,7 +196,7 @@ def _keep_mask(t: np.ndarray, c: np.ndarray,
             np.less(x, tm, out=bm)
             np.multiply(x, bm, out=vm)  # reset to 0 on a pass
     potential = np.empty(len(t), dtype=np.int64)
-    potential[by_column] = value[cell]
+    potential.put(by_column, value.take(cell))
     # A channel's first overflow is exact, and the stream's first one is
     # first in its channel; later values of that channel are never read.
     over = np.flatnonzero(potential > V_LIMIT)
@@ -201,4 +205,4 @@ def _keep_mask(t: np.ndarray, c: np.ndarray,
         raise ValidationError(
             f"channel {int(c[i])}: potential {int(potential[i])} overflows "
             "32-bit storage")
-    return potential >= params.thresholds[c]
+    return potential >= params.thresholds.take(c)

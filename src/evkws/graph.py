@@ -23,7 +23,10 @@ A batch of ``n`` events is answered from a ``(channels + 1, n + 1)`` int32
 grid of the row each channel last held before each event. Every cell run of
 that grid holds one row, so one ``np.repeat`` over the runs in start order
 fills it, a segmented broadcast with no scan (Blelloch, "Prefix Sums and
-Their Applications", CMU-CS-90-190); each offset's row of the table then
+Their Applications", CMU-CS-90-190). A stable sort of the rows' channels
+alone puts the runs in start order (a channel's history row, then its batch
+rows in order), on the narrowest unsigned key (uint8 to 254 channels) that
+numpy radix-sorts in one pass per byte. Each offset's row of the table then
 costs two gathers. Offsets off the sensor read the extra channel, a sentinel
 row after the batch rows. That row and every channel with no event yet carry
 the time ``NEVER``, after every timestamp ``insert`` accepts (below 2**32),
@@ -171,15 +174,17 @@ class GraphBuilder:
         # event j (j = n: after the batch). Channel ch's cells hold its
         # history row ch from ch * span, batch event i's row channels + i
         # from c[i] * span + i + 1, each until the next run starts, and the
-        # sentinel channel's the sentinel row channels + n. The starts are
-        # distinct; sorted, their indices are the runs' rows and their gaps
-        # the run lengths, the last closed by a start at the grid's end.
+        # sentinel channel's the sentinel row channels + n. A stable sort of
+        # the rows' channels puts the runs in start order, a last key closing
+        # the grid at its end; the starts' gaps are the run lengths.
         span = n + 1
-        starts = np.concatenate([np.arange(0, channels * span, span),
-                                 c * span + np.arange(1, span),
-                                 [channels * span, (channels + 1) * span]])
-        rows = np.argsort(starts, kind="stable")
-        first = starts.take(rows)
+        keys = np.concatenate([np.arange(channels), c,
+                               [channels, channels + 1]])
+        rows = np.argsort(keys.astype(np.min_scalar_type(channels + 1)),
+                          kind="stable")
+        offset = np.concatenate([np.zeros(channels, np.int64),
+                                 np.arange(1, span), [0, 0]])
+        first = keys.take(rows) * span + offset.take(rows)
         # rows run to channels + n: int32 holds them, halving the grid
         index = np.int32 if channels + n < 2**31 else np.intp
         grid = np.repeat(rows[:-1].astype(index), first[1:] - first[:-1])

@@ -117,6 +117,32 @@ def test_config_integers_are_a_sign_and_ascii_digits(override):
         load_config(None, [override])
 
 
+@pytest.mark.parametrize("override", [
+    "hw.clock_hz=2_0_0e6", "hw.head_latency_us=+2.11",
+    "hw.nas_latency_us=٣", "hw.clock_hz=200e٥", "hw.clock_hz=1 0",
+    "hw.head_latency_us=.5", "hw.head_latency_us=2.", "hw.clock_hz=0x10",
+    "hw.clock_hz=infinity", "hw.nas_latency_us=", "hw.clock_hz=200e+",
+])
+def test_config_floats_are_a_sign_digits_fraction_and_exponent(override):
+    # float() loaded the first three as 200000000.0, 2.11 and 3.0
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(None, [override])
+
+
+def test_config_floats_read_decimal_and_exponent_forms():
+    cfg = load_config(None, ["hw.clock_hz=200e6", "hw.head_latency_us=2.11",
+                             "hw.nas_latency_us=23",
+                             "hw.window_latency_bound_us=1.5E+1",
+                             "hw.flush_timeout_us=-0.0"])
+    assert (cfg.hw.clock_hz, cfg.hw.head_latency_us, cfg.hw.nas_latency_us,
+            cfg.hw.window_latency_bound_us) == (200e6, 2.11, 23.0, 15.0)
+    assert load_config(None, ["hw.clock_hz=10e6"]).hw.clock_hz == 10e6
+    # str() of a finite float is read back as the same float
+    for value in (200e6, 1e-05, 1e+16, 18.62, 2.5e-300):
+        cfg = load_config(None, [f"hw.clock_hz={value}"])
+        assert cfg.hw.clock_hz == value
+
+
 def test_config_integers_keep_leading_zeros_and_a_minus():
     cfg = load_config(None, ["graph.r_c=007", "sensor.channels=0064"])
     assert (cfg.graph.r_c, cfg.sensor.channels) == (7, 64)

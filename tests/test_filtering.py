@@ -271,14 +271,32 @@ ragged_events = st.integers(1, 32).flatmap(lambda used: st.lists(
 ).map(lambda evs: sorted(evs, key=lambda e: e[0])))
 
 
-@given(events=st.one_of(stream_events, ragged_events),
+@st.composite
+def wide_or_skewed_events(draw):
+    """128 channels, or a stream where one channel carries most events (the
+    longest rank run), each at up to 3,000 events."""
+    channels = draw(st.sampled_from([32, 128]))
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.cumsum(rng.integers(0, draw(st.sampled_from([2, 30, 300])), n))
+    c = rng.integers(0, channels, n)
+    if draw(st.booleans()):
+        busy = rng.random(n) < draw(st.sampled_from([0.6, 0.9, 0.99]))
+        c[busy] = rng.integers(0, channels)
+    p = rng.choice([-1, 1], n)
+    return channels, list(zip(t.tolist(), c.tolist(), p.tolist()))
+
+
+@given(drawn=st.one_of(st.tuples(st.just(32), stream_events | ragged_events),
+                       wide_or_skewed_events()),
        div_factor=st.integers(0, 12), weight=st.integers(0, 200),
-       thetas=st.lists(st.integers(1, 300), min_size=32, max_size=32))
+       thetas=st.lists(st.integers(1, 300), min_size=128, max_size=128))
 @settings(max_examples=300, deadline=None)
-def test_filter_matches_transcribed_rule(events, div_factor, weight, thetas):
-    cfg = SensorConfig(channels=32)
+def test_filter_matches_transcribed_rule(drawn, div_factor, weight, thetas):
+    channels, events = drawn
+    cfg = SensorConfig(channels)
     params = FiltrationParams(div_factor, weight,
-                              np.array(thetas, dtype=np.int64))
+                              np.array(thetas[:channels], dtype=np.int64))
     stream = EventStream.from_events(cfg, events)
     kept = filter_stream(stream, params)
     expected = transcribed_filter(events, div_factor, weight, thetas)

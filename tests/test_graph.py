@@ -332,3 +332,73 @@ def test_reach_past_the_sensor_adds_nothing(skip_step):
                      dump.getvalue()))
     assert len(stream) > CHUNK and sum(runs[0][1]) > 0 and runs[0][0]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _check_against_the_rescan(channels, t, c, params, chunk=CHUNK):
+    """Every batch's neighbor pairs, edge counts and carried rows equal the
+    stateless rescan (and a plain scan of the batch)."""
+    builder = GraphBuilder(channels, params)
+    counts = []
+    for start in range(0, len(t), chunk):
+        bt, bc = t[start:start + chunk], c[start:start + chunk]
+        table = builder.insert(bt, bc)
+        degree = table.valid.sum(axis=0)
+        for i in range(len(bt)):
+            ev = (int(bt[i]), int(bc[i]), 1)
+            expect = brute_force_neighbors(t[:start + i], c[:start + i],
+                                           channels, ev, params)
+            assert table.pairs(i, ev[1]) == expect
+            assert degree[i] == len(expect)
+            counts.append(len(expect))
+        last = list(range(channels))
+        for i, ch in enumerate(bc.tolist()):
+            last[ch] = channels + i
+        assert builder.latest.tolist() == last
+    return counts
+
+
+# ages reach 2**32 - 1 (an event at 0, then one at 2**32 - 1), and three
+# events share each of the ages 7 and 2**31
+_AGE_T = np.array([0, 0, 7, 7, 14, 2**31, 2**31 + 7, 2**32 - 8, 2**32 - 1,
+                   2**32 - 1])
+_AGE_C = np.array([0, 1, 1, 2, 3, 2, 4, 31, 30, 3])
+_HIGHS = [2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64, 10**30]
+
+
+@pytest.mark.parametrize("r_t_low,r_t_high", [
+    *((0, high) for high in _HIGHS),
+    *((high, high) for high in _HIGHS),
+    (7, 7), (2**31, 2**31), (2**32 - 1, 2**32 - 1),
+    # past every age: unseen channels and the sentinel row stay invalid too
+    *((2**32, high) for high in _HIGHS[1:]),
+    (10**30, 10**30),
+])
+@pytest.mark.parametrize("chunk", [1, 4, CHUNK])
+def test_age_window_is_exact_at_any_width(r_t_low, r_t_high, chunk):
+    # valid and edges_per_event equal the rescan's exact integer compare,
+    # at windows wider than any age, past 64 bits, and of zero width
+    params = GraphParams(r_c=31, skip_step=1, r_t_low=r_t_low,
+                         r_t_high=r_t_high)
+    counts = _check_against_the_rescan(32, _AGE_T, _AGE_C, params, chunk)
+    stream = EventStream(SensorConfig(32), _AGE_T, _AGE_C,
+                         np.ones_like(_AGE_C))
+    assert edges_per_event(stream, params).tolist() == counts
+    if r_t_low > 2**32 - 1:
+        assert not any(counts)
+    elif r_t_low == 0:
+        assert sum(counts) > len(counts)
+
+
+@pytest.mark.parametrize("channels", [254, 255, 256, 300])
+def test_builder_on_sensors_wider_than_a_byte_key(channels):
+    # insert takes any positive channel count: the run-start keys hold
+    # channels + 2 values, so at 255 channels and up they widen past uint8
+    # and must not wrap
+    rng = np.random.default_rng(channels)
+    n = 2 * CHUNK + 5
+    t = np.cumsum(rng.integers(0, 4, n))
+    c = np.where(rng.random(n) < 0.5, rng.integers(channels - 6, channels, n),
+                 rng.integers(0, channels, n))
+    for r_c, skip_step in ((3, 1), (channels, 1), (40, 7)):
+        params = GraphParams(r_c=r_c, skip_step=skip_step, r_t_high=60)
+        _check_against_the_rescan(channels, t, c, params)
