@@ -155,7 +155,7 @@ def _build(values: dict[tuple[str, str], object]) -> RunConfig:
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # "%" literal
     try:
         with open_text(path, ConfigError) as fh:
             parser.read_file(fh)
@@ -204,6 +204,9 @@ def expand_sweep(path: str) -> list[tuple[dict[str, str], RunConfig]]:
             if raw == "":
                 continue
             choices = [part.strip() for part in raw.split(",") if part.strip()]
+            if not choices:
+                raise ConfigError(f"{path}: {section}.{key} = {raw!r} lists "
+                                  "no value")
             if len(choices) > 1:
                 axes.append((section, key, choices))
             else:
@@ -222,7 +225,7 @@ def expand_sweep(path: str) -> list[tuple[dict[str, str], RunConfig]]:
 
 def write_config(config: RunConfig, path: str) -> None:
     """Serialize a resolved config back to INI."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, entries in config.to_dict().items():
         parser[section] = {}
         for key, value in entries.items():

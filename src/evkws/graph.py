@@ -119,11 +119,15 @@ class NeighborTable:
         n, total = row.shape[1], len(channel)
         own = np.arange(total - n, total)
         age = quantize_dt(self.dt) * valid
-        if (total < n or ((row < 0) | (row >= total)).any()
-                or (np.abs(channel) > I8_MAX).any()
-                or (valid & ((channel[row] != channel[own] + self.dc[:, None])
-                             | (np.abs(self.dc[:, None]) > I8_MAX)
-                             | (age < 0))).any()):
+        # channels compare in int16 once they lie in int8; a dc past 127,
+        # which int16 may wrap, is refused first where any slot is valid
+        ch, dc = channel.astype(np.int16), self.dc[:, None].astype(np.int16)
+        if (total < n or row.min(initial=0) < 0 or row.max(initial=-1) >= total
+                or channel.min(initial=0) < -I8_MAX
+                or channel.max(initial=0) > I8_MAX
+                or valid[(self.dc < -I8_MAX) | (self.dc > I8_MAX)].any()
+                or age.min(initial=0) < 0
+                or (valid & (ch.take(row) != ch[own] + dc)).any()):
             raise ValidationError(
                 f"neighbor table of {n} events over {total} rows breaks "
                 "its row, channel, dc or age range")

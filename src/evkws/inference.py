@@ -78,7 +78,7 @@ from .errors import ValidationError
 from .events import DEFAULT_WINDOW_US, EventStream, check_events
 from .filtering import FiltrationParams, filter_stream
 from .graph import CHUNK, GraphBuilder, GraphParams, NeighborTable
-from .model import ConvLayer, GruBlock, ModelWeights
+from .model import NODE_TILE, ConvLayer, GruBlock, ModelWeights
 from .quant import (I8_MAX, div_round_half_away, div_round_half_up_nonneg,
                     lut_sigmoid, lut_tanh, quantize_dt, requantize,
                     rounding_rshift, saturate_i8)
@@ -130,8 +130,10 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
     into, in the layer's ``node_dtype``: each is ``[x, ch] @ [Wx, w_dc].T``
     clamped to the layer's bounds, minus its ``offset``. The call checks
     all three, then writes the batch's own stored products into the last
-    ``n`` rows of ``node`` (their self vertices), where every later event
-    that takes them as neighbors reads them. Each neighbor adds its age term
+    ``n`` rows of ``node`` (their self vertices), clamped ``NODE_TILE`` rows
+    at a time against ``node_tile``. Every later event that takes them as
+    neighbors reads them there, and the running maximum starts from them
+    there, uncopied. Each neighbor adds its age term
     from the layer's ``age_table``; after the maximum, each event adds
     ``bias - ch_i * w_dc + offset`` from its ``channel_table``, in int32.
     Both tables are built with the layer, so a call derives nothing from
@@ -160,7 +162,7 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
     # [x, ch, 1] @ product_t is exact in product_t's dtype, offset column
     # included; clamped before the cast, so every stored value lies inside
     # the node dtype (maximum and minimum: clip takes twice as long with
-    # per-feature bounds)
+    # per-feature bounds), the last n % NODE_TILE rows against the tile's head
     float_t = layer.product_t.dtype
     vertex = scratch.take("vertex", float_t, n, in_w + 2)
     vertex[:, :in_w] = x
@@ -168,18 +170,22 @@ def pointnet_conv(layer: ConvLayer, node: np.ndarray, x: np.ndarray,
     vertex[:, in_w + 1] = 1
     stored = np.matmul(vertex, layer.product_t,
                        out=scratch.take("product", float_t, n, out_w))
-    low, high = layer.node_range
-    np.maximum(stored, low, out=stored)
-    node[own:] = np.minimum(stored, high, out=stored)
-    best = scratch.take("best", dtype, n, out_w)
+    low, high = layer.node_tile
+    whole = n - n % NODE_TILE
+    for rows in (stored[:whole].reshape(-1, low.size),
+                 stored[whole:].reshape(1, -1)):
+        np.maximum(rows, low[:rows.shape[1]], out=rows)
+        np.minimum(rows, high[:rows.shape[1]], out=rows)
+    node[own:] = stored
+    maxed = scratch.take("best", dtype, n, out_w)
     cand = scratch.take("cand", dtype, n, out_w)
     aged = scratch.take("aged", dtype, n, out_w)
-    best[...] = node[own:]
+    best = node[own:]  # the self vertices
     for k in range(len(nbr)):
         node.take(nbr[k], axis=0, out=cand, mode="clip")
         layer.age_table.take(age[k], axis=0, out=aged, mode="clip")
         cand += aged
-        np.maximum(best, cand, out=best)
+        best = np.maximum(best, cand, out=maxed)
     acc = layer.channel_table.take(table.channel[own:] + I8_MAX, axis=0,
                                    mode="clip",
                                    out=scratch.take("acc", np.int32, n, out_w))
@@ -398,11 +404,9 @@ class RunState:
         table = self.graph.insert(t, c)
         x = first_layer_inputs(table, p)
         channels, rows = self.graph.channels, len(table.channel)
-        latest = self.graph.latest
-        moved = np.flatnonzero(latest >= channels)  # channels with new events
         for layer, node in zip(self.weights.conv_layers, self._nodes):
             x = pointnet_conv(layer, node[:rows], x, table, self.scratch)
-            node[moved] = node[latest[moved]]
+            node[:channels] = node.take(self.graph.latest, axis=0)
         return self._emit(self.pool.push(x, t))
 
     def close(self) -> list[Prediction]:

@@ -58,6 +58,7 @@ CONV_LAYER_COUNT = 4
 
 ACC_LIMIT = 2**31  # accumulators, scale multipliers: signed 32-bit
 I16_SPAN = 2**16 - 1  # widest range of candidates an int16 node holds
+NODE_TILE = 64  # rows of a stage's products clamped in one run of bounds
 
 
 def exact_float(weight: np.ndarray, extra=0) -> type:
@@ -184,8 +185,10 @@ class ConvLayer(Block):
       so ``[x, ch, 1] @ product_t`` is ``P - offset``. It is float32 when
       ``128 * sum|w| + |offset|`` of every row is at most 2**24, and float64
       otherwise (``exact_float``);
-    * ``node_range``, ``(2, out_width)`` in ``product_t``'s dtype: the
-      bounds ``[low, high] - offset`` a stored product is clamped to;
+    * ``node_tile``, ``(2, NODE_TILE * out_width)`` in ``product_t``'s
+      dtype: the bounds ``[low, high] - offset`` a stored product is
+      clamped to, tiled to ``NODE_TILE`` rows, so a stage clamps a tile of
+      rows in one pass per bound;
     * ``offset``, int32 per feature: a stored product plus it is P clamped
       to ``[low, high]``.
 
@@ -207,7 +210,7 @@ class ConvLayer(Block):
     age_table: np.ndarray = field(init=False, repr=False)
     channel_table: np.ndarray = field(init=False, repr=False)
     product_t: np.ndarray = field(init=False, repr=False)
-    node_range: np.ndarray = field(init=False, repr=False)
+    node_tile: np.ndarray = field(init=False, repr=False)
     offset: np.ndarray = field(init=False, repr=False)
 
     @staticmethod
@@ -241,8 +244,8 @@ class ConvLayer(Block):
         self._freeze("channel_table", (channel + offset).astype(np.int32))
         self._freeze("product_t",
                      np.vstack([w_x.T, w_dc, -offset]).astype(exact))
-        self._freeze("node_range",
-                     (np.stack([low, high]) - offset).astype(exact))
+        self._freeze("node_tile", np.tile(
+            (np.stack([low, high]) - offset).astype(exact), NODE_TILE))
         self._freeze("offset", offset.astype(np.int32))
 
 

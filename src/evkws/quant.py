@@ -132,9 +132,18 @@ def requantize(acc: np.ndarray, block) -> np.ndarray:
     return scaled.astype(np.int8)
 
 
+# the ages from which quantize_dt saturates: + 32, >> 6 gives -128 and 127
+_DT_HALF = 1 << (DT_SHIFT - 1)
+_DT_RANGE = [np.int64((q << DT_SHIFT) - _DT_HALF) for q in (I8_MIN, I8_MAX)]
+
+
 def quantize_dt(dt_us) -> np.ndarray:
-    """Microsecond age to the int8 feature scale (1/64 us, saturated)."""
-    return saturate_i8(rounding_rshift(dt_us, DT_SHIFT))
+    """Microsecond age to the int8 feature scale (1/64 us, saturated): as
+    ``saturate_i8(rounding_rshift(dt_us, 6))``, clamped first, in int64."""
+    q = int_column(dt_us, "ages").clip(*_DT_RANGE, dtype=np.int64)
+    q += _DT_HALF
+    q >>= DT_SHIFT
+    return q.astype(np.int8)
 
 
 def lut_sigmoid(q: np.ndarray) -> np.ndarray:

@@ -461,6 +461,36 @@ def test_cli_filter_settings_are_checked_when_the_config_is_built(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command, value", [
+    ("stats", "6%"),    # configparser's interpolation raised its
+    ("ablate", "6%"),   # InterpolationSyntaxError traceback: exit 1
+    ("ablate", ","),    # a list of no value: an IndexError traceback
+    ("ablate", " , ,"),
+])
+def test_cli_ini_values_reach_the_config_rules(capsys, tmp_path, sample_file,
+                                               command, value):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[graph]\nr_c = {value}\n")
+    argv = (["--config", str(ini), "stats", str(sample_file)]
+            if command == "stats" else
+            ["ablate", str(ini), "--out-dir", str(tmp_path / "runs")])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "ConfigError" and "r_c" in doc["message"]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_ini_percent_signs_are_literal(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nweights = w%1%%.json\n")
+    config = load_config(str(ini))
+    assert config.weights_path == "w%1%%.json"
+    write_config(config, str(tmp_path / "out.ini"))
+    assert load_config(str(tmp_path / "out.ini")) == config
+
+
 @pytest.mark.parametrize("override", [
     "hw.nas_latency_us=nan",   # exited 0, printed NaN, dropped every event
     "hw.clock_hz=inf",         # printed Infinity as a throughput

@@ -34,7 +34,8 @@ from evkws import (
 import evkws.graph
 import evkws.inference
 from evkws.graph import CHUNK, NeighborTable
-from evkws.model import ACC_LIMIT, ConvLayer, GruBlock, LinearBlock
+from evkws.model import (ACC_LIMIT, NODE_TILE, ConvLayer, GruBlock,
+                         LinearBlock)
 
 from conftest import events_of, make_stream
 from oracles import (
@@ -85,7 +86,7 @@ def products(layer, rows, channel):
 def clamp_bounds(layer):
     """The layer's clamp of a vertex product, ``(2, out_width)`` int64: row
     0 the lower bound, row 1 the upper."""
-    return layer.node_range.astype(np.int64) + layer.offset
+    return layer.node_tile[:, :layer.out_width].astype(np.int64) + layer.offset
 
 
 def stored(layer, prods):
@@ -377,7 +378,7 @@ def test_pointnet_conv_ignores_whatever_invalid_slots_hold(seed):
 @pytest.mark.parametrize("case", [
     "negative row", "row past the end", "channel above 127",
     "channel below -127", "dc is not the channel difference",
-    "dc beyond 127", "negative age"])
+    "dc beyond 127", "dc at the int64 minimum", "negative age"])
 def test_pointnet_conv_rejects_inconsistent_tables(case):
     rng = np.random.default_rng(0)
     layer = rand_conv(rng, 2, 3)
@@ -401,6 +402,8 @@ def test_pointnet_conv_rejects_inconsistent_tables(case):
     elif case == "dc beyond 127":
         dc[0], channel[0], channel[2] = -200, -100, 100
         channel[1] = 103
+    elif case == "dc at the int64 minimum":
+        dc[0], channel[0] = -2**63, 10  # int16 takes that dc as 0
     else:
         dt[1, 0] = -33           # quantizes to -1
     x = np.array([[5, -7]], dtype=np.int8)
@@ -443,6 +446,52 @@ def test_pointnet_conv_writes_its_products_in_place(seed):
     np.testing.assert_array_equal(
         node[-n:], stored(layer, products(layer, x, table.channel[-n:])))
     np.testing.assert_array_equal(node[:-n], history)
+
+
+@pytest.mark.parametrize("n", [NODE_TILE - 1, NODE_TILE, NODE_TILE + 1, CHUNK])
+def test_pointnet_conv_clamps_tiles_as_row_by_row_calls(n):
+    # a batch clamps whole tiles of NODE_TILE rows at once and its last
+    # n % NODE_TILE rows one at a time; a one-event call is all tail. Small
+    # age and channel weights keep the bounds tight, and feature 1's input
+    # weights negate feature 0's, so a row of 127 * sign(Wx[0]) reaches
+    # past both bounds: the first row, in a tile, and the last, in the tail
+    rng = np.random.default_rng(n)
+    w_x = rng.integers(-64, 64, size=(5, 4))
+    w_x[1] = -w_x[0]
+    layer = ConvLayer(
+        weight=np.hstack([w_x, rng.choice([-1, 1], size=(5, 2))]),
+        bias=rng.integers(-100, 100, size=5), in_width=4, out_width=5,
+        scale_num=2, scale_shift=5)
+    channels = 16
+    builder = GraphBuilder(channels, GraphParams(r_c=3, r_t_high=4000))
+    t = np.sort(rng.integers(0, 30 * n, size=channels + n))
+    c = rng.integers(0, channels, size=len(t))
+    builder.insert(t[:channels], c[:channels])
+    table = builder.insert(t[channels:], c[channels:])
+    assert table.valid.any()
+    x = rng.integers(-128, 128, size=(n, 4)).astype(np.int8)
+    x[[0, -1]] = 127 * np.sign(w_x[0])
+    prods = products(layer, x, table.channel[channels:])
+    low, high = clamp_bounds(layer)
+    for i in (0, n - 1):
+        assert prods[i, 0] > high[0] and prods[i, 1] < low[1]
+    assert layer.node_dtype == np.int16
+    node = np.zeros((channels + n, 5), layer.node_dtype)
+    node[:channels] = stored(layer, products(
+        layer, rng.integers(-128, 128, size=(channels, 4)),
+        table.channel[:channels]))
+    rowwise = node.copy()
+    got = pointnet_conv(layer, node, x, table)
+    for i in range(n):
+        valid = table.valid[:, i:i + 1]
+        rows = channels + i + 1
+        one = NeighborTable(np.where(valid, table.row[:, i:i + 1], rows - 1),
+                            table.dc, table.dt[:, i:i + 1], valid,
+                            table.channel[:rows])
+        assert (pointnet_conv(layer, rowwise[:rows], x[i:i + 1], one)
+                == got[i]).all(), i
+    np.testing.assert_array_equal(rowwise, node)
+    np.testing.assert_array_equal(node[channels:], stored(layer, prods))
 
 
 # ------------------------------------------------------------- window pool

@@ -16,7 +16,7 @@ from evkws import (
     random_weights,
     save_weights,
 )
-from evkws.model import ConvLayer, GruBlock, LinearBlock
+from evkws.model import NODE_TILE, ConvLayer, GruBlock, LinearBlock
 
 from oracles import ref_rectified_window
 
@@ -273,8 +273,8 @@ def _derived(block):
             [c + off for c in f[3]] for f, off in zip(features, offset))),
         "product_t": (exact, columns(
             [*f[0], f[1], -off] for f, off in zip(features, offset))),
-        "node_range": (exact, columns(
-            [f[4] - off, f[5] - off] for f, off in zip(features, offset))),
+        "node_tile": (exact, [row * NODE_TILE for row in columns(
+            [f[4] - off, f[5] - off] for f, off in zip(features, offset))]),
         "offset": (np.int32, offset),
     }
 

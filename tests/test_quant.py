@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evkws import ValidationError
 from evkws.model import GruBlock, LinearBlock
@@ -28,7 +29,7 @@ from evkws.quant import (
     saturate_i8,
 )
 
-from oracles import ref_requant, ref_sat8
+from oracles import ref_quantize_dt, ref_requant, ref_sat8
 
 I64_MAX = 2**63 - 1
 
@@ -319,6 +320,33 @@ def test_quantize_dt_scales_by_64():
     assert quantize_dt(2000) == 31    # 2000/64 = 31.25
     assert quantize_dt(2016) == 32    # 31.5 rounds up
     assert quantize_dt(10_000) == 127  # saturates
+
+
+I64_MIN = -2**63
+# each side of both saturation edges and of the clamp quantize_dt takes
+DT_EDGES = [-8225, -8224, -8161, -8160, -33, -32, 31, 32, 8095, 8096,
+            I64_MIN, I64_MIN + 1, I64_MAX - 1, I64_MAX]
+
+
+def test_quantize_dt_matches_the_oracle_at_its_edges():
+    assert [ref_quantize_dt(v) for v in DT_EDGES[:4]] == [-128] * 3 + [-127]
+    assert [ref_quantize_dt(v) for v in DT_EDGES[-6:-4]] == [126, 127]
+    for v in DT_EDGES:
+        assert quantize_dt(v) == ref_quantize_dt(v), v
+    got = quantize_dt(np.array(DT_EDGES, dtype=np.int64))
+    assert got.dtype == np.int8
+    assert got.tolist() == [ref_quantize_dt(v) for v in DT_EDGES]
+
+
+@given(dt=hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=40),
+                     elements=st.one_of(st.integers(-9000, 9000),
+                                        st.integers(I64_MIN, I64_MAX))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_quantize_dt_matches_the_oracle_on_int64_arrays(dt):
+    got = quantize_dt(dt)
+    assert got.dtype == np.int8 and got.shape == dt.shape
+    assert got.ravel().tolist() == [ref_quantize_dt(v) for v in dt.ravel()
+                                    .tolist()]
 
 
 # --------------------------------------------------------------------- luts
